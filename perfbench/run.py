@@ -65,36 +65,49 @@ def pin_to_current_cpu() -> None:
 
 def calibrate() -> float:
     """Time a fixed pure-Python workload shaped like the program's hot loops
-    (tuple-keyed dict updates, heap pushes and pops)."""
-    t0 = time.perf_counter()
-    table, heap = {}, []
-    for i in range(15000):
-        key = (i % 97, i % 13, i >> 4)
-        table[key] = table.get(key, 0.0) + i * 0.5
-        heapq.heappush(heap, (i * 7919 % 10007, i))
-    while heap:
-        heapq.heappop(heap)
-    return time.perf_counter() - t0
+    (tuple-keyed dict updates, heap pushes and pops).  The garbage collector
+    is off meanwhile: a full collection's cost grows with every object the
+    program keeps alive, and the calibration must not depend on the
+    program's heap.  Its objects are freed by reference counting, so the
+    program's own collections are left as they were."""
+    gc_was_on = gc.isenabled()
+    gc.disable()
+    try:
+        t0 = time.perf_counter()
+        table, heap = {}, []
+        for i in range(15000):
+            key = (i % 97, i % 13, i >> 4)
+            table[key] = table.get(key, 0.0) + i * 0.5
+            heapq.heappush(heap, (i * 7919 % 10007, i))
+        while heap:
+            heapq.heappop(heap)
+        return time.perf_counter() - t0
+    finally:
+        if gc_was_on:
+            gc.enable()
 
 
-def timed(fn, count: int) -> tuple[list[float], float]:
+def timed(fn, count: int) -> tuple[list[float], list[float]]:
     """Call ``fn(i)`` for i < count, with :func:`calibrate` before the first
     call and after every call.  Returns the wall time of each call and the
-    machine's speed over the calls: CAL_REF_S over the mean calibration.
+    machine's speed around it: CAL_REF_S over the mean of the calibrations
+    just before and just after the call.
 
     On the 2-vCPU virtual machine the bounds were set on, speed drifts by up
-    to 2x within seconds and by 10-20% from one run to the next, and one
-    calibration is as noisy as one op; the mean of the calibrations spread
-    through the run tracks the run's speed.
-    The metrics report times multiplied by that speed, that is, at the
-    speed of the machine on which CAL_REF_S was measured."""
+    to 2x within seconds and by 10-20% from one run to the next.  The
+    metrics report each call's time multiplied by its speed, that is, at
+    the speed of the machine on which CAL_REF_S was measured, and then take
+    medians and sums over the calls, which even out the noise of single
+    calibrations."""
     times, calibrations = [], [calibrate()]
     for i in range(count):
         t0 = time.perf_counter()
         fn(i)
         times.append(time.perf_counter() - t0)
         calibrations.append(calibrate())
-    return times, CAL_REF_S / statistics.mean(calibrations)
+    speeds = [2.0 * CAL_REF_S / (before + after)
+              for before, after in zip(calibrations, calibrations[1:])]
+    return times, speeds
 
 
 def cold_start_s() -> float:
@@ -103,9 +116,9 @@ def cold_start_s() -> float:
     env = dict(os.environ, PYTHONPATH=str(SRC))
     cmd = [sys.executable, "-c", "import adtypes.cli"]
     subprocess.run(cmd, env=env, check=True, timeout=60)
-    times, speed = timed(
+    times, speeds = timed(
         lambda _: subprocess.run(cmd, env=env, check=True, timeout=60), COLD_STARTS)
-    return statistics.median(times) * speed
+    return statistics.median(t * v for t, v in zip(times, speeds))
 
 
 def _load(path: Path):
@@ -113,15 +126,22 @@ def _load(path: Path):
         return json.load(fh)
 
 
-def check_op(workload: str, op) -> list[str]:
+def check_op(workload: str, op, rc) -> list[str]:
+    """The problems of one op: its exit, or what the checks find in its
+    output.  A missing or malformed output is a problem, not a crash."""
     import checks
 
-    inst, out = _load(op.instance), _load(op.output)
-    if workload == "vcg-large":
-        return checks.check_vcg(inst, out)
-    if workload == "reserve-small":
-        return checks.check_reserve(inst, _load(op.reserves), out)
-    return checks.check_gap(inst, out)
+    if rc != 0:
+        return ["raised" if rc is None else f"exited {rc}"]
+    try:
+        inst, out = _load(op.instance), _load(op.output)
+        if workload == "vcg-large":
+            return checks.check_vcg(inst, out)
+        if workload == "reserve-small":
+            return checks.check_reserve(inst, _load(op.reserves), out)
+        return checks.check_gap(inst, out)
+    except Exception as exc:
+        return [f"unreadable output: {exc!r}"]
 
 
 def run_workload(name: str, seed: int, seconds: float, trace: bool) -> dict:
@@ -146,52 +166,60 @@ def run_workload(name: str, seed: int, seconds: float, trace: bool) -> dict:
             undo = tracing.install(tracer)
         run = cli.run if tracer is None else \
             (lambda argv: tracer.call("op", cli.run, argv))
-        warm_rc = run(list(warmup.argv))
         codes = []
 
-        def one(i):
-            if tracer is not None:
-                tracer.op = i
+        def call(argv):
             try:
-                codes.append(run(list(ops[i].argv)))
+                codes.append(run(list(argv)))
             except Exception:  # an error that escapes the CLI's handler fails the op
                 traceback.print_exc()
                 codes.append(None)
 
+        call(warmup.argv)
+        warm_rc = codes.pop()
+
+        def one(i):
+            if tracer is not None:
+                tracer.op = i
+            call(ops[i].argv)
+
         gc.collect()
-        times, speed = timed(one, len(ops))
+        times, speeds = timed(one, len(ops))
         peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
         if undo is not None:
             undo()
 
-        if warm_rc == 0:
-            problems = [f"warm-up op: {p}" for p in check_op(name, warmup)]
-        else:
-            problems = [f"warm-up op exited {warm_rc}"]
-        failed = 0
+        # Any op that the program refuses, that raises or whose output is
+        # wrong fails, and makes the run incorrect.
+        problems = [f"warm-up op: {p}" for p in check_op(name, warmup, warm_rc)]
+        completed = []
         for i, (op, rc) in enumerate(zip(ops, codes)):
-            if rc != 0:
-                failed += 1
-                continue
-            wrong = check_op(name, op)
-            if wrong:
-                failed += 1
-                problems += [f"op {i}: {p}" for p in wrong]
+            wrong = check_op(name, op, rc)
+            problems += [f"op {i}: {p}" for p in wrong]
+            if not wrong:
+                completed.append(i)
+        failed = len(ops) - len(completed)
         for p in problems:
-            print(f"perfbench: wrong output: {p}", file=sys.stderr)
+            print(f"perfbench: failed op: {p}", file=sys.stderr)
 
-        print(f"wall time: op p50 {statistics.median(times) * 1000.0:.1f} ms, "
-              f"{len(ops) / sum(times):.4f} ops/s; machine speed {speed:.3f}x reference")
+        # Throughput counts completed ops only, over the time of every op;
+        # the median is taken over completed ops (over all when none
+        # completed, in a run that is reported incorrect anyway).
+        scaled = [t * v for t, v in zip(times, speeds)]
+        p50_of = completed or range(len(ops))
+        print(f"wall time: op p50 {statistics.median(times[i] for i in p50_of) * 1000.0:.1f} ms, "
+              f"{len(completed) / sum(times):.4f} ops/s; "
+              f"machine speed {statistics.median(speeds):.3f}x reference")
         if tracer is None:
             metrics = {
                 "setup_s": {"value": setup, "unit": "s"},
-                "ops_per_s": {"value": len(ops) / (sum(times) * speed), "unit": "1/s"},
-                "op_p50_ms": {"value": statistics.median(times) * speed * 1000.0,
+                "ops_per_s": {"value": len(completed) / sum(scaled), "unit": "1/s"},
+                "op_p50_ms": {"value": statistics.median(scaled[i] for i in p50_of) * 1000.0,
                               "unit": "ms"},
                 "peak_rss_mb": {"value": peak_rss_mb, "unit": "MB"},
             }
         else:
-            metrics = tracing.per_layer_metrics(tracer, speed)
+            metrics = tracing.per_layer_metrics(tracer, speeds)
             tracer.write(OUT / f"trace-{name}-seed{seed}.json")
     finally:
         shutil.rmtree(workdir, ignore_errors=True)

@@ -123,3 +123,27 @@ def test_gap_feasibility_rule():
     assert not checks.gap_feasible(gap, [(0, 0), (2, 1)])
     assert checks.gap_feasible(gap, [(0, 1), (1, 0)])
     assert not checks.gap_feasible(gap, [(0, 0), (1, 0)])
+
+
+def test_refused_raised_or_missing_output_fails(tmp_path, gap_case):
+    import run
+
+    inst, out = gap_case
+    (tmp_path / "op").mkdir()
+    src, dst = tmp_path / "op" / "in.json", tmp_path / "op" / "out.json"
+    src.write_text(json.dumps(inst))
+    op = workloads.Op(("solve",), src, dst)
+    assert run.check_op("gap-rules", op, 1) == ["exited 1"]
+    assert run.check_op("gap-rules", op, None) == ["raised"]
+    assert run.check_op("gap-rules", op, 0)  # no output written
+    dst.write_text(json.dumps(out))
+    assert run.check_op("gap-rules", op, 0) == []
+
+
+def test_gap_shapes_cover_the_dp():
+    # every shape keeps the one-slot self-gaps; the round uses every shape
+    for cross in workloads.GAP_SHAPES:
+        gap = workloads.gap_instance(np.random.default_rng(0), cross=cross)["gap"]
+        assert all(gap[t][t] == 1 for t in range(3))
+    assert set(workloads.GAP_ROUND) == set(range(len(workloads.GAP_SHAPES)))
+    assert workloads.WORKLOADS["gap-rules"].num_ops(25) % len(workloads.GAP_ROUND) == 0

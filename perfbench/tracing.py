@@ -169,10 +169,10 @@ PER_LAYER = {
 }
 
 
-def per_layer_metrics(tracer: Tracer, speed: float) -> dict:
+def per_layer_metrics(tracer: Tracer, speeds: list[float]) -> dict:
     """Median over timed ops of each metric's per-op value.  Times are
-    multiplied by the run's ``speed``, as the end-to-end times are; counts
-    take the lower median, so a count stays a count."""
+    multiplied by the op's speed, ``speeds[op]``, as the end-to-end times
+    are; counts take the lower median, so a count stays a count."""
     ops: dict[int, list[dict]] = {}
     for s in tracer.spans:
         if s["op"] >= 0:
@@ -181,7 +181,7 @@ def per_layer_metrics(tracer: Tracer, speed: float) -> dict:
     for name, (unit, fn) in PER_LAYER.items():
         if unit == "ms":
             out[name] = {"value": statistics.median(
-                fn(spans) for spans in ops.values()) * speed, "unit": unit}
+                fn(spans) * speeds[op] for op, spans in ops.items()), "unit": unit}
         else:
             median = statistics.median_low if unit == "count" else statistics.median
             out[name] = {"value": median([fn(spans) for spans in ops.values()]),

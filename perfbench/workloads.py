@@ -32,16 +32,18 @@ class Workload:
     name: str
     index: int
     nominal_op_s: float  # sizes the op list so a run lasts about --seconds
+    round: int = 1  # the op list is a whole number of rounds of this length
 
     def num_ops(self, seconds: float) -> int:
-        return max(3, math.ceil(seconds / self.nominal_op_s))
+        ops = max(3, math.ceil(seconds / self.nominal_op_s))
+        return math.ceil(ops / self.round) * self.round
 
 
 WORKLOADS = {
     w.name: w for w in (
         Workload("vcg-large", 0, 0.75),
         Workload("reserve-small", 1, 0.85),
-        Workload("gap-rules", 2, 0.37),
+        Workload("gap-rules", 2, 0.37, round=9),
     )
 }
 
@@ -96,20 +98,37 @@ def reserve_instance(rng, n: int = 24, k: int = 4,
     return {"num_slots": n, "types": types, "gap": None}, reserves
 
 
-def gap_instance(rng, n: int = 12, k: int = 3) -> dict:
-    """Every type has a one-slot self-gap; two one-slot cross gaps form a
-    chain a -> b -> c over a seeded ordering of the types.  The DP's state
-    count depends on the gap shape only, so every op does the same amount
-    of work while the instance data differ."""
+# Cross gaps (from type, to type, gap) over self-gaps of one slot, cheapest
+# DP first; approximate per-op times at k=3, n=12 on the machine the bounds
+# were set on.  Op ``index`` of ``gap-rules`` takes shape
+# ``GAP_ROUND[index % 9]``, so every run solves the same mix of shapes.  The
+# middle shape fills a third of the round, and its neighbours cost within
+# about 10% of it, so the median op is one of them in every run.
+GAP_SHAPES = (
+    ((0, 1, 1), (1, 0, 1), (0, 2, 1), (2, 0, 1), (1, 2, 1), (2, 1, 1)),  # 0.07 s
+    ((0, 1, 2), (1, 2, 2)),  # 0.19 s
+    ((0, 1, 2),),  # 0.31 s
+    ((0, 1, 1), (1, 2, 1)),  # 0.33 s
+    ((0, 1, 1), (1, 0, 1)),  # 0.36 s
+    ((0, 1, 1),),  # 0.50 s
+    (),  # 0.64 s
+)
+GAP_ROUND = (0, 1, 2, 3, 3, 3, 4, 5, 6)
+
+
+def gap_instance(rng, n: int = 12, k: int = 3,
+                 cross=GAP_SHAPES[3]) -> dict:
+    """Every type has a one-slot self-gap, plus the ``cross`` gaps.  The
+    DP's state count depends on the gap shape only, so ops of one shape do
+    the same amount of work while the instance data differ."""
     types = []
     for t in range(k):
         q = float(rng.uniform(0.75, 0.95))
         types.append({"name": f"type{t}", "values": _desc(rng.uniform(10.0, 100.0, n)),
                       "discounts": [q ** j for j in range(n)]})
     gap = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-    chain = [int(x) for x in rng.permutation(k)]
-    for a, b in zip(chain, chain[1:]):
-        gap[a][b] = 1
+    for a, b, g in cross:
+        gap[a][b] = g
     return {"num_slots": n, "types": types, "gap": gap}
 
 
@@ -170,7 +189,8 @@ def make_op(workload: Workload, seed: int, phase: int, index: int,
                 "--reserves", str(res), "--out", str(out))
         return Op(argv, inst, out, res)
     if workload.name == "gap-rules":
-        _write(inst, relabel(rng, gap_instance(base)))
+        shape = GAP_SHAPES[GAP_ROUND[index % len(GAP_ROUND)]]
+        _write(inst, relabel(rng, gap_instance(base, cross=shape)))
         argv = ("solve", "--in", str(inst), "--algo", "gapdp", "--out", str(out))
         return Op(argv, inst, out)
     raise ValueError(f"unknown workload {workload.name!r}")
