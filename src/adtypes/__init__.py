@@ -22,6 +22,7 @@ from .hungarian import (
     CertificateReport,
     DualSolution,
     OptimalSolution,
+    PhaseInvariantError,
     PhaseState,
     certify,
     solve_adtypes,

@@ -10,8 +10,8 @@ slot ``s``, slots ``s+1 .. s+G[i][j]`` may not hold a type-``j`` ad.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -156,7 +156,8 @@ class ValidationReport:
 
 
 def validate_instance(inst: Instance) -> ValidationReport:
-    """Check monotonicity, signs, dimensions, and the gap matrix shape."""
+    """Check finiteness, monotonicity, signs, dimensions, and the gap
+    matrix shape."""
     rep = ValidationReport()
     err = rep.errors.append
     if inst.num_slots < 1:
@@ -166,6 +167,10 @@ def validate_instance(inst: Instance) -> ValidationReport:
     n = inst.num_slots
     for t, spec in enumerate(inst.types):
         label = spec.name or f"type {t}"
+        if not all(map(math.isfinite, spec.values)):
+            err(f"{label}: non-finite value")
+        if not all(map(math.isfinite, spec.discounts)):
+            err(f"{label}: non-finite discount")
         if any(v < 0 for v in spec.values):
             err(f"{label}: negative value")
         if any(spec.values[i] < spec.values[i + 1] for i in range(len(spec.values) - 1)):
@@ -216,21 +221,12 @@ def welfare(inst: Instance, m: Matching) -> float:
     return sum(edge_value(inst, ad, slot) for slot, ad in m.pairs)
 
 
-def edge_comparator_key(inst: Instance, ad: AdRef, slot: int):
-    """Sort key placing the globally preferred edge first: higher value,
-    then lower slot, lower type, lower rank.  Every solver breaks ties
-    with this single order."""
-    return (-edge_value(inst, ad, slot), slot, ad.ad_type, ad.rank)
-
-
-@lru_cache(maxsize=16)
 def edge_matrix(inst: Instance) -> np.ndarray:
     """Edge values as an array of shape (k, n, n) indexed [type, rank, slot]."""
     n = inst.num_slots
     out = np.empty((inst.num_types, n, n))
     for t, spec in enumerate(inst.types):
         out[t] = np.outer(np.asarray(spec.values), np.asarray(spec.discounts))
-    out.setflags(write=False)
     return out
 
 
@@ -282,11 +278,29 @@ def instance_to_dict(inst: Instance) -> dict:
 
 
 def instance_from_dict(data: Mapping) -> Instance:
-    types = [
-        TypeSpec(t.get("name", f"type{i}"), t["values"], t["discounts"])
-        for i, t in enumerate(data["types"])
-    ]
-    return Instance(data["num_slots"], types, data.get("gap"))
+    """Build an instance from the JSON schema above.  A malformed document
+    (types not a list of objects, values or discounts not lists of numbers)
+    raises :class:`ValidationError`; the numbers themselves are checked by
+    :func:`validate_instance`."""
+    if not isinstance(data, Mapping) or not isinstance(data.get("types"), list):
+        raise ValidationError("instance must be an object with a 'types' list")
+    types = []
+    for i, t in enumerate(data["types"]):
+        if not isinstance(t, Mapping):
+            raise ValidationError(f"type {i}: must be an object")
+        name = t.get("name", f"type{i}")
+        values, discounts = t["values"], t["discounts"]
+        bad = f"{name}: 'values' and 'discounts' must be lists of numbers"
+        if not (isinstance(values, list) and isinstance(discounts, list)):
+            raise ValidationError(bad)
+        try:
+            types.append(TypeSpec(name, values, discounts))
+        except TypeError as exc:  # an entry that is not a number
+            raise ValidationError(f"{bad} ({exc})") from exc
+    try:
+        return Instance(data["num_slots"], types, data.get("gap"))
+    except TypeError as exc:  # num_slots or gap of the wrong shape
+        raise ValidationError(f"malformed instance: {exc}") from exc
 
 
 def dump_instance(inst: Instance, path) -> None:

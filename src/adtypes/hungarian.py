@@ -17,13 +17,26 @@ to stay safe.
 
 The duals certify optimality: feasible (u_i + p_j >= v_ij everywhere),
 non-negative, tight on every matched edge, and zero on unmatched ads.
+
+Inside the phase loop an ad is the int ``a = t*n + r`` (type ``t``, rank
+``r``, ``n`` slots).  The tree, the best-key table, the heap entries, the
+per-type frontier index, the utilities ``u`` and the matching (``slot_ad``
+and ``ad_slot``, with -1 for unmatched) are lists and dicts keyed by that
+int, and an edge value is read as ``disc[t][slot] * val[a]`` from tables
+built once per solve.  :class:`AdRef` and :class:`Matching` appear only at
+the edges: :func:`solve_adtypes` validates the instance on the way in and
+builds the final matching (and the per-phase ones, when
+``collect_phase_matchings`` asks) on the way out, and :class:`PhaseState`
+converts, with a bounds check, in its constructor and in its ``AdRef``
+views ``scan_candidates``, ``last_scan_candidates``, ``pop_next_tight`` and
+``grow``.
 """
 from __future__ import annotations
 
 import heapq
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from functools import lru_cache
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
@@ -35,18 +48,24 @@ from .core import (
     Matching,
     ValidationError,
     edge_matrix,
-    edge_value,
     ensure_valid,
     has_gap_rules,
     welfare,
 )
 
 
-@lru_cache(maxsize=64)
-def _strictly_decreasing_curves(inst: Instance) -> tuple[bool, ...]:
-    return tuple(all(spec.discounts[j] > spec.discounts[j + 1]
-                     for j in range(inst.num_slots - 1))
-                 for spec in inst.types)
+class PhaseInvariantError(ValidationError):
+    """A phase broke an invariant that exact arithmetic guarantees: a queue
+    key fell below the accumulated dual shift by more than ``TOL``, or the
+    queue ran dry before an augmenting path was found.  Rounding on badly
+    scaled values can cause either; the solve is refused instead of
+    returning duals that would not certify."""
+
+    def __init__(self, phase: int, key: float | None, shift: float, what: str):
+        self.phase = phase
+        self.key = key
+        self.shift = shift
+        super().__init__(f"phase {phase}: {what} (key {key!r}, shift {shift!r})")
 
 
 @dataclass(frozen=True)
@@ -80,37 +99,90 @@ class OptimalSolution:
     stats: SolveStats | None = None
 
 
+class _Tables:
+    """An instance's numbers as the phase loop reads them, built once per
+    solve: ``val[a]`` for ``a = t*n + r``, ``disc[t][slot]``, and whether each
+    type's discount curve is strictly decreasing."""
+
+    def __init__(self, inst: Instance):
+        self.n, self.k = inst.num_slots, inst.num_types
+        self.val = [v for spec in inst.types for v in spec.values]
+        self.disc = [spec.discounts for spec in inst.types]
+        self.strict = [all(d[j] > d[j + 1] for j in range(self.n - 1))
+                       for d in self.disc]
+
+    def initial_duals(self) -> tuple[list[float], list[float]]:
+        """Zero utilities, and every slot priced at the largest edge value
+        (the top ad in the top slot of the best type): feasible, since
+        values and discounts are non-increasing."""
+        n = self.n
+        top = max(self.val[t * n] * self.disc[t][0] for t in range(self.k))
+        return [0.0] * (self.k * n), [top] * n
+
+    def index(self, ad: AdRef) -> int:
+        if not (0 <= ad.ad_type < self.k and 0 <= ad.rank < self.n):
+            raise IndexError(f"{ad} out of range")
+        return ad.ad_type * self.n + ad.rank
+
+    def ref(self, a: int) -> AdRef:
+        return AdRef(*divmod(a, self.n))
+
+    def matching(self, slot_ad: list[int]) -> Matching:
+        return Matching([(s, self.ref(a)) for s, a in enumerate(slot_ad)
+                         if a >= 0])
+
+
 class PhaseState:
     """One phase of the solver: alternating tree, candidate queue, dual shift.
 
-    ``u``/``p`` are the duals at phase start; the queue keys each candidate
-    ad by the accumulated shift at which its best crossing edge goes tight,
-    so a pop is a dual update and a tree extension in one step.
+    ``u`` (flat, indexed by ``a``) and ``p`` are the duals at phase start;
+    the queue keys each candidate ad by the accumulated shift at which its
+    best crossing edge goes tight, so a pop is a dual update and a tree
+    extension in one step.
     """
 
     def __init__(self, inst: Instance, matching: Matching, root_slot: int,
-                 u=None, p=None):
+                 u: list[float] | None = None, p: list[float] | None = None):
+        tables = _Tables(inst)
+        slot_ad = [-1] * tables.n
+        ad_slot = [-1] * (tables.k * tables.n)
+        for s, ad in matching.pairs:
+            if not 0 <= s < tables.n:
+                raise IndexError(f"slot {s} out of range")
+            a = tables.index(ad)
+            slot_ad[s] = a
+            ad_slot[a] = s
+        u0, p0 = tables.initial_duals()
+        self._setup(inst, tables, slot_ad, ad_slot, root_slot,
+                    u0 if u is None else u, p0 if p is None else p)
+
+    @classmethod
+    def _flat(cls, inst: Instance, tables: _Tables, slot_ad: list[int],
+              ad_slot: list[int], root_slot: int, u: list[float],
+              p: list[float]) -> "PhaseState":
+        """The phase :func:`solve_adtypes` runs: the matching and duals are
+        its own flat lists, which :meth:`augment` and
+        :meth:`writeback_duals` update in place."""
+        state = cls.__new__(cls)
+        state._setup(inst, tables, slot_ad, ad_slot, root_slot, u, p)
+        return state
+
+    def _setup(self, inst, tables, slot_ad, ad_slot, root_slot, u, p):
         self.inst = inst
-        n, k = inst.num_slots, inst.num_types
-        if u is None:
-            u = [[0.0] * n for _ in range(k)]
-        if p is None:
-            top = max(spec.values[0] * spec.discounts[0] for spec in inst.types)
-            p = [top] * n
+        self.tables = tables
         self.u = u
         self.p = p
         self.root = root_slot
-        self.matched = matching.as_dict()
-        self.ad_slot = {ad: s for s, ad in self.matched.items()}
-        self.tree_ads: dict[AdRef, float] = {}
+        self.slot_ad = slot_ad
+        self.ad_slot = ad_slot
+        self.tree_ads: dict[int, float] = {}
         self.tree_slots: dict[int, float] = {root_slot: 0.0}
-        self.parent_slot: dict[AdRef, int] = {}
+        self.parent_slot: dict[int, int] = {}
         self.delta_acc = 0.0
-        self.queue: list = []
-        self.best: dict[AdRef, tuple[float, int]] = {}
-        self._seq = 0
+        self.queue: list[tuple[float, float, int, int]] = []
+        self.best: dict[int, tuple[float, float, int, int]] = {}
         self.pops = 0
-        self.last_scan_candidates: list[AdRef] = []
+        self.last_scan: list[int] = []
         self.max_queue_occupancy = 0
         self.max_scan_candidates = 0
         self.scan_calls = 0
@@ -118,52 +190,39 @@ class PhaseState:
         self.update_possible_new_edges(root_slot)
 
     def _index_type_frontiers(self):
-        """Per type: matched ads sorted by rank and by slot (with rank
-        extrema over slot prefixes/suffixes), the lowest unmatched rank, and
-        whether the type is tie-free.  The matching is fixed for the whole
-        phase, so this is built once."""
-        k, n = self.inst.num_types, self.inst.num_slots
-        strict_curves = _strictly_decreasing_curves(self.inst)
-        per_type: list[list[tuple[int, int]]] = [[] for _ in range(k)]
-        for slot, ad in self.matched.items():
-            per_type[ad.ad_type].append((ad.rank, slot))
-        self._matched_by_rank = []
-        self._matched_slots = []
-        self._prefix_max_rank = []
-        self._suffix_min_rank = []
-        self._unmatched_head = []
-        self._tie_free = []
-        for t in range(k):
-            per_type[t].sort()
-            self._matched_by_rank.append(per_type[t])
-            spec = self.inst.types[t]
-            by_slot = sorted((s, r) for r, s in per_type[t])
-            slots = [s for s, _ in by_slot]
-            ranks = [r for _, r in by_slot]
-            self._matched_slots.append(slots)
-            pref = []
-            best = -1
-            for r in ranks:
-                best = max(best, r)
-                pref.append(best)
-            self._prefix_max_rank.append(pref)
-            suff = [0] * len(ranks)
-            best = n + 1
-            for i in range(len(ranks) - 1, -1, -1):
-                best = min(best, ranks[i])
-                suff[i] = best
-            self._suffix_min_rank.append(suff)
-            taken = {r for r, _ in per_type[t]}
-            head = 0
-            while head in taken:
+        """Per type: matched ads sorted by rank and by slot (with the
+        largest ``a`` over each slot prefix and the smallest over each slot
+        suffix), the lowest unmatched ad, and whether the type is tie-free.
+        The matching is fixed for the whole phase, so this is built once."""
+        tables = self.tables
+        n, val, ad_slot = tables.n, tables.val, self.ad_slot
+        by_slot: list[list[tuple[int, int]]] = [[] for _ in range(tables.k)]
+        for s, a in enumerate(self.slot_ad):
+            if a >= 0:
+                by_slot[a // n].append((s, a))
+        self._frontiers = []
+        for t, pairs in enumerate(by_slot):
+            by_rank = sorted((a, s) for s, a in pairs)
+            ads = [a for _, a in pairs]
+            head, end = t * n, t * n + n
+            while head < end and ad_slot[head] >= 0:
                 head += 1
-            self._unmatched_head.append(head if head < n else None)
-            vals = sorted(spec.values[r] for r in taken)
-            distinct_values = all(vals[i] < vals[i + 1]
-                                  for i in range(len(vals) - 1))
-            self._tie_free.append(distinct_values and strict_curves[t])
+            # values are non-increasing in rank, so distinct means strictly
+            # decreasing along by_rank
+            ranked = [val[a] for a, _ in by_rank]
+            tie_free = tables.strict[t] and all(x > y for x, y in
+                                                zip(ranked, ranked[1:]))
+            self._frontiers.append((
+                head if head < end else None,
+                tie_free,
+                [s for s, _ in pairs],
+                list(accumulate(ads, max)),
+                list(accumulate(reversed(ads), min))[::-1],
+                by_rank,
+                tables.disc[t],
+            ))
 
-    def scan_candidates(self, slot: int) -> list[AdRef]:
+    def _scan(self, slot: int) -> list[int]:
         """The ads whose edge to ``slot`` might yet go tight this phase.
 
         Per type: the lowest-rank unmatched ad; matched ads below the slot
@@ -173,46 +232,42 @@ class PhaseState:
         symmetrically.  A tie-free type (distinct matched values, strictly
         decreasing curve) is always protected by its first listed ad, so it
         contributes at most one candidate per case."""
+        val = self.tables.val
         cands = []
-        for t in range(self.inst.num_types):
-            head = self._unmatched_head[t]
+        for head, tie_free, slots, prefix_max, suffix_min, by_rank, disc \
+                in self._frontiers:
             if head is not None:
-                cands.append(AdRef(t, head))
-            if self._tie_free[t]:
-                slots = self._matched_slots[t]
+                cands.append(head)
+            if tie_free:
                 lo = bisect_left(slots, slot)
                 if lo > 0:
-                    cands.append(AdRef(t, self._prefix_max_rank[t][lo - 1]))
+                    cands.append(prefix_max[lo - 1])
                 hi = bisect_right(slots, slot)
                 if hi < len(slots):
-                    cands.append(AdRef(t, self._suffix_min_rank[t][hi]))
+                    cands.append(suffix_min[hi])
                 continue
-            spec = self.inst.types[t]
-            a_scan = spec.discounts[slot]
-            pairs = self._matched_by_rank[t]
+            a_scan = disc[slot]
             # matched below the slot, descending rank (ascending value)
             protect_v = None
-            for rank, s in reversed(pairs):
+            for a, s in reversed(by_rank):
                 if s >= slot:
                     continue
-                v = spec.values[rank]
+                v = val[a]
                 if protect_v is not None and protect_v < v:
                     break
-                cands.append(AdRef(t, rank))
-                if spec.discounts[s] > a_scan and \
-                        (protect_v is None or v < protect_v):
+                cands.append(a)
+                if disc[s] > a_scan and (protect_v is None or v < protect_v):
                     protect_v = v
             # matched above the slot, ascending rank (descending value)
             protect_v = None
-            for rank, s in pairs:
+            for a, s in by_rank:
                 if s <= slot:
                     continue
-                v = spec.values[rank]
+                v = val[a]
                 if protect_v is not None and protect_v > v:
                     break
-                cands.append(AdRef(t, rank))
-                if spec.discounts[s] < a_scan and \
-                        (protect_v is None or v > protect_v):
+                cands.append(a)
+                if disc[s] < a_scan and (protect_v is None or v > protect_v):
                     protect_v = v
         return cands
 
@@ -220,76 +275,102 @@ class PhaseState:
         """Offer the candidate edges into ``slot`` to the queue, lowering a
         candidate's key when this edge goes tight sooner than its current
         best.  Ads already in the tree are skipped."""
-        cands = self.scan_candidates(slot)
-        self.last_scan_candidates = cands
+        cands = self._scan(slot)
+        self.last_scan = cands
         self.scan_calls += 1
         self.max_scan_candidates = max(self.max_scan_candidates, len(cands))
         potential = self.p[slot] + self.tree_slots[slot]
-        for ad in cands:
-            if ad in self.tree_ads:
+        n, val, disc = self.tables.n, self.tables.val, self.tables.disc
+        u, tree, best, queue = self.u, self.tree_ads, self.best, self.queue
+        for a in cands:
+            if a in tree:
                 continue
-            value = edge_value(self.inst, ad, slot)
-            key = self.u[ad.ad_type][ad.rank] + potential - value
-            cur = self.best.get(ad)
+            value = disc[a // n][slot] * val[a]
+            key = u[a] + potential - value
+            cur = best.get(a)
             if cur is None or key < cur[0]:
-                self.best[ad] = (key, slot)
-                # equal keys resolve in the global edge order
-                tie = (-value, slot, ad.ad_type, ad.rank)
-                heapq.heappush(self.queue, (key, tie, self._seq, ad, slot))
-                self._seq += 1
-        self.max_queue_occupancy = max(self.max_queue_occupancy, len(self.best))
+                # equal keys resolve in the global edge order: higher value,
+                # then lower slot, lower type, lower rank
+                entry = (key, -value, slot, a)
+                best[a] = entry
+                heapq.heappush(queue, entry)
+        self.max_queue_occupancy = max(self.max_queue_occupancy, len(best))
         return self
 
-    def pop_next_tight(self) -> tuple[AdRef, int]:
+    def _pop(self) -> tuple[int, int]:
         """Pop the live entry with minimal key and advance the dual shift to
         its tightness point (the step can be zero)."""
-        while self.queue:
-            key, _tie, _seq, ad, slot = heapq.heappop(self.queue)
-            if ad in self.tree_ads or self.best.get(ad) != (key, slot):
-                continue
-            assert key >= self.delta_acc - 1e-9, "queue key regressed"
+        queue, best = self.queue, self.best
+        while queue:
+            entry = heapq.heappop(queue)
+            key, _, slot, a = entry
+            if best.get(a) is not entry:
+                continue  # superseded by a lower key, or already popped
+            if key < self.delta_acc - TOL:
+                raise PhaseInvariantError(self.root, key, self.delta_acc,
+                                          "queue key regressed")
             self.delta_acc = max(self.delta_acc, key)
-            del self.best[ad]
+            del best[a]
             self.pops += 1
-            return ad, slot
-        raise AssertionError("phase queue exhausted before augmenting "
-                             "(impossible once every type is padded)")
+            return a, slot
+        raise PhaseInvariantError(self.root, None, self.delta_acc,
+                                  "phase queue exhausted before augmenting "
+                                  "(impossible once every type is padded)")
 
-    def grow(self, ad: AdRef, via_slot: int) -> int | None:
+    def _grow(self, a: int, via_slot: int) -> int | None:
         """Add a popped ad to the tree.  Returns its matched slot when the
         tree grows, or None when the ad is unmatched (augmenting path found)."""
-        self.parent_slot[ad] = via_slot
-        s = self.ad_slot.get(ad)
-        if s is None:
+        self.parent_slot[a] = via_slot
+        s = self.ad_slot[a]
+        if s < 0:
             return None
-        self.tree_ads[ad] = self.delta_acc
+        self.tree_ads[a] = self.delta_acc
         self.tree_slots[s] = self.delta_acc
         return s
 
-    def augment(self, free_ad: AdRef) -> tuple[dict[int, AdRef], int]:
-        """Flip the alternating path from the free ad back to the root and
-        return the updated slot assignment plus the path length in edges."""
-        assignment = dict(self.matched)
-        ad = free_ad
+    def augment(self, free_ad: int) -> int:
+        """Flip the alternating path from the free ad back to the root in
+        ``slot_ad`` and ``ad_slot``; returns the path length in edges."""
+        slot_ad, ad_slot = self.slot_ad, self.ad_slot
+        a = free_ad
         hops = 0
         while True:
-            s = self.parent_slot[ad]
-            displaced = assignment.get(s)
-            assignment[s] = ad
+            s = self.parent_slot[a]
+            displaced = slot_ad[s]
+            slot_ad[s] = a
+            ad_slot[a] = s
             hops += 1
             if s == self.root:
                 break
-            ad = displaced
+            a = displaced
             hops += 1
-        return assignment, hops
+        return hops
 
     def writeback_duals(self) -> None:
         """Apply the accumulated shift: in-tree ads gained, in-tree slots lost,
         each measured from its own entry time."""
-        for ad, entry in self.tree_ads.items():
-            self.u[ad.ad_type][ad.rank] += self.delta_acc - entry
+        delta, u, p = self.delta_acc, self.u, self.p
+        for a, entry in self.tree_ads.items():
+            u[a] += delta - entry
         for slot, entry in self.tree_slots.items():
-            self.p[slot] -= self.delta_acc - entry
+            p[slot] -= delta - entry
+
+    # AdRef views of the int methods above
+
+    def scan_candidates(self, slot: int) -> list[AdRef]:
+        return [self.tables.ref(a) for a in self._scan(slot)]
+
+    @property
+    def last_scan_candidates(self) -> list[AdRef]:
+        """The candidates of the latest :meth:`update_possible_new_edges`."""
+        return [self.tables.ref(a) for a in self.last_scan]
+
+    def pop_next_tight(self) -> tuple[AdRef, int]:
+        a, slot = self._pop()
+        return self.tables.ref(a), slot
+
+    def grow(self, ad: AdRef, via_slot: int) -> int | None:
+        return self._grow(self.tables.index(ad), via_slot)
 
 
 def update_possible_new_edges(state: PhaseState, inst: Instance,
@@ -308,29 +389,30 @@ def solve_adtypes(inst: Instance, *, trace: Callable[[str], None] | None = None,
 
     Slots are processed in descending discount order (slot 0 first), one
     phase per slot, so after phase ``j`` the matching is optimal for the
-    sub-instance made of slots ``0..j``.  Rejects instances with gap rules.
+    sub-instance made of slots ``0..j``.  Rejects instances with gap rules,
+    and raises :class:`PhaseInvariantError` if rounding breaks a phase.
     """
     ensure_valid(inst)
     if has_gap_rules(inst):
         raise ValidationError("instance has gap rules: use the gap dynamic program")
-    n, k = inst.num_slots, inst.num_types
-    u = [[0.0] * n for _ in range(k)]
-    top = max(spec.values[0] * spec.discounts[0] for spec in inst.types)
-    p = [top] * n
-    matching = Matching({})
+    tables = _Tables(inst)
+    n, k = tables.n, tables.k
+    u, p = tables.initial_duals()
+    slot_ad = [-1] * n
+    ad_slot = [-1] * (k * n)
     stats = SolveStats(phase_matchings=[] if collect_phase_matchings else None)
 
     for j in range(n):
-        phase = PhaseState(inst, matching, j, u=u, p=p)
+        phase = PhaseState._flat(inst, tables, slot_ad, ad_slot, j, u, p)
+        pop, grow, offer = phase._pop, phase._grow, phase.update_possible_new_edges
         while True:
-            ad, via = phase.pop_next_tight()
-            matched_slot = phase.grow(ad, via)
+            a, via = pop()
+            matched_slot = grow(a, via)
             if matched_slot is None:
                 break
-            phase.update_possible_new_edges(matched_slot)
-        assignment, hops = phase.augment(ad)
+            offer(matched_slot)
+        hops = phase.augment(a)
         phase.writeback_duals()
-        matching = Matching(assignment)
         stats.max_queue_occupancy = max(stats.max_queue_occupancy,
                                         phase.max_queue_occupancy)
         stats.max_scan_candidates = max(stats.max_scan_candidates,
@@ -339,12 +421,14 @@ def solve_adtypes(inst: Instance, *, trace: Callable[[str], None] | None = None,
         stats.total_pops += phase.pops
         stats.phases.append((j, phase.pops, phase.delta_acc, hops))
         if stats.phase_matchings is not None:
-            stats.phase_matchings.append(matching)
+            stats.phase_matchings.append(tables.matching(slot_ad))
         if trace is not None:
             trace(f"phase={j} pops={phase.pops} delta={phase.delta_acc:g} "
                   f"pathlen={hops}")
 
-    duals = DualSolution(tuple(tuple(row) for row in u), tuple(p))
+    matching = tables.matching(slot_ad)
+    duals = DualSolution(tuple(tuple(u[t * n:(t + 1) * n]) for t in range(k)),
+                         tuple(p))
     return OptimalSolution(matching, duals, welfare(inst, matching), stats)
 
 

@@ -212,8 +212,10 @@ def price_with_reserves(inst: Instance, reserves: ReserveVector | Mapping | None
     Bidders below their reserve are filtered and pay 0.  Each surviving
     bidder is charged the harm to the others of it bidding its value rather
     than its reserve, plus the reserve for whatever it would still win at the
-    reserve bid.  Requires an exact welfare maximizer; the allocator's main
-    run is certified and rejected if the certificate fails.
+    reserve bid.  Bidders that win nothing pay 0 without a re-solve, so
+    ``allocator`` runs once plus once per bidder with positive quantity.
+    Requires an exact welfare maximizer; the allocator's main run is
+    certified and rejected if the certificate fails.
     """
     ensure_valid(inst)
     if not isinstance(reserves, ReserveVector):
@@ -233,9 +235,11 @@ def price_with_reserves(inst: Instance, reserves: ReserveVector | Mapping | None
                 for r in range(inst.real_counts[t])}
     min_raw = 0.0
     for orig, kept in keep_map.items():
+        x_now = _quantity(filtered, sol.matching, kept)
+        if x_now == 0.0:
+            continue  # individual rationality caps the payment at x_now * bid = 0
         bid = inst.value_of(orig)
         r_i = reserves.get(orig)
-        x_now = _quantity(filtered, sol.matching, kept)
         others_now = total - x_now * bid
         at_reserve, ref_r, _ = with_bid(filtered, kept, r_i)
         sol_r = allocator(at_reserve)

@@ -146,6 +146,18 @@ def test_validation_failure_exit_code(fixtures_dir, tmp_path):
                 "--algo", "adtypes", "--out", str(tmp_path / "x.json")]) == 1
 
 
+@pytest.mark.parametrize("values", [[float("nan"), 1.0], [float("inf")], 5])
+def test_bad_numbers_exit_code(tmp_path, capsys, values):
+    # NaN, inf and a bare number are refused by the handler, not a traceback
+    inst = tmp_path / "bad.json"
+    inst.write_text(json.dumps({"num_slots": 2, "types": [
+        {"name": "t", "values": values, "discounts": [1.0, 0.5]}]}))
+    for cmd in (["solve"], ["price", "--mechanism", "vcg"]):
+        assert run(cmd + ["--in", str(inst),
+                          "--out", str(tmp_path / "x.json")]) == 1
+        assert "invalid:" in capsys.readouterr().err
+
+
 def test_unknown_flag_exit_code(capsys):
     assert run(["solve", "--frobnicate"]) == 64
     assert "usage" in capsys.readouterr().err.lower()

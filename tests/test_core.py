@@ -9,6 +9,7 @@ from adtypes.core import (
     Instance,
     Matching,
     TypeSpec,
+    ValidationError,
     edge_value,
     instance_from_dict,
     instance_to_dict,
@@ -51,6 +52,41 @@ def test_unsorted_values_flagged_not_repaired():
     inst = Instance(2, [TypeSpec("t", [1.0, 3.0], [1.0, 0.5])])
     assert inst.types[0].values == (1.0, 3.0)
     assert not validate_instance(inst).ok
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_numbers_flagged(bad):
+    in_values = Instance(2, [TypeSpec("t", [bad, 1.0], [1.0, 0.5])])
+    assert any("non-finite value" in e
+               for e in validate_instance(in_values).errors)
+    in_discounts = Instance(2, [TypeSpec("t", [3.0, 1.0], [1.0, bad])])
+    assert any("non-finite discount" in e
+               for e in validate_instance(in_discounts).errors)
+
+
+@pytest.mark.parametrize("field,bad", [
+    ("values", 5), ("discounts", 0.5), ("values", "12"), ("values", [1.0, None]),
+    ("discounts", {"a": 1}), ("discounts", [[1.0], 0.5]),
+])
+def test_malformed_number_lists_refused_on_load(field, bad):
+    data = {"num_slots": 2, "types": [
+        {"name": "t", "values": [3.0, 1.0], "discounts": [1.0, 0.5]}]}
+    data["types"][0][field] = bad
+    with pytest.raises(ValidationError, match=field):
+        instance_from_dict(data)
+
+
+@pytest.mark.parametrize("data", [
+    {"num_slots": 2, "types": 3},
+    {"num_slots": 2, "types": [7]},
+    {"num_slots": None, "types": [{"values": [1.0], "discounts": [1.0, 0.5]}]},
+    {"num_slots": 2, "gap": 4,
+     "types": [{"values": [1.0], "discounts": [1.0, 0.5]}]},
+    [1, 2],
+])
+def test_malformed_documents_refused_on_load(data):
+    with pytest.raises(ValidationError):
+        instance_from_dict(data)
 
 
 def test_padding_and_truncation():

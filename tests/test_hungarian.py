@@ -1,9 +1,19 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from adtypes.baseline import solve_bruteforce, solve_generic_hungarian
-from adtypes.bench import gen_exact_random, gen_strict_random
+from adtypes.bench import (
+    GenConfig,
+    gen_exact_random,
+    gen_random,
+    gen_scaling_instance,
+    gen_strict_random,
+)
 from adtypes.core import (
     AdRef,
     Instance,
@@ -15,6 +25,7 @@ from adtypes.core import (
 from adtypes.hungarian import (
     DualSolution,
     OptimalSolution,
+    PhaseInvariantError,
     PhaseState,
     certify,
     crossing_violations,
@@ -183,3 +194,105 @@ def test_matched_ranks_ascend_with_slots():
                 if r1 > r2:
                     assert spec.values[r1] == spec.values[r2] or \
                         spec.discounts[s1] == spec.discounts[s2], f"seed {seed}"
+
+
+def test_counters_pinned_on_scaling_instance():
+    # the counters the AdRef-keyed phase loop gave before the flat-int one
+    stats = solve_adtypes(gen_scaling_instance(100, 4, seed=0)).stats
+    assert stats.total_pops == stats.scan_calls == 3828
+    assert stats.max_queue_occupancy == 8
+    assert stats.max_scan_candidates == 9
+    assert sum(hops for _, _, _, hops in stats.phases) == 1996
+
+
+def test_adref_views_replay_the_flat_solve():
+    # drive every phase through the AdRef methods, check each view against
+    # the int scan (a = t*n + r), and the whole run against solve_adtypes,
+    # on tie-heavy instances
+    for seed in range(60):
+        inst = gen_exact_random(seed)
+        n, k = inst.num_slots, inst.num_types
+        ref = solve_adtypes(inst, collect_phase_matchings=True)
+        u = p = None  # phase 0 starts from the initial duals
+        matching = Matching({})
+        for j in range(n):
+            state = PhaseState(inst, matching, j, u=u, p=p)
+            u, p = state.u, state.p
+            slot = j
+            while True:
+                ints = [ad.ad_type * n + ad.rank
+                        for ad in state.last_scan_candidates]
+                assert ints == state.last_scan, f"seed {seed} phase {j}"
+                assert state.scan_candidates(slot) == \
+                    state.last_scan_candidates
+                ad, via = state.pop_next_tight()
+                slot = state.grow(ad, via)
+                if slot is None:
+                    break
+                state.update_possible_new_edges(slot)
+            hops = state.augment(ad.ad_type * n + ad.rank)
+            state.writeback_duals()
+            assert (j, state.pops, state.delta_acc, hops) == \
+                ref.stats.phases[j], f"seed {seed} phase {j}"
+            matching = Matching({s: AdRef(*divmod(a, n))
+                                 for s, a in enumerate(state.slot_ad) if a >= 0})
+            assert matching == ref.stats.phase_matchings[j]
+        assert tuple(tuple(u[t * n:(t + 1) * n]) for t in range(k)) == \
+            ref.duals.u
+        assert tuple(p) == ref.duals.p
+
+
+def test_phase_state_rejects_out_of_range_refs():
+    inst = Instance(2, [TypeSpec("t", [3.0, 1.0], [1.0, 0.5])])
+    with pytest.raises(IndexError):
+        PhaseState(inst, Matching({0: AdRef(0, 2)}), root_slot=1)
+    state = PhaseState(inst, Matching({}), root_slot=0)
+    with pytest.raises(IndexError):
+        state.grow(AdRef(1, 0), 0)
+
+
+_SCALED_PARETO = """
+from adtypes.bench import GenConfig, gen_random
+from adtypes.core import Instance, TypeSpec
+
+base = gen_random(GenConfig(60, 3, 0, "pareto", "geometric"))
+inst = Instance(base.num_slots,
+                [TypeSpec(spec.name,
+                          [v * 1e7 for v in spec.values[:base.real_counts[t]]],
+                          spec.discounts)
+                 for t, spec in enumerate(base.types)])
+"""
+
+
+def test_badly_scaled_instance_solves_or_raises_named_error():
+    # a pareto instance with values scaled by 1e7 outgrows the absolute
+    # tolerance of the queue check
+    scope = {}
+    exec(_SCALED_PARETO, scope)
+    inst = scope["inst"]
+    try:
+        sol = solve_adtypes(inst)
+    except PhaseInvariantError as exc:
+        assert isinstance(exc, ValidationError)
+        assert 0 <= exc.phase < inst.num_slots
+        assert exc.key is None or exc.key < exc.shift
+        return
+    assert certify(inst, sol).passed
+
+
+def test_named_error_survives_python_O():
+    # under -O an assert would vanish; the named error must not
+    code = _SCALED_PARETO + """
+import sys
+from adtypes.hungarian import PhaseInvariantError, certify, solve_adtypes
+try:
+    ok = certify(inst, solve_adtypes(inst)).passed
+except PhaseInvariantError:
+    ok = True
+sys.exit(0 if ok else 3)
+"""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -124,6 +124,26 @@ def test_zero_reserves_equal_vcg_exactly_on_integer_fixtures():
                 assert out.payments[ad] == prices[slot], f"seed {seed}"
 
 
+def test_reserve_pricing_resolves_only_for_winners():
+    for seed in range(30):
+        inst = gen_exact_random(seed, max_n=6, max_k=3)
+        reserves = {ad: 0.5 * inst.value_of(ad) for ad in inst.real_ads()[::2]}
+        calls = []
+
+        def counting(sub):
+            calls.append(sub)
+            return solve_adtypes(sub)
+
+        out = price_with_reserves(inst, reserves, allocator=counting)
+        filtered, keep = filter_by_reserves(inst, ReserveVector(reserves))
+        sol = solve_adtypes(filtered)
+        positive = [ad for s, ad in sol.matching.pairs
+                    if ad in keep.values()
+                    and filtered.types[ad.ad_type].discounts[s] > 0]
+        assert len(calls) == 1 + len(positive), f"seed {seed}"
+        assert out == price_with_reserves(inst, reserves)
+
+
 def test_myerson_lone_bidder_reserve():
     inst = Instance(1, [TypeSpec("t", [10.0], [1.0])])
     assert myerson_changepoint_prices(inst, solve_adtypes, AdRef(0, 0), 4.0) \
