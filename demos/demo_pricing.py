@@ -23,7 +23,7 @@ def main():
     sol = solve_adtypes(inst)
     fast = vcg_prices_fast(inst, sol)
     naive = vcg_prices_naive(inst)
-    print(f"VCG slot prices via dual descent : {fast}")
+    print(f"VCG slot prices via shortest path: {fast}")
     print(f"VCG slot prices via re-solving   : {naive}")
     print("  (the winner of slot 0 displaces 6 from a full slot to a half"
           " slot: 6 - 3 = 3)\n")

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from operator import index
 
 from . import baseline, bench, gapdp, hungarian, pricing
 from .core import (
@@ -16,6 +17,7 @@ from .core import (
     GuardError,
     Instance,
     Matching,
+    ValidationError,
     has_gap_rules,
     instance_to_dict,
     load_instance,
@@ -92,8 +94,14 @@ def _load_reserves(path) -> dict[AdRef, float]:
         return {}
     with open(path) as fh:
         data = json.load(fh)
-    entries = data["reserves"] if isinstance(data, dict) else data
-    return {AdRef(e["type"], e["rank"]): float(e["reserve"]) for e in entries}
+    entries = data.get("reserves") if isinstance(data, dict) else data
+    try:
+        return {AdRef(index(e["type"]), index(e["rank"])): float(e["reserve"])
+                for e in entries}
+    except (KeyError, TypeError, ValueError) as exc:
+        bad = '{"type": int, "rank": int, "reserve": number}'
+        raise ValidationError(f"reserves must be a list of {bad} ({exc!r})") \
+            from exc
 
 
 def _cmd_price(args) -> int:

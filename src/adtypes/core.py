@@ -215,6 +215,15 @@ def edge_value(inst: Instance, ad: AdRef, slot: int) -> float:
     return spec.discounts[slot] * spec.values[ad.rank]
 
 
+def scaled_tol(inst: Instance, tol: float = TOL) -> float:
+    """``tol`` relative to the instance's largest edge value (and absolute
+    when that is below 1), so a check means the same in any unit."""
+    top = max((max(map(abs, s.values), default=0.0)
+               * max(map(abs, s.discounts), default=0.0) for s in inst.types),
+              default=0.0)
+    return tol * max(1.0, top)
+
+
 def welfare(inst: Instance, m: Matching) -> float:
     """Total value of a matching.  Summed in slot order so the result does
     not depend on the mapping's iteration order."""

@@ -50,16 +50,17 @@ from .core import (
     edge_matrix,
     ensure_valid,
     has_gap_rules,
+    scaled_tol,
     welfare,
 )
 
 
 class PhaseInvariantError(ValidationError):
     """A phase broke an invariant that exact arithmetic guarantees: a queue
-    key fell below the accumulated dual shift by more than ``TOL``, or the
-    queue ran dry before an augmenting path was found.  Rounding on badly
-    scaled values can cause either; the solve is refused instead of
-    returning duals that would not certify."""
+    key fell below the accumulated dual shift by more than the instance's
+    tolerance (:func:`~adtypes.core.scaled_tol`), or the queue ran dry
+    before an augmenting path was found.  Rounding can cause either; the
+    solve is refused instead of returning duals that would not certify."""
 
     def __init__(self, phase: int, key: float | None, shift: float, what: str):
         self.phase = phase
@@ -101,8 +102,8 @@ class OptimalSolution:
 
 class _Tables:
     """An instance's numbers as the phase loop reads them, built once per
-    solve: ``val[a]`` for ``a = t*n + r``, ``disc[t][slot]``, and whether each
-    type's discount curve is strictly decreasing."""
+    solve: ``val[a]`` for ``a = t*n + r``, ``disc[t][slot]``, whether each
+    type's discount curve is strictly decreasing, and the tolerance."""
 
     def __init__(self, inst: Instance):
         self.n, self.k = inst.num_slots, inst.num_types
@@ -110,6 +111,7 @@ class _Tables:
         self.disc = [spec.discounts for spec in inst.types]
         self.strict = [all(d[j] > d[j + 1] for j in range(self.n - 1))
                        for d in self.disc]
+        self.tol = scaled_tol(inst)
 
     def initial_duals(self) -> tuple[list[float], list[float]]:
         """Zero utilities, and every slot priced at the largest edge value
@@ -306,7 +308,7 @@ class PhaseState:
             key, _, slot, a = entry
             if best.get(a) is not entry:
                 continue  # superseded by a lower key, or already popped
-            if key < self.delta_acc - TOL:
+            if key < self.delta_acc - self.tables.tol:
                 raise PhaseInvariantError(self.root, key, self.delta_acc,
                                           "queue key regressed")
             self.delta_acc = max(self.delta_acc, key)
@@ -448,8 +450,10 @@ class CertificateReport:
 def certify(inst: Instance, sol: OptimalSolution, tol: float = TOL) -> CertificateReport:
     """Check the dual certificate: feasibility on every edge, non-negative
     duals, tightness of matched edges, zero utility on unmatched ads, and
-    welfare against the dual value on the matched subgraph."""
+    welfare against the dual value on the matched subgraph, each within
+    ``tol`` relative to the largest edge value or to the welfare."""
     msgs: list[str] = []
+    edge_tol = scaled_tol(inst, tol)
     worst = 0.0
     values = edge_matrix(inst)
     u = np.asarray(sol.duals.u)
@@ -459,13 +463,13 @@ def certify(inst: Instance, sol: OptimalSolution, tol: float = TOL) -> Certifica
         return CertificateReport(False, float("inf"), ["dual dimensions wrong"])
 
     neg = min(float(u.min()), float(p.min()))
-    if neg < -tol:
+    if neg < -edge_tol:
         worst = max(worst, -neg)
         msgs.append(f"negative dual variable ({neg:g})")
 
     slack = u[:, :, None] + p[None, None, :] - values
     min_slack = float(slack.min())
-    if min_slack < -tol:
+    if min_slack < -edge_tol:
         worst = max(worst, -min_slack)
         msgs.append(f"dual infeasible: worst edge slack {min_slack:g}")
 
@@ -477,14 +481,14 @@ def certify(inst: Instance, sol: OptimalSolution, tol: float = TOL) -> Certifica
                                      [f"matched pair out of range: {slot}, {ad}"])
         matched_mask[ad.ad_type, ad.rank] = True
         resid = abs(float(slack[ad.ad_type, ad.rank, slot]))
-        if resid > tol:
+        if resid > edge_tol:
             worst = max(worst, resid)
             msgs.append(f"matched edge slot {slot} not tight (residual {resid:g})")
         dual_on_matched += u[ad.ad_type, ad.rank] + p[slot]
 
     # complementary slackness on the ad side: losers carry no utility
     loose = float(u[~matched_mask].max(initial=0.0))
-    if loose > tol:
+    if loose > edge_tol:
         worst = max(worst, loose)
         msgs.append(f"unmatched ad has positive utility ({loose:g})")
 

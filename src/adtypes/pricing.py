@@ -1,11 +1,12 @@
 """Incentive-compatible payments for the slot allocation mechanisms.
 
-Three pricing routes, each with an independent cross-check:
+Four pricing routes:
 
-* fast VCG: descend the solver's duals to the point-wise minimal feasible
-  slot prices (uniform shift on a shrinking mutable region, pinning nodes as
-  constraints bind);
-* naive VCG: re-solve without each winner and charge the externality;
+* fast VCG: the point-wise minimal competitive-equilibrium slot prices,
+  which are the VCG prices, read off the solver's certified duals in one
+  shortest-path pass over the slots;
+* naive VCG, its oracle: re-solve with each winner's bid at 0 and charge
+  the externality;
 * reserve pricing without changepoint computation: compare against the
   outcome where the bidder's bid is replaced by its reserve;
 * a bid-sweep oracle that prices any monotone allocation rule by summing
@@ -13,6 +14,7 @@ Three pricing routes, each with an independent cross-check:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -25,7 +27,6 @@ from .core import (
     Matching,
     TypeSpec,
     ValidationError,
-    edge_matrix,
     edge_value,
     ensure_valid,
     welfare,
@@ -65,8 +66,8 @@ class ReserveVector:
 
     def __init__(self, reserves: Mapping[AdRef, float] | None = None):
         items = tuple(sorted((reserves or {}).items()))
-        if any(r < 0 for _, r in items):
-            raise ValueError("reserves must be non-negative")
+        if not all(math.isfinite(r) and r >= 0 for _, r in items):
+            raise ValidationError("reserves must be finite and non-negative")
         object.__setattr__(self, "by_ad", items)
 
     def get(self, ad: AdRef) -> float:
@@ -81,90 +82,61 @@ class ReserveVector:
 
 def vcg_prices_fast(inst: Instance, sol: OptimalSolution,
                     tol: float = TOL) -> tuple[float, ...]:
-    """Point-wise minimal feasible slot prices, from a certified solution.
+    """Point-wise minimal competitive-equilibrium slot prices, which are the
+    VCG prices, from a certified solution in one shortest-path pass.
 
-    All matched nodes start mutable; repeatedly shift utilities up and prices
-    down by the largest step that keeps every price non-negative and every
-    edge from a node with fixed utility feasible, then pin (via alternating
-    BFS over tight edges) everything the newly binding constraints reach.
+    Lowering slot j's price by ``d_j`` raises its ad's utility as much.  With
+    ``slack = u + p - v >= 0``, feasibility caps ``d_j`` by ``p_j``, by
+    ``slack(i, j)`` for each unmatched ad i (the lowest-rank one of each type
+    is the tightest) and by ``d_s + slack(ad at s, j)`` for each slot s; the
+    greatest such ``d`` is Dijkstra's distance over the slots, and slot j's
+    price is ``p_j - d_j``.  A slot with no ad keeps its price.
     """
     report = certify(inst, sol, tol)
     if not report.passed:
         raise ValidationError(["solution fails certification: "
                                + "; ".join(report.messages)])
-    n, k = inst.num_slots, inst.num_types
-    num_ads = k * n
-    V = edge_matrix(inst).reshape(num_ads, n)
-    u = np.asarray(sol.duals.u, dtype=float).reshape(num_ads).copy()
-    p = np.asarray(sol.duals.p, dtype=float).copy()
-    ad_of_slot = np.full(n, -1, dtype=np.int64)
+    u = np.asarray(sol.duals.u, dtype=float)
+    p = np.asarray(sol.duals.p, dtype=float)
+    disc = [np.asarray(spec.discounts) for spec in inst.types]
+    ad_at: list[AdRef | None] = [None] * inst.num_slots
+    matched = np.zeros(u.shape, dtype=bool)
     for slot, ad in sol.matching.pairs:
-        ad_of_slot[slot] = ad.ad_type * n + ad.rank
-    r_slots = ad_of_slot >= 0
-    r_ads = np.zeros(num_ads, dtype=bool)
-    r_ads[ad_of_slot[r_slots]] = True
-
-    while r_slots.any():
-        outside = ~r_ads
-        delta = float(p[r_slots].min())
-        if outside.any():
-            cross = u[outside, None] + p[None, r_slots] - V[np.ix_(outside, r_slots)]
-            delta = min(delta, float(cross.min()))
-        delta = max(delta, 0.0)
-        if delta > 0:
-            u[r_ads] += delta
-            p[r_slots] -= delta
-        # pin everything reached from the binding constraints
-        slack = u[:, None] + p[None, :] - V
-        tight = slack <= tol
-        from_outside = tight[~r_ads].any(axis=0) if (~r_ads).any() else \
-            np.zeros(n, dtype=bool)
-        frontier = [j for j in range(n)
-                    if r_slots[j] and (p[j] <= tol or from_outside[j])]
-        if not frontier:
-            raise AssertionError("price descent stalled without a binding constraint")
-        pinned_slots: set[int] = set()
-        pinned_ads: set[int] = set()
-        queue = list(frontier)
-        while queue:
-            j = queue.pop()
-            if j in pinned_slots or not r_slots[j]:
-                continue
-            pinned_slots.add(j)
-            a = int(ad_of_slot[j])
-            if a >= 0 and a not in pinned_ads and r_ads[a]:
-                pinned_ads.add(a)
-                for j2 in np.nonzero(tight[a] & r_slots)[0]:
-                    if int(j2) not in pinned_slots:
-                        queue.append(int(j2))
-        for j in pinned_slots:
-            r_slots[j] = False
-        for a in pinned_ads:
-            r_ads[a] = False
-    return tuple(float(x) for x in p)
+        ad_at[slot] = ad
+        matched[ad.ad_type, ad.rank] = True
+    dist = p.copy()
+    for t, spec in enumerate(inst.types):
+        free = np.flatnonzero(~matched[t])
+        if free.size:
+            r = free[0]
+            np.minimum(dist, u[t, r] + p - spec.values[r] * disc[t], out=dist)
+    todo = np.array([ad is not None for ad in ad_at])
+    dist[~todo] = np.inf
+    prices = p.copy()
+    for _ in range(int(todo.sum())):
+        s = int(np.argmin(dist))
+        d_s = float(dist[s])
+        prices[s] = max(0.0, p[s] - d_s)
+        todo[s] = False
+        dist[s] = np.inf
+        t, r = ad_at[s].ad_type, ad_at[s].rank
+        np.minimum(dist, d_s + u[t, r] + p - inst.types[t].values[r] * disc[t],
+                   out=dist, where=todo)
+    return tuple(float(x) for x in prices)
 
 
 def vcg_prices_naive(inst: Instance, solver=solve_adtypes) -> tuple[float, ...]:
-    """Definitional VCG: for each winner, re-solve without it and charge the
-    drop in everyone else's welfare.  One solve per slot plus one."""
+    """Definitional VCG: for each winner, re-solve with its bid lowered to 0
+    (the welfare of the others without it) and charge the drop in everyone
+    else's welfare.  One solve per slot plus one."""
     sol = solver(inst)
     total = sol.welfare
     prices = [0.0] * inst.num_slots
     for slot, ad in sol.matching.pairs:
         others_now = total - edge_value(inst, ad, slot)
-        without = _without_ad(inst, ad)
-        others_best = solver(without).welfare
+        others_best = solver(with_bid(inst, ad, 0.0)[0]).welfare
         prices[slot] = max(0.0, others_best - others_now)
     return tuple(prices)
-
-
-def _without_ad(inst: Instance, ad: AdRef) -> Instance:
-    spec = inst.types[ad.ad_type]
-    vals = [v for r, v in enumerate(spec.values[: inst.real_counts[ad.ad_type]])
-            if r != ad.rank]
-    types = list(inst.types)
-    types[ad.ad_type] = TypeSpec(spec.name, vals, spec.discounts)
-    return Instance(inst.num_slots, types, inst.gap)
 
 
 def vcg_outcome(inst: Instance) -> PricedOutcome:

@@ -86,6 +86,29 @@ def test_price_with_reserves_file(fixtures_dir, tmp_path):
     assert pays[(0, 1)] == 0.0
 
 
+@pytest.mark.parametrize("reserves", [
+    [5],
+    {"reserves": 5},
+    {"floors": []},
+    [{"type": 0, "rank": 0}],
+    [{"type": "top", "rank": 0, "reserve": 1.0}],
+    [{"type": 0, "rank": 0.5, "reserve": 1.0}],
+    [{"type": 0, "rank": 0, "reserve": [1.0]}],
+    [{"type": 0, "rank": 0, "reserve": float("nan")}],
+    [{"type": 0, "rank": 0, "reserve": -1.0}],
+])
+def test_bad_reserves_file_exit_code(fixtures_dir, tmp_path, capsys, reserves):
+    # malformed entries and NaN reserves are refused, not a traceback and
+    # not a bidder silently filtered out
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(reserves))
+    for mechanism in ("reserve", "myerson-greedy"):
+        assert run(["price", "--in", str(fixtures_dir / "two_bidders.json"),
+                    "--mechanism", mechanism, "--reserves", str(path),
+                    "--out", str(tmp_path / "x.json")]) == 1
+        assert "invalid:" in capsys.readouterr().err
+
+
 def test_price_myerson_greedy(fixtures_dir, tmp_path):
     out = tmp_path / "priced.json"
     code = run(["price", "--in", str(fixtures_dir / "greedy_tight_25.json"),

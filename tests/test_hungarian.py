@@ -4,11 +4,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from adtypes.baseline import solve_bruteforce, solve_generic_hungarian
 from adtypes.bench import (
     GenConfig,
+    assignment_to_adtypes,
     gen_exact_random,
     gen_random,
     gen_scaling_instance,
@@ -32,6 +34,7 @@ from adtypes.hungarian import (
     solve_adtypes,
     update_possible_new_edges,
 )
+from adtypes.pricing import vcg_prices_fast
 
 
 def test_example1_assignment(example1):
@@ -265,8 +268,8 @@ inst = Instance(base.num_slots,
 
 
 def test_badly_scaled_instance_solves_or_raises_named_error():
-    # a pareto instance with values scaled by 1e7 outgrows the absolute
-    # tolerance of the queue check
+    # a pareto instance with values scaled by 1e7, whose keys near 1e8 once
+    # outgrew an absolute tolerance in the queue check
     scope = {}
     exec(_SCALED_PARETO, scope)
     inst = scope["inst"]
@@ -296,3 +299,52 @@ sys.exit(0 if ok else 3)
     proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def _scaled(inst: Instance, c: float) -> Instance:
+    return Instance(inst.num_slots,
+                    [TypeSpec(spec.name,
+                              [v * c for v in spec.values[:inst.real_counts[t]]],
+                              spec.discounts)
+                     for t, spec in enumerate(inst.types)])
+
+
+@pytest.mark.parametrize("c", [1e7, 1e12])
+def test_badly_scaled_pareto_solves_and_certifies(c):
+    # the queue check and certify allow TOL relative to the largest edge
+    # value, so rounding on values near 1e8 is not mistaken for a regression
+    inst = _scaled(gen_random(GenConfig(60, 3, 0, "pareto", "geometric")), c)
+    sol = solve_adtypes(inst)
+    assert certify(inst, sol).passed
+    assert len(vcg_prices_fast(inst, sol)) == inst.num_slots
+
+
+def test_assignment_embedding_of_large_weights_certifies():
+    # integer weights x1000 embed into edge values near 1e7, whose rounding
+    # (slack -1.9e-9 here) an absolute tolerance would call infeasible
+    rng = np.random.default_rng(2)
+    inst, _ = assignment_to_adtypes(
+        rng.integers(1, 100, size=(150, 150)).astype(float) * 1000)
+    assert certify(inst, solve_adtypes(inst)).passed
+
+
+@pytest.mark.parametrize("c", [2.0 ** -20, 2.0 ** 23, 2.0 ** 40])
+def test_power_of_two_scaling_scales_every_output_exactly(c):
+    # multiplying by a power of two is exact, so the solve and the prices
+    # must be the unscaled ones times c, bit for bit
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        n, k = int(rng.integers(1, 30)), int(rng.integers(1, 5))
+        inst = gen_random(GenConfig(n, k, seed,
+                                    ("uniform-int", "uniform-real", "pareto")[seed % 3],
+                                    ("linear", "geometric", "step")[seed % 3]))
+        sol = solve_adtypes(inst)
+        big = _scaled(inst, c)
+        sol_c = solve_adtypes(big)
+        assert sol_c.matching == sol.matching, f"seed {seed}"
+        assert sol_c.welfare == sol.welfare * c, f"seed {seed}"
+        assert sol_c.duals.u == tuple(tuple(x * c for x in row)
+                                      for row in sol.duals.u), f"seed {seed}"
+        assert sol_c.duals.p == tuple(x * c for x in sol.duals.p), f"seed {seed}"
+        assert vcg_prices_fast(big, sol_c) == \
+            tuple(x * c for x in vcg_prices_fast(inst, sol)), f"seed {seed}"

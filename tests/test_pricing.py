@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from adtypes import pricing
+from adtypes.baseline import solve_generic_hungarian
 from adtypes.bench import GenConfig, gen_exact_random, gen_greedy_tight, gen_random
 from adtypes.core import AdRef, Instance, Matching, TypeSpec, ValidationError
 from adtypes.hungarian import DualSolution, OptimalSolution, solve_adtypes
@@ -64,10 +65,23 @@ def test_fast_equals_naive_on_random_instances():
         k = int(rng.integers(1, 5))
         dist = ("uniform-int", "uniform-real", "pareto")[seed % 3]
         inst = gen_random(GenConfig(n, k, seed, dist, "linear"))
-        sol = solve_adtypes(inst)
-        fast = np.asarray(vcg_prices_fast(inst, sol))
         naive = np.asarray(vcg_prices_naive(inst))
-        assert np.abs(fast - naive).max() <= 1e-9, f"seed {seed}"
+        # minimal prices do not depend on which certified duals they start from
+        for solver in (solve_adtypes, solve_generic_hungarian):
+            fast = np.asarray(vcg_prices_fast(inst, solver(inst)))
+            assert np.abs(fast - naive).max() <= 1e-9, \
+                f"seed {seed} {solver.__name__}"
+
+
+def test_fast_equals_naive_exactly_on_dyadic_instances():
+    # dyadic values and discounts make every slack exact, so the
+    # shortest-path pass must reproduce the re-solves bit for bit
+    for seed in range(100):
+        inst = gen_exact_random(seed)
+        naive = vcg_prices_naive(inst)
+        for solver in (solve_adtypes, solve_generic_hungarian):
+            assert vcg_prices_fast(inst, solver(inst)) == naive, \
+                f"seed {seed} {solver.__name__}"
 
 
 def test_pointwise_minimality_literal():
@@ -90,6 +104,12 @@ def test_pointwise_minimality_literal():
                 ad = winners[slot]
                 slackest = u[ad] + price - values[ad.ad_type, ad.rank, slot]
                 assert slackest <= 1e-6, f"seed {seed} slot {slot}"
+
+
+@pytest.mark.parametrize("reserve", [float("nan"), float("inf"), -1.0])
+def test_reserve_vector_refuses_bad_reserves(reserve):
+    with pytest.raises(ValidationError, match="finite and non-negative"):
+        ReserveVector({AdRef(0, 0): reserve})
 
 
 def test_reserve_lone_bidder_above():
