@@ -47,11 +47,9 @@ from .pricing import (
     vcg_prices_naive,
 )
 from .gapdp import (
-    GapDpState,
     Graph,
     brute_force_gap,
     check_gap_feasible,
-    feasible_predecessors,
     mis_to_adtypes,
     solve_gap_dp,
     solve_two_type_dp,

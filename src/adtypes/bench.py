@@ -14,7 +14,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .core import GuardError, Instance, Matching, TypeSpec, ensure_valid
+from .core import GuardError, Instance, Matching, TypeSpec, ensure_valid, tol_for
 from .hungarian import solve_adtypes
 from .baseline import solve_generic_hungarian
 
@@ -223,25 +223,27 @@ _SOLVERS = (
 
 
 def bench_scaling(sizes, reps: int = 5, *, seed: int = 0) -> BenchReport:
-    """Median-of-reps wall times for both solvers on each (n, k).  One
-    warm-up run per solver is discarded; a welfare mismatch between solvers
-    raises."""
-    report = BenchReport()
+    """Median-of-reps wall times for both solvers on each (n, k).
+
+    One warm-up run per (n, k, solver) is discarded; a welfare mismatch
+    between the solvers' warm-up runs raises.  The timed runs go in
+    interleaved rounds, each timing every (n, k, solver) once, so a drift in
+    machine speed lands on every size alike instead of on one size's runs.
+    """
+    cases = []
     for n, k in sizes:
         inst = gen_scaling_instance(n, k, seed)
-        welfares = {}
-        for name, run in _SOLVERS:
-            run(inst)  # warm-up
-            samples = []
-            for _ in range(reps):
-                t0 = time.perf_counter()
-                w = run(inst)
-                samples.append((time.perf_counter() - t0) * 1000.0)
-            welfares[name] = w
-            report.rows.append((n, k, name, statistics.median(samples), w))
-        scale = max(1.0, *(abs(v) for v in welfares.values()))
+        welfares = {name: run(inst) for name, run in _SOLVERS}
         spread = max(welfares.values()) - min(welfares.values())
-        if spread > 1e-9 * scale:
+        if spread > tol_for(max(abs(w) for w in welfares.values())):
             raise AssertionError(f"solver welfare mismatch at n={n}, k={k}: "
                                  f"{welfares}")
-    return report
+        cases += [(n, k, name, welfares[name], run, inst, [])
+                  for name, run in _SOLVERS]
+    for _ in range(reps):
+        for *_, run, inst, times in cases:
+            t0 = time.perf_counter()
+            run(inst)
+            times.append((time.perf_counter() - t0) * 1000.0)
+    return BenchReport([(n, k, name, statistics.median(times), w)
+                        for n, k, name, w, _, _, times in cases])

@@ -23,6 +23,7 @@ from .core import (
     load_instance,
     matching_from_list,
     matching_to_list,
+    tol_for,
     validate_instance,
     welfare,
 )
@@ -183,7 +184,7 @@ def _cmd_verify(args) -> int:
         print(f"violation: assignment out of range: {exc}")
         return EXIT_INVALID
     stated = float(data.get("welfare", w))
-    if abs(stated - w) > 1e-9 * max(1.0, abs(w)):
+    if abs(stated - w) > tol_for(w):
         failures.append(f"stated welfare {stated!r} != recomputed {w!r}")
     if has_gap_rules(inst) and not gapdp.check_gap_feasible(inst, matching):
         failures.append("assignment violates gap rules")

@@ -19,6 +19,14 @@ import numpy as np
 TOL = 1e-9
 
 
+def tol_for(magnitude: float) -> float:
+    """The one tolerance rule: ``TOL`` relative to ``magnitude`` (absolute
+    when it is below 1), so a check means the same in any unit.  Per-edge
+    quantities (slacks, duals, utilities, queue keys) pass the instance's
+    largest edge value, through :func:`scaled_tol`; sums pass the welfare."""
+    return TOL * max(1.0, abs(magnitude))
+
+
 class ValidationError(ValueError):
     """Raised when a solver is handed an instance that fails validation."""
 
@@ -91,12 +99,6 @@ class Instance:
     def num_types(self) -> int:
         return len(self.types)
 
-    @property
-    def ads(self) -> list[AdRef]:
-        """All ads, including zero-value padding, in (type, rank) order."""
-        return [AdRef(t, r) for t in range(self.num_types)
-                for r in range(self.num_slots)]
-
     def real_ads(self) -> list[AdRef]:
         """Only the ads that were actually supplied (no padding)."""
         return [AdRef(t, r) for t in range(self.num_types)
@@ -131,9 +133,6 @@ class Matching:
             if a == ad:
                 return s
         return None
-
-    def get(self, slot: int) -> AdRef | None:
-        return self.as_dict().get(slot)
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -215,13 +214,12 @@ def edge_value(inst: Instance, ad: AdRef, slot: int) -> float:
     return spec.discounts[slot] * spec.values[ad.rank]
 
 
-def scaled_tol(inst: Instance, tol: float = TOL) -> float:
-    """``tol`` relative to the instance's largest edge value (and absolute
-    when that is below 1), so a check means the same in any unit."""
-    top = max((max(map(abs, s.values), default=0.0)
-               * max(map(abs, s.discounts), default=0.0) for s in inst.types),
-              default=0.0)
-    return tol * max(1.0, top)
+def scaled_tol(inst: Instance) -> float:
+    """The tolerance for per-edge quantities: :func:`tol_for` the instance's
+    largest edge value."""
+    return tol_for(max((max(map(abs, s.values), default=0.0)
+                        * max(map(abs, s.discounts), default=0.0)
+                        for s in inst.types), default=0.0))
 
 
 def welfare(inst: Instance, m: Matching) -> float:

@@ -26,25 +26,6 @@ from .core import (
 BOTTOM = None  # "no ad of this type placed yet"
 
 
-@dataclass(frozen=True)
-class GapDpState:
-    """DP key: how many ads of each type are placed and where each type's
-    last ad sits (``None`` when the type is unused)."""
-
-    counts: tuple[int, ...]
-    last_slots: tuple[int | None, ...]
-
-    def __post_init__(self):
-        if len(self.counts) != len(self.last_slots):
-            raise ValueError("counts and last_slots must have equal length")
-        for c, s in zip(self.counts, self.last_slots):
-            if (c == 0) != (s is BOTTOM):
-                raise ValueError("counts[l] == 0 iff last_slots[l] is empty")
-        used = [s for s in self.last_slots if s is not BOTTOM]
-        if len(set(used)) != len(used):
-            raise ValueError("last slots must be distinct")
-
-
 def _gap(inst: Instance):
     if inst.gap is not None:
         return inst.gap
@@ -138,46 +119,6 @@ def solve_gap_dp(inst: Instance, *, max_states: int = 2_000_000) -> Matching:
         assignment[s] = AdRef(t, per_type[t])
         per_type[t] += 1
     return Matching(assignment)
-
-
-def feasible_predecessors(inst: Instance, ad_type: int,
-                          state: GapDpState) -> set:
-    """Where could this type's second-to-last ad sit, given the state?
-
-    Defined for the type holding the maximum last slot.  With one ad placed
-    the only predecessor is "nowhere" (``None``); otherwise every slot below
-    the last that clears the gap rules against the other types' last ads and
-    against this type's own last.
-    """
-    if state.counts[ad_type] < 1:
-        raise ValueError("type has no placed ad")
-    s_l = state.last_slots[ad_type]
-    others = [s for t, s in enumerate(state.last_slots)
-              if t != ad_type and s is not BOTTOM]
-    if any(s_l < s for s in others):
-        raise ValueError("defined only for the type with the maximum last slot")
-    if state.counts[ad_type] == 1:
-        return {BOTTOM}
-    gap = _gap(inst)
-    out = set()
-    for j in range(s_l):
-        if s_l - j <= gap[ad_type][ad_type]:
-            continue
-        ok = True
-        for m, s_m in enumerate(state.last_slots):
-            if m == ad_type or s_m is BOTTOM:
-                continue
-            if s_m == j:
-                ok = False
-            elif s_m > j and s_m - j <= gap[ad_type][m]:
-                ok = False
-            elif s_m < j and j - s_m <= gap[m][ad_type]:
-                ok = False
-            if not ok:
-                break
-        if ok:
-            out.add(j)
-    return out
 
 
 def brute_force_gap(inst: Instance) -> Matching:

@@ -42,7 +42,6 @@ from typing import Callable
 import numpy as np
 
 from .core import (
-    TOL,
     AdRef,
     Instance,
     Matching,
@@ -51,6 +50,7 @@ from .core import (
     ensure_valid,
     has_gap_rules,
     scaled_tol,
+    tol_for,
     welfare,
 )
 
@@ -75,9 +75,6 @@ class DualSolution:
 
     u: tuple[tuple[float, ...], ...]
     p: tuple[float, ...]
-
-    def u_of(self, ad: AdRef) -> float:
-        return self.u[ad.ad_type][ad.rank]
 
 
 @dataclass
@@ -447,13 +444,14 @@ class CertificateReport:
         return self.passed
 
 
-def certify(inst: Instance, sol: OptimalSolution, tol: float = TOL) -> CertificateReport:
+def certify(inst: Instance, sol: OptimalSolution) -> CertificateReport:
     """Check the dual certificate: feasibility on every edge, non-negative
     duals, tightness of matched edges, zero utility on unmatched ads, and
-    welfare against the dual value on the matched subgraph, each within
-    ``tol`` relative to the largest edge value or to the welfare."""
+    welfare against the dual value on the matched subgraph.  The per-edge
+    checks allow :func:`~adtypes.core.scaled_tol`, the welfare checks
+    :func:`~adtypes.core.tol_for` the welfare."""
     msgs: list[str] = []
-    edge_tol = scaled_tol(inst, tol)
+    edge_tol = scaled_tol(inst)
     worst = 0.0
     values = edge_matrix(inst)
     u = np.asarray(sol.duals.u)
@@ -493,24 +491,25 @@ def certify(inst: Instance, sol: OptimalSolution, tol: float = TOL) -> Certifica
         msgs.append(f"unmatched ad has positive utility ({loose:g})")
 
     w = welfare(inst, sol.matching)
-    scale = max(1.0, abs(w))
-    if abs(w - sol.welfare) > tol * scale:
+    sum_tol = tol_for(w)
+    if abs(w - sol.welfare) > sum_tol:
         worst = max(worst, abs(w - sol.welfare))
         msgs.append("stored welfare does not match the matching")
-    if abs(dual_on_matched - w) > tol * scale:
+    if abs(dual_on_matched - w) > sum_tol:
         worst = max(worst, abs(dual_on_matched - w))
         msgs.append("dual value on matched subgraph != welfare")
 
     return CertificateReport(not msgs, worst, msgs)
 
 
-def crossing_violations(inst: Instance, duals: DualSolution,
-                        tol: float = TOL) -> list[tuple]:
+def crossing_violations(inst: Instance, duals: DualSolution) -> list[tuple]:
     """Same-type tight-edge pairs that cross: ads i<i' (strictly ordered by
     value) and slots j<j' (strictly ordered by discount) with both (i,j') and
-    (i',j) tight.  Feasible duals admit none; equal-value or equal-discount
-    pairs are exempt since either order is then interchangeable."""
+    (i',j) tight, within :func:`~adtypes.core.scaled_tol`.  Feasible duals
+    admit none; equal-value or equal-discount pairs are exempt since either
+    order is then interchangeable."""
     out = []
+    tol = scaled_tol(inst)
     values = edge_matrix(inst)
     u = np.asarray(duals.u)
     p = np.asarray(duals.p)

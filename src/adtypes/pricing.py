@@ -7,10 +7,17 @@ Four pricing routes:
   shortest-path pass over the slots;
 * naive VCG, its oracle: re-solve with each winner's bid at 0 and charge
   the externality;
-* reserve pricing without changepoint computation: compare against the
-  outcome where the bidder's bid is replaced by its reserve;
+* reserve pricing without changepoint computation: each winner pays the
+  welfare with its bid lowered to its reserve less the others' welfare now,
+  one re-solve per winner;
 * a bid-sweep oracle that prices any monotone allocation rule by summing
   bid x allocation-jump over its changepoints.
+
+Tolerances come from :mod:`adtypes.core`: certificates and utilities are
+compared within ``scaled_tol`` (relative to the largest edge value), welfare
+tangents within ``tol_for`` the welfare.  The bid-sweep oracle compares
+quantities (discounts), which do not scale with the values, within a fixed
+1e-12.
 """
 from __future__ import annotations
 
@@ -21,7 +28,6 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .core import (
-    TOL,
     AdRef,
     Instance,
     Matching,
@@ -29,6 +35,8 @@ from .core import (
     ValidationError,
     edge_value,
     ensure_valid,
+    scaled_tol,
+    tol_for,
     welfare,
     with_bid,
 )
@@ -80,8 +88,7 @@ class ReserveVector:
 # ---------------------------------------------------------------------------
 # VCG
 
-def vcg_prices_fast(inst: Instance, sol: OptimalSolution,
-                    tol: float = TOL) -> tuple[float, ...]:
+def vcg_prices_fast(inst: Instance, sol: OptimalSolution) -> tuple[float, ...]:
     """Point-wise minimal competitive-equilibrium slot prices, which are the
     VCG prices, from a certified solution in one shortest-path pass.
 
@@ -92,7 +99,7 @@ def vcg_prices_fast(inst: Instance, sol: OptimalSolution,
     greatest such ``d`` is Dijkstra's distance over the slots, and slot j's
     price is ``p_j - d_j``.  A slot with no ad keeps its price.
     """
-    report = certify(inst, sol, tol)
+    report = certify(inst, sol)
     if not report.passed:
         raise ValidationError(["solution fails certification: "
                                + "; ".join(report.messages)])
@@ -177,17 +184,19 @@ def _quantity(inst: Instance, m: Matching, ad: AdRef) -> float:
 
 
 def price_with_reserves(inst: Instance, reserves: ReserveVector | Mapping | None,
-                        allocator=solve_adtypes, *,
-                        check_allocator: bool = True) -> PricedOutcome:
+                        allocator=solve_adtypes) -> PricedOutcome:
     """Incentive-compatible pricing with eager per-bidder reserves.
 
     Bidders below their reserve are filtered and pay 0.  Each surviving
     bidder is charged the harm to the others of it bidding its value rather
     than its reserve, plus the reserve for whatever it would still win at the
-    reserve bid.  Bidders that win nothing pay 0 without a re-solve, so
-    ``allocator`` runs once plus once per bidder with positive quantity.
-    Requires an exact welfare maximizer; the allocator's main run is
-    certified and rejected if the certificate fails.
+    reserve bid.  With ``x`` its quantity now, ``W`` the welfare now and
+    ``W(b -> r)`` the welfare with its bid lowered to its reserve, the reserve
+    terms cancel and the charge is ``W(b -> r) - (W - x * b)``.  Bidders that
+    win nothing pay 0 without a re-solve, so ``allocator`` runs once plus
+    once per winner with positive quantity.  Requires an exact welfare
+    maximizer; the allocator's main run is certified and rejected if the
+    certificate fails.
     """
     ensure_valid(inst)
     if not isinstance(reserves, ReserveVector):
@@ -197,36 +206,26 @@ def price_with_reserves(inst: Instance, reserves: ReserveVector | Mapping | None
     if not isinstance(sol, OptimalSolution):
         raise ValidationError(["allocator must return a certifiable solution "
                                "with duals; inexact allocators are rejected"])
-    if check_allocator:
-        report = certify(filtered, sol)
-        if not report.passed:
-            raise ValidationError(["allocator output failed certification: "
-                                   + "; ".join(report.messages)])
+    report = certify(filtered, sol)
+    if not report.passed:
+        raise ValidationError(["allocator output failed certification: "
+                               + "; ".join(report.messages)])
     total = sol.welfare
     payments = {AdRef(t, r): 0.0 for t in range(inst.num_types)
                 for r in range(inst.real_counts[t])}
     min_raw = 0.0
-    for orig, kept in keep_map.items():
-        x_now = _quantity(filtered, sol.matching, kept)
-        if x_now == 0.0:
-            continue  # individual rationality caps the payment at x_now * bid = 0
-        bid = inst.value_of(orig)
-        r_i = reserves.get(orig)
-        others_now = total - x_now * bid
-        at_reserve, ref_r, _ = with_bid(filtered, kept, r_i)
-        sol_r = allocator(at_reserve)
-        x_r = _quantity(at_reserve, sol_r.matching, ref_r)
-        others_at_reserve = sol_r.welfare - x_r * r_i
-        raw = others_at_reserve - others_now + x_r * r_i
+    inv = {kept: orig for orig, kept in keep_map.items()}
+    for slot, kept in sol.matching.pairs:
+        orig = inv.get(kept)
+        x_now = filtered.types[kept.ad_type].discounts[slot]
+        if orig is None or x_now == 0.0:
+            continue  # padding, or individual rationality caps it at 0
+        at_reserve = with_bid(filtered, kept, reserves.get(orig))[0]
+        raw = allocator(at_reserve).welfare - (total - x_now * inst.value_of(orig))
         min_raw = min(min_raw, raw)
         payments[orig] = max(0.0, raw)
-    inv = _invert(keep_map)
     m = Matching({slot: inv[ad] for slot, ad in sol.matching.pairs if ad in inv})
     return PricedOutcome(m, payments, "reserve", min_raw)
-
-
-def _invert(d: dict) -> dict:
-    return {v: k for k, v in d.items()}
 
 
 def reserve_mechanism(reserves: ReserveVector | Mapping | None) -> Callable:
@@ -252,8 +251,7 @@ def vcg_mechanism() -> Callable:
 
 def myerson_changepoint_prices(inst: Instance, allocator, ad: AdRef, r: float,
                                *, method: str = "envelope",
-                               resolution: int = 4096,
-                               tol: float = TOL) -> float:
+                               resolution: int = 4096) -> float:
     """Price the probed ad by scanning its allocation curve: the payment is
     the sum over allocation changepoints of bid x quantity-jump, with the
     reserve as the first changepoint.
@@ -279,13 +277,13 @@ def myerson_changepoint_prices(inst: Instance, allocator, ad: AdRef, r: float,
     if bid == r:
         return r * run(r)[1]
     if method == "envelope":
-        return _envelope_payment(run, r, bid, tol)
+        return _envelope_payment(run, r, bid)
     if method == "scan":
-        return _scan_payment(run, inst, ad, r, bid, resolution, tol)
+        return _scan_payment(run, inst, ad, r, bid, resolution)
     raise ValueError(f"unknown method {method!r}")
 
 
-def _envelope_payment(run, lo: float, hi: float, tol: float) -> float:
+def _envelope_payment(run, lo: float, hi: float) -> float:
     cache: dict[float, tuple[float, float]] = {}
 
     def f(b: float):
@@ -312,7 +310,7 @@ def _envelope_payment(run, lo: float, hi: float, tol: float) -> float:
             return
         w_c, x_c = f(cross)
         line = w_a + x_a * (cross - a)
-        if w_c - line <= tol * max(1.0, abs(w_c)):
+        if w_c - line <= tol_for(w_c):
             jumps.append((cross, x_a, x_b))
         else:
             rec(a, cross, depth + 1)
@@ -326,7 +324,7 @@ def _envelope_payment(run, lo: float, hi: float, tol: float) -> float:
 
 
 def _scan_payment(run, filtered: Instance, probe: AdRef, lo: float, hi: float,
-                  resolution: int, tol: float) -> float:
+                  resolution: int) -> float:
     cands = candidate_bids(filtered, probe, resolution)
     cuts = sorted({lo, hi} | {c for c in cands if lo < c < hi})
     quantities = []
@@ -369,7 +367,7 @@ def myerson_greedy_outcome(inst: Instance,
             method="scan", resolution=resolution)
         min_raw = min(min_raw, raw)
         payments[orig] = max(0.0, raw)
-    inv = _invert(keep_map)
+    inv = {kept: orig for orig, kept in keep_map.items()}
     matching = Matching({s: inv[ad] for s, ad in m.pairs if ad in inv})
     return PricedOutcome(matching, payments, "myerson-greedy", min_raw)
 
@@ -390,8 +388,9 @@ class DeviationReport:
 
 
 def test_ic_deviation(inst: Instance, mechanism: Callable, ad: AdRef,
-                      deviations, tol: float = TOL) -> DeviationReport:
-    """Check that no sampled misreport beats truthful bidding for ``ad``.
+                      deviations) -> DeviationReport:
+    """Check that no sampled misreport beats truthful bidding for ``ad`` by
+    more than :func:`~adtypes.core.scaled_tol`.
 
     ``mechanism(instance, ad_map)`` must return a :class:`PricedOutcome`;
     ``ad_map`` carries the rank shifts caused by re-sorting the probed bid.
@@ -402,6 +401,7 @@ def test_ic_deviation(inst: Instance, mechanism: Callable, ad: AdRef,
     u_true = value * _quantity(inst, truth.matching, ad) - \
         truth.payments.get(ad, 0.0)
     report = DeviationReport(ad, u_true)
+    tol = scaled_tol(inst)
     for b in deviations:
         if b < 0:
             continue

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from adtypes import bench
 from adtypes.baseline import solve_bruteforce, solve_greedy
 from adtypes.bench import (
     GenConfig,
@@ -102,6 +103,24 @@ def test_bench_scaling_smoke():
         assert len(rows) == 2
         assert abs(rows[0][4] - rows[1][4]) <= 1e-9 * max(1.0, rows[0][4])
     assert report.median_ms(12, 2, "adtypes") > 0
+
+
+def test_bench_scaling_times_in_interleaved_rounds(monkeypatch):
+    calls = []
+
+    def solver(name):
+        def run(inst):
+            calls.append((inst.num_slots, name))
+            return 1.0
+        return name, run
+
+    monkeypatch.setattr(bench, "_SOLVERS", (solver("a"), solver("b")))
+    report = bench_scaling([(3, 1), (5, 1)], reps=2)
+    one_round = [(3, "a"), (3, "b"), (5, "a"), (5, "b")]
+    # one warm-up per (size, solver), then every case once per round
+    assert calls == one_round * 3
+    assert [row[:3] for row in report.rows] == \
+        [(n, 1, name) for n, name in one_round]
 
 
 def test_bench_reps_consistency():

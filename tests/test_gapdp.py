@@ -3,12 +3,9 @@ import pytest
 from adtypes.bench import GenConfig, gen_gap_random, gen_random
 from adtypes.core import AdRef, GuardError, Instance, Matching, TypeSpec, welfare
 from adtypes.gapdp import (
-    BOTTOM,
-    GapDpState,
     Graph,
     brute_force_gap,
     check_gap_feasible,
-    feasible_predecessors,
     graph_to_text,
     max_independent_set_size,
     mis_to_adtypes,
@@ -75,31 +72,6 @@ def test_check_gap_feasible_examples():
     assert not check_gap_feasible(blocking, m)
     reverse = Matching({0: AdRef(1, 0), 1: AdRef(0, 0)})
     assert check_gap_feasible(blocking, reverse)
-
-
-def test_feasible_predecessors_single_ad():
-    inst = Instance(3, [TypeSpec("a", [1.0], [1.0] * 3),
-                        TypeSpec("b", [1.0], [1.0] * 3)],
-                    [[0, 0], [0, 0]])
-    state = GapDpState((1, 0), (2, BOTTOM))
-    assert feasible_predecessors(inst, 0, state) == {BOTTOM}
-
-
-def test_feasible_predecessors_no_gap_rules():
-    types = [TypeSpec("a", [1.0] * 6, [1.0] * 6),
-             TypeSpec("b", [1.0] * 6, [1.0] * 6)]
-    inst = Instance(6, types, [[0, 0], [0, 0]])
-    state = GapDpState((3, 1), (5, 2))
-    # only injectivity binds: slots below 5 minus the occupied slot 2
-    assert feasible_predecessors(inst, 0, state) == {0, 1, 3, 4}
-
-
-def test_feasible_predecessors_self_gap():
-    types = [TypeSpec("a", [1.0] * 5, [1.0] * 5)]
-    inst = Instance(5, types, [[2]])
-    state = GapDpState((2,), (4,))
-    # positions 2 and 3 are inside the blocking window before slot 4
-    assert feasible_predecessors(inst, 0, state) == {0, 1}
 
 
 def test_two_type_dp_example1(example1):

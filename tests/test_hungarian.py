@@ -143,6 +143,19 @@ def test_no_crossing_tight_edges():
         assert crossing_violations(inst, sol.duals) == [], f"seed {seed}"
 
 
+def test_crossing_violations_scale_with_the_values():
+    # near 1e12 one unit in the last place is about 1e-4, so edges tight up
+    # to rounding miss an absolute 1e-9 test; the planted crossing (ad 0 in
+    # slot 1, ad 1 in slot 0) must still be flagged
+    c = 1e12
+    inst = Instance(2, [TypeSpec("t", [3 * c, c], [1.0, 0.5])])
+    p = (0.5 * c, 0.25 * c)
+    u = ((float(np.nextafter(1.5 * c - p[1], np.inf)),
+          float(np.nextafter(c - p[0], np.inf))),)
+    assert abs(u[0][0] + p[1] - 1.5 * c) > 1e-9
+    assert crossing_violations(inst, DualSolution(u, p)) == [(0, 0, 1, 1, 0)]
+
+
 def test_prefix_optimal_after_each_phase():
     for seed in range(60):
         inst = gen_exact_random(seed)

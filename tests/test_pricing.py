@@ -263,6 +263,21 @@ def test_ic_audit_random_instances():
                 assert report.ok, (trial, ad, report.profitable)
 
 
+def test_ic_audit_vcg_on_badly_scaled_instances():
+    # values near 1e7 leave rounding noise well above 1e-9 in the utilities;
+    # the audit compares within scaled_tol, so it is not a profitable misreport
+    rng = np.random.default_rng(11)
+    mech = vcg_mechanism()
+    for seed in range(30):
+        base = gen_random(GenConfig(6, 3, seed, "pareto", "geometric"))
+        inst = Instance(6, [TypeSpec(s.name, [v * 1e7 for v in s.values],
+                                     s.discounts) for s in base.types])
+        for ad in inst.real_ads():
+            deviations = rng.uniform(0.0, 2.0 * inst.value_of(ad), 10)
+            report = pricing.test_ic_deviation(inst, mech, ad, deviations)
+            assert report.ok, (seed, ad, report.profitable)
+
+
 def test_losers_pay_zero_and_ir():
     for seed in range(40):
         inst = gen_exact_random(seed, max_n=5, max_k=3)
