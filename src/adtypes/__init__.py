@@ -23,10 +23,8 @@ from .hungarian import (
     DualSolution,
     OptimalSolution,
     PhaseInvariantError,
-    PhaseState,
     certify,
     solve_adtypes,
-    update_possible_new_edges,
 )
 from .baseline import (
     AllocationCurve,

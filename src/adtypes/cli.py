@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from operator import index
 
@@ -18,13 +19,14 @@ from .core import (
     Instance,
     Matching,
     ValidationError,
+    ensure_valid,
     has_gap_rules,
+    as_number,
     instance_to_dict,
     load_instance,
     matching_from_list,
     matching_to_list,
     tol_for,
-    validate_instance,
     welfare,
 )
 
@@ -44,13 +46,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _write_json(obj, path) -> None:
+    """Write ``obj`` as strict JSON: a NaN or infinity raises ValueError
+    before anything is written."""
+    text = json.dumps(obj, indent=2, allow_nan=False) + "\n"
     if path is None or path == "-":
-        json.dump(obj, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        sys.stdout.write(text)
         return
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 def _solution_dict(algo: str, inst: Instance, matching: Matching,
@@ -97,8 +100,8 @@ def _load_reserves(path) -> dict[AdRef, float]:
         data = json.load(fh)
     entries = data.get("reserves") if isinstance(data, dict) else data
     try:
-        return {AdRef(index(e["type"]), index(e["rank"])): float(e["reserve"])
-                for e in entries}
+        return {AdRef(index(e["type"]), index(e["rank"])):
+                as_number(e["reserve"], "reserve") for e in entries}
     except (KeyError, TypeError, ValueError) as exc:
         bad = '{"type": int, "rank": int, "reserve": number}'
         raise ValidationError(f"reserves must be a list of {bad} ({exc!r})") \
@@ -166,15 +169,41 @@ def _cmd_bench(args) -> int:
     return EXIT_OK
 
 
+def _load_solution(path) -> tuple[list, float | None,
+                                  hungarian.DualSolution | None]:
+    """The assignment entries, stated welfare and duals of a solution file
+    (``None`` for an absent welfare or duals).  A document of another shape
+    raises :class:`ValidationError`."""
+    with open(path) as fh:
+        data = json.load(fh)
+    if not (isinstance(data, dict) and isinstance(data.get("assignment"), list)):
+        raise ValidationError("solution must be an object with an "
+                              "'assignment' list")
+    stated = data.get("welfare")
+    if stated is not None:
+        stated = as_number(stated, "solution welfare")
+        if not math.isfinite(stated):
+            raise ValidationError(f"solution welfare {stated!r} is not finite")
+    duals = data.get("duals")
+    if duals:
+        bad = 'solution duals must be {"u": [[number]], "p": [number]}'
+        if not (isinstance(duals, dict) and isinstance(duals.get("u"), list)
+                and all(isinstance(row, list) for row in duals["u"])
+                and isinstance(duals.get("p"), list)):
+            raise ValidationError(bad)
+        duals = hungarian.DualSolution(
+            tuple(tuple(as_number(x, bad) for x in row) for row in duals["u"]),
+            tuple(as_number(x, bad) for x in duals["p"]))
+    return data["assignment"], stated, duals or None
+
+
 def _cmd_verify(args) -> int:
     inst = load_instance(args.infile)
-    with open(args.sol) as fh:
-        data = json.load(fh)
+    entries, stated, duals = _load_solution(args.sol)
+    ensure_valid(inst)
     failures = []
-    report = validate_instance(inst)
-    failures.extend(f"instance: {e}" for e in report.errors)
     try:
-        matching = matching_from_list(data["assignment"])
+        matching = matching_from_list(entries)
     except ValueError as exc:
         print(f"violation: assignment invalid: {exc}")
         return EXIT_INVALID
@@ -183,15 +212,13 @@ def _cmd_verify(args) -> int:
     except IndexError as exc:
         print(f"violation: assignment out of range: {exc}")
         return EXIT_INVALID
-    stated = float(data.get("welfare", w))
-    if abs(stated - w) > tol_for(w):
+    if stated is None:
+        stated = w
+    if not abs(stated - w) <= tol_for(w):
         failures.append(f"stated welfare {stated!r} != recomputed {w!r}")
     if has_gap_rules(inst) and not gapdp.check_gap_feasible(inst, matching):
         failures.append("assignment violates gap rules")
-    if data.get("duals"):
-        duals = hungarian.DualSolution(
-            tuple(tuple(row) for row in data["duals"]["u"]),
-            tuple(data["duals"]["p"]))
+    if duals is not None:
         sol = hungarian.OptimalSolution(matching, duals, stated)
         cert = hungarian.certify(inst, sol)
         if not cert.passed:

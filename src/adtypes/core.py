@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -37,6 +38,29 @@ class ValidationError(ValueError):
 
 class GuardError(RuntimeError):
     """Raised when an exhaustive solver refuses an instance as too large."""
+
+
+def as_number(x, what: str) -> float:
+    """``x`` as a float when it is a number as JSON has them: an int or a
+    float, and not a bool.  Anything else, an int too large for a float
+    included, raises :class:`ValidationError`."""
+    if isinstance(x, (int, float)) and not isinstance(x, bool):
+        try:
+            return float(x)
+        except OverflowError:
+            pass
+    raise ValidationError(f"{what}: {x!r} is not a number")
+
+
+def _integer(x, what: str) -> int:
+    """``x`` as an int; anything else, bools included, is refused rather
+    than rounded."""
+    if not isinstance(x, bool):
+        try:
+            return operator.index(x)
+        except TypeError:
+            pass
+    raise ValidationError(f"{what} must be an integer, got {x!r}")
 
 
 @dataclass(frozen=True, order=True)
@@ -68,8 +92,9 @@ class Instance:
     Construction normalizes every type to exactly ``num_slots`` values by
     appending zero-value ads (or keeping only the top ``num_slots``); the
     pre-padding count per type is kept in ``real_counts``.  Nothing is
-    re-sorted: unsorted input is surfaced by :func:`validate_instance`, not
-    silently repaired.
+    re-sorted or rounded: unsorted input is surfaced by
+    :func:`validate_instance`, and a ``num_slots`` or gap entry that is not an
+    integer raises :class:`ValidationError`.
     """
 
     num_slots: int
@@ -78,7 +103,7 @@ class Instance:
     real_counts: tuple[int, ...] = field(default=(), compare=False)
 
     def __init__(self, num_slots, types, gap=None):
-        n = int(num_slots)
+        n = _integer(num_slots, "num_slots")
         object.__setattr__(self, "num_slots", n)
         norm, real = [], []
         for spec in types:
@@ -86,13 +111,17 @@ class Instance:
                 spec = TypeSpec(*spec)
             vals = spec.values[:n] if n > 0 else spec.values
             real.append(len(vals))
+            # pad no further than the discount curve reaches: a longer
+            # num_slots is refused by validate_instance, and padding to it
+            # unchecked could exhaust memory
             if len(vals) < n:
-                vals = vals + (0.0,) * (n - len(vals))
+                vals += (0.0,) * (min(n, len(spec.discounts)) - len(vals))
             norm.append(TypeSpec(spec.name, vals, spec.discounts))
         object.__setattr__(self, "types", tuple(norm))
         object.__setattr__(self, "real_counts", tuple(real))
         if gap is not None:
-            gap = tuple(tuple(int(g) for g in row) for row in gap)
+            gap = tuple(tuple(_integer(g, "gap entry") for g in row)
+                        for row in gap)
         object.__setattr__(self, "gap", gap)
 
     @property
@@ -155,8 +184,9 @@ class ValidationReport:
 
 
 def validate_instance(inst: Instance) -> ValidationReport:
-    """Check finiteness, monotonicity, signs, dimensions, and the gap
-    matrix shape."""
+    """Check finiteness, monotonicity, signs, dimensions, the gap matrix
+    shape, and that the welfare bound ``num_slots`` x largest value x largest
+    discount is finite, so no sum the solvers form can overflow."""
     rep = ValidationReport()
     err = rep.errors.append
     if inst.num_slots < 1:
@@ -189,6 +219,13 @@ def validate_instance(inst: Instance) -> ValidationReport:
         else:
             if any(g < 0 for row in inst.gap for g in row):
                 err("gap matrix has negative entries")
+    # with the checks above passed, values and discounts are finite,
+    # non-negative and non-increasing, so each type's largest is its first
+    if rep.ok and not math.isfinite(max(s.values[0] for s in inst.types)
+                                    * max(s.discounts[0] for s in inst.types)
+                                    * n):
+        err("welfare bound (num_slots x largest value x largest discount) "
+            "overflows")
     return rep
 
 
@@ -286,8 +323,9 @@ def instance_to_dict(inst: Instance) -> dict:
 
 def instance_from_dict(data: Mapping) -> Instance:
     """Build an instance from the JSON schema above.  A malformed document
-    (types not a list of objects, values or discounts not lists of numbers)
-    raises :class:`ValidationError`; the numbers themselves are checked by
+    (types not a list of objects, values or discounts not lists of numbers,
+    a ``num_slots`` or gap entry that is not an integer) raises
+    :class:`ValidationError`; the numbers themselves are checked by
     :func:`validate_instance`."""
     if not isinstance(data, Mapping) or not isinstance(data.get("types"), list):
         raise ValidationError("instance must be an object with a 'types' list")
@@ -300,10 +338,8 @@ def instance_from_dict(data: Mapping) -> Instance:
         bad = f"{name}: 'values' and 'discounts' must be lists of numbers"
         if not (isinstance(values, list) and isinstance(discounts, list)):
             raise ValidationError(bad)
-        try:
-            types.append(TypeSpec(name, values, discounts))
-        except TypeError as exc:  # an entry that is not a number
-            raise ValidationError(f"{bad} ({exc})") from exc
+        types.append(TypeSpec(name, [as_number(v, bad) for v in values],
+                              [as_number(d, bad) for d in discounts]))
     try:
         return Instance(data["num_slots"], types, data.get("gap"))
     except TypeError as exc:  # num_slots or gap of the wrong shape
@@ -326,4 +362,14 @@ def matching_to_list(m: Matching) -> list[dict]:
 
 
 def matching_from_list(entries: Iterable[Mapping]) -> Matching:
-    return Matching({e["slot"]: AdRef(e["type"], e["rank"]) for e in entries})
+    """The inverse of :func:`matching_to_list`.  An entry that is not an
+    object with integer ``slot``, ``type`` and ``rank`` raises
+    :class:`ValidationError`; a slot or ad listed twice raises ValueError."""
+    pairs = []
+    for e in entries:
+        if not isinstance(e, Mapping):
+            raise ValidationError(f"assignment entry {e!r} is not an object")
+        pairs.append((_integer(e.get("slot"), "slot"),
+                      AdRef(_integer(e.get("type"), "type"),
+                            _integer(e.get("rank"), "rank"))))
+    return Matching(pairs)

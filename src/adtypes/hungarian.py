@@ -18,24 +18,29 @@ to stay safe.
 The duals certify optimality: feasible (u_i + p_j >= v_ij everywhere),
 non-negative, tight on every matched edge, and zero on unmatched ads.
 
-Inside the phase loop an ad is the int ``a = t*n + r`` (type ``t``, rank
-``r``, ``n`` slots).  The tree, the best-key table, the heap entries, the
-per-type frontier index, the utilities ``u`` and the matching (``slot_ad``
-and ``ad_slot``, with -1 for unmatched) are lists and dicts keyed by that
-int, and an edge value is read as ``disc[t][slot] * val[a]`` from tables
-built once per solve.  :class:`AdRef` and :class:`Matching` appear only at
-the edges: :func:`solve_adtypes` validates the instance on the way in and
+One function, :func:`_phase`, runs a phase over local variables: offer the
+candidates :func:`_scan` finds for the slot that just joined the tree, pop
+the next tight edge, grow the tree, and repeat until the pop reaches an
+unmatched ad; then flip the augmenting path and write the duals back.  Its
+counters go straight into :class:`SolveStats`.  Inside it an ad is the int
+``a = t*n + r`` (type ``t``, rank ``r``, ``n`` slots).  The tree, the
+best-key table, the heap entries, the per-type frontier index
+(:func:`_frontiers`), the utilities ``u`` and the matching (``slot_ad`` and
+``ad_slot``, with -1 for unmatched) are lists and dicts keyed by that int,
+and an edge value is read as ``disc[t][slot] * val[a]`` from tables built
+once per solve.  :class:`AdRef` and :class:`Matching` appear only at the
+edges: :func:`solve_adtypes` validates the instance on the way in and
 builds the final matching (and the per-phase ones, when
-``collect_phase_matchings`` asks) on the way out, and :class:`PhaseState`
-converts, with a bounds check, in its constructor and in its ``AdRef``
-views ``scan_candidates``, ``last_scan_candidates``, ``pop_next_tight`` and
-``grow``.
+``collect_phase_matchings`` asks) on the way out.  A solve can be followed
+phase by phase through ``trace=``, :attr:`SolveStats.phases` and
+``collect_phase_matchings``.
 """
 from __future__ import annotations
 
-import heapq
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from itertools import accumulate
 from typing import Callable
 
@@ -118,171 +123,129 @@ class _Tables:
         top = max(self.val[t * n] * self.disc[t][0] for t in range(self.k))
         return [0.0] * (self.k * n), [top] * n
 
-    def index(self, ad: AdRef) -> int:
-        if not (0 <= ad.ad_type < self.k and 0 <= ad.rank < self.n):
-            raise IndexError(f"{ad} out of range")
-        return ad.ad_type * self.n + ad.rank
-
-    def ref(self, a: int) -> AdRef:
-        return AdRef(*divmod(a, self.n))
-
     def matching(self, slot_ad: list[int]) -> Matching:
-        return Matching([(s, self.ref(a)) for s, a in enumerate(slot_ad)
-                         if a >= 0])
+        return Matching([(s, AdRef(*divmod(a, self.n)))
+                         for s, a in enumerate(slot_ad) if a >= 0])
 
 
-class PhaseState:
-    """One phase of the solver: alternating tree, candidate queue, dual shift.
+def _frontiers(tables: _Tables, slot_ad: list[int],
+               ad_slot: list[int]) -> list[tuple]:
+    """Per type: matched ads sorted by rank and by slot (with the largest
+    ``a`` over each slot prefix and the smallest over each slot suffix), the
+    lowest unmatched ad, and whether the type is tie-free.  The matching is
+    fixed for the whole phase, so this is built once per phase."""
+    n, val = tables.n, tables.val
+    by_slot: list[list[tuple[int, int]]] = [[] for _ in range(tables.k)]
+    for s, a in enumerate(slot_ad):
+        if a >= 0:
+            by_slot[a // n].append((s, a))
+    frontiers = []
+    for t, pairs in enumerate(by_slot):
+        by_rank = sorted((a, s) for s, a in pairs)
+        ads = [a for _, a in pairs]
+        head, end = t * n, t * n + n
+        while head < end and ad_slot[head] >= 0:
+            head += 1
+        # values are non-increasing in rank, so distinct means strictly
+        # decreasing along by_rank
+        ranked = [val[a] for a, _ in by_rank]
+        tie_free = tables.strict[t] and all(x > y for x, y in
+                                            zip(ranked, ranked[1:]))
+        frontiers.append((
+            head if head < end else None,
+            tie_free,
+            [s for s, _ in pairs],
+            list(accumulate(ads, max)),
+            list(accumulate(reversed(ads), min))[::-1],
+            by_rank,
+            tables.disc[t],
+        ))
+    return frontiers
 
-    ``u`` (flat, indexed by ``a``) and ``p`` are the duals at phase start;
-    the queue keys each candidate ad by the accumulated shift at which its
-    best crossing edge goes tight, so a pop is a dual update and a tree
-    extension in one step.
-    """
 
-    def __init__(self, inst: Instance, matching: Matching, root_slot: int,
-                 u: list[float] | None = None, p: list[float] | None = None):
-        tables = _Tables(inst)
-        slot_ad = [-1] * tables.n
-        ad_slot = [-1] * (tables.k * tables.n)
-        for s, ad in matching.pairs:
-            if not 0 <= s < tables.n:
-                raise IndexError(f"slot {s} out of range")
-            a = tables.index(ad)
-            slot_ad[s] = a
-            ad_slot[a] = s
-        u0, p0 = tables.initial_duals()
-        self._setup(inst, tables, slot_ad, ad_slot, root_slot,
-                    u0 if u is None else u, p0 if p is None else p)
+def _scan(frontiers: list[tuple], val: list[float], slot: int) -> list[int]:
+    """The ads whose edge to ``slot`` might yet go tight this phase.
 
-    @classmethod
-    def _flat(cls, inst: Instance, tables: _Tables, slot_ad: list[int],
-              ad_slot: list[int], root_slot: int, u: list[float],
-              p: list[float]) -> "PhaseState":
-        """The phase :func:`solve_adtypes` runs: the matching and duals are
-        its own flat lists, which :meth:`augment` and
-        :meth:`writeback_duals` update in place."""
-        state = cls.__new__(cls)
-        state._setup(inst, tables, slot_ad, ad_slot, root_slot, u, p)
-        return state
-
-    def _setup(self, inst, tables, slot_ad, ad_slot, root_slot, u, p):
-        self.inst = inst
-        self.tables = tables
-        self.u = u
-        self.p = p
-        self.root = root_slot
-        self.slot_ad = slot_ad
-        self.ad_slot = ad_slot
-        self.tree_ads: dict[int, float] = {}
-        self.tree_slots: dict[int, float] = {root_slot: 0.0}
-        self.parent_slot: dict[int, int] = {}
-        self.delta_acc = 0.0
-        self.queue: list[tuple[float, float, int, int]] = []
-        self.best: dict[int, tuple[float, float, int, int]] = {}
-        self.pops = 0
-        self.last_scan: list[int] = []
-        self.max_queue_occupancy = 0
-        self.max_scan_candidates = 0
-        self.scan_calls = 0
-        self._index_type_frontiers()
-        self.update_possible_new_edges(root_slot)
-
-    def _index_type_frontiers(self):
-        """Per type: matched ads sorted by rank and by slot (with the
-        largest ``a`` over each slot prefix and the smallest over each slot
-        suffix), the lowest unmatched ad, and whether the type is tie-free.
-        The matching is fixed for the whole phase, so this is built once."""
-        tables = self.tables
-        n, val, ad_slot = tables.n, tables.val, self.ad_slot
-        by_slot: list[list[tuple[int, int]]] = [[] for _ in range(tables.k)]
-        for s, a in enumerate(self.slot_ad):
-            if a >= 0:
-                by_slot[a // n].append((s, a))
-        self._frontiers = []
-        for t, pairs in enumerate(by_slot):
-            by_rank = sorted((a, s) for s, a in pairs)
-            ads = [a for _, a in pairs]
-            head, end = t * n, t * n + n
-            while head < end and ad_slot[head] >= 0:
-                head += 1
-            # values are non-increasing in rank, so distinct means strictly
-            # decreasing along by_rank
-            ranked = [val[a] for a, _ in by_rank]
-            tie_free = tables.strict[t] and all(x > y for x, y in
-                                                zip(ranked, ranked[1:]))
-            self._frontiers.append((
-                head if head < end else None,
-                tie_free,
-                [s for s, _ in pairs],
-                list(accumulate(ads, max)),
-                list(accumulate(reversed(ads), min))[::-1],
-                by_rank,
-                tables.disc[t],
-            ))
-
-    def _scan(self, slot: int) -> list[int]:
-        """The ads whose edge to ``slot`` might yet go tight this phase.
-
-        Per type: the lowest-rank unmatched ad; matched ads below the slot
-        from the highest rank down until one is strictly protected (an
-        already-listed ad with strictly smaller value at a strictly better
-        discount); matched ads above the slot from the lowest rank up,
-        symmetrically.  A tie-free type (distinct matched values, strictly
-        decreasing curve) is always protected by its first listed ad, so it
-        contributes at most one candidate per case."""
-        val = self.tables.val
-        cands = []
-        for head, tie_free, slots, prefix_max, suffix_min, by_rank, disc \
-                in self._frontiers:
-            if head is not None:
-                cands.append(head)
-            if tie_free:
-                lo = bisect_left(slots, slot)
-                if lo > 0:
-                    cands.append(prefix_max[lo - 1])
-                hi = bisect_right(slots, slot)
-                if hi < len(slots):
-                    cands.append(suffix_min[hi])
+    Per type: the lowest-rank unmatched ad; matched ads below the slot
+    from the highest rank down until one is strictly protected (an
+    already-listed ad with strictly smaller value at a strictly better
+    discount); matched ads above the slot from the lowest rank up,
+    symmetrically.  A tie-free type (distinct matched values, strictly
+    decreasing curve) is always protected by its first listed ad, so it
+    contributes at most one candidate per case."""
+    cands = []
+    for head, tie_free, slots, prefix_max, suffix_min, by_rank, disc \
+            in frontiers:
+        if head is not None:
+            cands.append(head)
+        if tie_free:
+            lo = bisect_left(slots, slot)
+            if lo > 0:
+                cands.append(prefix_max[lo - 1])
+            hi = bisect_right(slots, slot)
+            if hi < len(slots):
+                cands.append(suffix_min[hi])
+            continue
+        a_scan = disc[slot]
+        # matched below the slot, descending rank (ascending value)
+        protect_v = None
+        for a, s in reversed(by_rank):
+            if s >= slot:
                 continue
-            a_scan = disc[slot]
-            # matched below the slot, descending rank (ascending value)
-            protect_v = None
-            for a, s in reversed(by_rank):
-                if s >= slot:
-                    continue
-                v = val[a]
-                if protect_v is not None and protect_v < v:
-                    break
-                cands.append(a)
-                if disc[s] > a_scan and (protect_v is None or v < protect_v):
-                    protect_v = v
-            # matched above the slot, ascending rank (descending value)
-            protect_v = None
-            for a, s in by_rank:
-                if s <= slot:
-                    continue
-                v = val[a]
-                if protect_v is not None and protect_v > v:
-                    break
-                cands.append(a)
-                if disc[s] < a_scan and (protect_v is None or v > protect_v):
-                    protect_v = v
-        return cands
+            v = val[a]
+            if protect_v is not None and protect_v < v:
+                break
+            cands.append(a)
+            if disc[s] > a_scan and (protect_v is None or v < protect_v):
+                protect_v = v
+        # matched above the slot, ascending rank (descending value)
+        protect_v = None
+        for a, s in by_rank:
+            if s <= slot:
+                continue
+            v = val[a]
+            if protect_v is not None and protect_v > v:
+                break
+            cands.append(a)
+            if disc[s] < a_scan and (protect_v is None or v > protect_v):
+                protect_v = v
+    return cands
 
-    def update_possible_new_edges(self, slot: int) -> "PhaseState":
-        """Offer the candidate edges into ``slot`` to the queue, lowering a
-        candidate's key when this edge goes tight sooner than its current
-        best.  Ads already in the tree are skipped."""
-        cands = self._scan(slot)
-        self.last_scan = cands
-        self.scan_calls += 1
-        self.max_scan_candidates = max(self.max_scan_candidates, len(cands))
-        potential = self.p[slot] + self.tree_slots[slot]
-        n, val, disc = self.tables.n, self.tables.val, self.tables.disc
-        u, tree, best, queue = self.u, self.tree_ads, self.best, self.queue
+
+def _phase(tables: _Tables, slot_ad: list[int], ad_slot: list[int],
+           u: list[float], p: list[float], root: int,
+           stats: SolveStats) -> None:
+    """Phase ``root``: grow an alternating tree from slot ``root`` until it
+    reaches an unmatched ad, flip that augmenting path into ``slot_ad`` and
+    ``ad_slot``, and write the accumulated dual shift back into ``u`` and
+    ``p``, all in place.  Appends ``(root, pops, shift, path length)`` to
+    ``stats.phases`` and adds the phase's counters to ``stats``.
+
+    The queue keys each candidate ad by the accumulated shift at which its
+    best edge into the tree goes tight, so a pop is a dual update and a tree
+    extension in one step.  Tree ads and slots record the shift at which
+    they joined; the duals are written back once, at the end.
+    """
+    n, val, disc, tol = tables.n, tables.val, tables.disc, tables.tol
+    frontiers = _frontiers(tables, slot_ad, ad_slot)
+    tree_ads: dict[int, float] = {}
+    tree_slots: dict[int, float] = {root: 0.0}
+    parent_slot: dict[int, int] = {}
+    queue: list[tuple[float, float, int, int]] = []
+    best: dict[int, tuple[float, float, int, int]] = {}
+    delta = 0.0
+    pops = 0
+    slot = root
+    while True:
+        # offer the candidate edges into the slot that just joined the tree,
+        # lowering a candidate's key when this edge goes tight sooner than
+        # its current best; ads already in the tree are skipped
+        cands = _scan(frontiers, val, slot)
+        stats.scan_calls += 1
+        stats.max_scan_candidates = max(stats.max_scan_candidates, len(cands))
+        potential = p[slot] + tree_slots[slot]
         for a in cands:
-            if a in tree:
+            if a in tree_ads:
                 continue
             value = disc[a // n][slot] * val[a]
             key = u[a] + potential - value
@@ -292,94 +255,52 @@ class PhaseState:
                 # then lower slot, lower type, lower rank
                 entry = (key, -value, slot, a)
                 best[a] = entry
-                heapq.heappush(queue, entry)
-        self.max_queue_occupancy = max(self.max_queue_occupancy, len(best))
-        return self
-
-    def _pop(self) -> tuple[int, int]:
-        """Pop the live entry with minimal key and advance the dual shift to
-        its tightness point (the step can be zero)."""
-        queue, best = self.queue, self.best
-        while queue:
-            entry = heapq.heappop(queue)
-            key, _, slot, a = entry
-            if best.get(a) is not entry:
-                continue  # superseded by a lower key, or already popped
-            if key < self.delta_acc - self.tables.tol:
-                raise PhaseInvariantError(self.root, key, self.delta_acc,
-                                          "queue key regressed")
-            self.delta_acc = max(self.delta_acc, key)
-            del best[a]
-            self.pops += 1
-            return a, slot
-        raise PhaseInvariantError(self.root, None, self.delta_acc,
-                                  "phase queue exhausted before augmenting "
-                                  "(impossible once every type is padded)")
-
-    def _grow(self, a: int, via_slot: int) -> int | None:
-        """Add a popped ad to the tree.  Returns its matched slot when the
-        tree grows, or None when the ad is unmatched (augmenting path found)."""
-        self.parent_slot[a] = via_slot
-        s = self.ad_slot[a]
-        if s < 0:
-            return None
-        self.tree_ads[a] = self.delta_acc
-        self.tree_slots[s] = self.delta_acc
-        return s
-
-    def augment(self, free_ad: int) -> int:
-        """Flip the alternating path from the free ad back to the root in
-        ``slot_ad`` and ``ad_slot``; returns the path length in edges."""
-        slot_ad, ad_slot = self.slot_ad, self.ad_slot
-        a = free_ad
-        hops = 0
+                heappush(queue, entry)
+        stats.max_queue_occupancy = max(stats.max_queue_occupancy, len(best))
+        # pop the live entry with minimal key and advance the shift to its
+        # tightness point (the step can be zero)
         while True:
-            s = self.parent_slot[a]
-            displaced = slot_ad[s]
-            slot_ad[s] = a
-            ad_slot[a] = s
-            hops += 1
-            if s == self.root:
-                break
-            a = displaced
-            hops += 1
-        return hops
+            if not queue:
+                raise PhaseInvariantError(root, None, delta,
+                                          "phase queue exhausted before "
+                                          "augmenting (impossible once every "
+                                          "type is padded)")
+            entry = heappop(queue)
+            key, _, via, a = entry
+            if best.get(a) is entry:
+                break  # else superseded by a lower key, or already popped
+        if key < delta - tol:
+            raise PhaseInvariantError(root, key, delta, "queue key regressed")
+        delta = max(delta, key)
+        del best[a]
+        pops += 1
+        # grow the tree by the popped ad, or stop at an unmatched one
+        parent_slot[a] = via
+        slot = ad_slot[a]
+        if slot < 0:
+            break
+        tree_ads[a] = delta
+        tree_slots[slot] = delta
 
-    def writeback_duals(self) -> None:
-        """Apply the accumulated shift: in-tree ads gained, in-tree slots lost,
-        each measured from its own entry time."""
-        delta, u, p = self.delta_acc, self.u, self.p
-        for a, entry in self.tree_ads.items():
-            u[a] += delta - entry
-        for slot, entry in self.tree_slots.items():
-            p[slot] -= delta - entry
-
-    # AdRef views of the int methods above
-
-    def scan_candidates(self, slot: int) -> list[AdRef]:
-        return [self.tables.ref(a) for a in self._scan(slot)]
-
-    @property
-    def last_scan_candidates(self) -> list[AdRef]:
-        """The candidates of the latest :meth:`update_possible_new_edges`."""
-        return [self.tables.ref(a) for a in self.last_scan]
-
-    def pop_next_tight(self) -> tuple[AdRef, int]:
-        a, slot = self._pop()
-        return self.tables.ref(a), slot
-
-    def grow(self, ad: AdRef, via_slot: int) -> int | None:
-        return self._grow(self.tables.index(ad), via_slot)
-
-
-def update_possible_new_edges(state: PhaseState, inst: Instance,
-                              m: Matching, slot: int) -> PhaseState:
-    """Functional wrapper over :meth:`PhaseState.update_possible_new_edges`."""
-    if state.inst is not inst and state.inst != inst:
-        raise ValueError("state was built for a different instance")
-    if slot not in state.tree_slots:
-        state.tree_slots[slot] = state.delta_acc
-    return state.update_possible_new_edges(slot)
+    # flip the path from the free ad back to the root
+    hops = 0
+    while True:
+        s = parent_slot[a]
+        displaced = slot_ad[s]
+        slot_ad[s] = a
+        ad_slot[a] = s
+        hops += 1
+        if s == root:
+            break
+        a = displaced
+        hops += 1
+    # in-tree ads gained, in-tree slots lost, each from its own entry time
+    for a, entry_shift in tree_ads.items():
+        u[a] += delta - entry_shift
+    for s, entry_shift in tree_slots.items():
+        p[s] -= delta - entry_shift
+    stats.total_pops += pops
+    stats.phases.append((root, pops, delta, hops))
 
 
 def solve_adtypes(inst: Instance, *, trace: Callable[[str], None] | None = None,
@@ -402,28 +323,12 @@ def solve_adtypes(inst: Instance, *, trace: Callable[[str], None] | None = None,
     stats = SolveStats(phase_matchings=[] if collect_phase_matchings else None)
 
     for j in range(n):
-        phase = PhaseState._flat(inst, tables, slot_ad, ad_slot, j, u, p)
-        pop, grow, offer = phase._pop, phase._grow, phase.update_possible_new_edges
-        while True:
-            a, via = pop()
-            matched_slot = grow(a, via)
-            if matched_slot is None:
-                break
-            offer(matched_slot)
-        hops = phase.augment(a)
-        phase.writeback_duals()
-        stats.max_queue_occupancy = max(stats.max_queue_occupancy,
-                                        phase.max_queue_occupancy)
-        stats.max_scan_candidates = max(stats.max_scan_candidates,
-                                        phase.max_scan_candidates)
-        stats.scan_calls += phase.scan_calls
-        stats.total_pops += phase.pops
-        stats.phases.append((j, phase.pops, phase.delta_acc, hops))
+        _phase(tables, slot_ad, ad_slot, u, p, j, stats)
         if stats.phase_matchings is not None:
             stats.phase_matchings.append(tables.matching(slot_ad))
         if trace is not None:
-            trace(f"phase={j} pops={phase.pops} delta={phase.delta_acc:g} "
-                  f"pathlen={hops}")
+            _, pops, delta, hops = stats.phases[-1]
+            trace(f"phase={j} pops={pops} delta={delta:g} pathlen={hops}")
 
     matching = tables.matching(slot_ad)
     duals = DualSolution(tuple(tuple(u[t * n:(t + 1) * n]) for t in range(k)),
@@ -445,11 +350,13 @@ class CertificateReport:
 
 
 def certify(inst: Instance, sol: OptimalSolution) -> CertificateReport:
-    """Check the dual certificate: feasibility on every edge, non-negative
-    duals, tightness of matched edges, zero utility on unmatched ads, and
-    welfare against the dual value on the matched subgraph.  The per-edge
-    checks allow :func:`~adtypes.core.scaled_tol`, the welfare checks
-    :func:`~adtypes.core.tol_for` the welfare."""
+    """Check the dual certificate: finite duals, slacks and welfare,
+    feasibility on every edge, non-negative duals, tightness of matched
+    edges, zero utility on unmatched ads, zero price on empty slots, and
+    welfare against the dual value on the matched subgraph.  The per-edge checks allow
+    :func:`~adtypes.core.scaled_tol`, the welfare checks
+    :func:`~adtypes.core.tol_for` the welfare.  Every check is written so
+    that a NaN fails it."""
     msgs: list[str] = []
     edge_tol = scaled_tol(inst)
     worst = 0.0
@@ -459,43 +366,57 @@ def certify(inst: Instance, sol: OptimalSolution) -> CertificateReport:
     k, n = inst.num_types, inst.num_slots
     if u.shape != (k, n) or p.shape != (n,):
         return CertificateReport(False, float("inf"), ["dual dimensions wrong"])
+    if not (np.isfinite(u).all() and np.isfinite(p).all()):
+        return CertificateReport(False, float("inf"),
+                                 ["non-finite dual variable"])
 
     neg = min(float(u.min()), float(p.min()))
-    if neg < -edge_tol:
+    if not neg >= -edge_tol:
         worst = max(worst, -neg)
         msgs.append(f"negative dual variable ({neg:g})")
 
     slack = u[:, :, None] + p[None, None, :] - values
     min_slack = float(slack.min())
-    if min_slack < -edge_tol:
+    if not (math.isfinite(min_slack) and math.isfinite(float(slack.max()))):
+        return CertificateReport(False, float("inf"), ["non-finite edge slack"])
+    if not min_slack >= -edge_tol:
         worst = max(worst, -min_slack)
         msgs.append(f"dual infeasible: worst edge slack {min_slack:g}")
 
     dual_on_matched = 0.0
     matched_mask = np.zeros((k, n), dtype=bool)
+    filled = np.zeros(n, dtype=bool)
     for slot, ad in sol.matching.pairs:
         if not (0 <= slot < n and 0 <= ad.ad_type < k and 0 <= ad.rank < n):
             return CertificateReport(False, float("inf"),
                                      [f"matched pair out of range: {slot}, {ad}"])
         matched_mask[ad.ad_type, ad.rank] = True
+        filled[slot] = True
         resid = abs(float(slack[ad.ad_type, ad.rank, slot]))
-        if resid > edge_tol:
+        if not resid <= edge_tol:
             worst = max(worst, resid)
             msgs.append(f"matched edge slot {slot} not tight (residual {resid:g})")
         dual_on_matched += u[ad.ad_type, ad.rank] + p[slot]
 
-    # complementary slackness on the ad side: losers carry no utility
+    # complementary slackness: losers carry no utility, empty slots no price
     loose = float(u[~matched_mask].max(initial=0.0))
-    if loose > edge_tol:
+    if not loose <= edge_tol:
         worst = max(worst, loose)
         msgs.append(f"unmatched ad has positive utility ({loose:g})")
+    idle = float(p[~filled].max(initial=0.0))
+    if not idle <= edge_tol:
+        worst = max(worst, idle)
+        msgs.append(f"empty slot has positive price ({idle:g})")
 
     w = welfare(inst, sol.matching)
+    if not (math.isfinite(w) and math.isfinite(sol.welfare)):
+        return CertificateReport(False, float("inf"), msgs + [
+            f"non-finite welfare (recomputed {w!r}, stored {sol.welfare!r})"])
     sum_tol = tol_for(w)
-    if abs(w - sol.welfare) > sum_tol:
+    if not abs(w - sol.welfare) <= sum_tol:
         worst = max(worst, abs(w - sol.welfare))
         msgs.append("stored welfare does not match the matching")
-    if abs(dual_on_matched - w) > sum_tol:
+    if not abs(dual_on_matched - w) <= sum_tol:
         worst = max(worst, abs(dual_on_matched - w))
         msgs.append("dual value on matched subgraph != welfare")
 

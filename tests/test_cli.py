@@ -1,6 +1,10 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adtypes.cli import run
 
@@ -96,6 +100,8 @@ def test_price_with_reserves_file(fixtures_dir, tmp_path):
     [{"type": 0, "rank": 0, "reserve": [1.0]}],
     [{"type": 0, "rank": 0, "reserve": float("nan")}],
     [{"type": 0, "rank": 0, "reserve": -1.0}],
+    [{"type": 0, "rank": 0, "reserve": 10 ** 400}],
+    [{"type": 0, "rank": 0, "reserve": "4.0"}],
 ])
 def test_bad_reserves_file_exit_code(fixtures_dir, tmp_path, capsys, reserves):
     # malformed entries and NaN reserves are refused, not a traceback and
@@ -181,6 +187,49 @@ def test_bad_numbers_exit_code(tmp_path, capsys, values):
         assert "invalid:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("discounts", [[1e308, 1.0], [1.0, 1.0]])
+def test_overflow_exit_code(tmp_path, capsys, discounts):
+    # finite numbers whose edge value or welfare overflows: refused, not
+    # written out as NaN or Infinity
+    inst = tmp_path / "big.json"
+    inst.write_text(json.dumps({"num_slots": 2, "types": [
+        {"name": "t", "values": [1e308, 1e308], "discounts": discounts}]}))
+    for cmd in (["solve"], ["price", "--mechanism", "vcg"]):
+        assert run(cmd + ["--in", str(inst),
+                          "--out", str(tmp_path / "x.json")]) == 1
+        assert "welfare bound" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("num_slots", [2 ** 62, 10 ** 400])
+def test_huge_num_slots_exit_code(tmp_path, capsys, num_slots):
+    # values are padded no further than the discounts reach, so a num_slots
+    # the discounts do not cover is refused, not allocated or overflowed
+    inst = tmp_path / "huge.json"
+    inst.write_text(json.dumps({"num_slots": num_slots, "types": [
+        {"name": "t", "values": [1.0], "discounts": [1.0, 0.5]}]}))
+    assert run(["solve", "--in", str(inst),
+                "--out", str(tmp_path / "x.json")]) == 1
+    assert "expected" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit", [
+    lambda sol: "a string",
+    lambda sol: [sol],
+    lambda sol: dict(sol, duals={"u": 5, "p": sol["duals"]["p"]}),
+    lambda sol: dict(sol, welfare="nan"),
+    lambda sol: dict(sol, welfare=10 ** 400),
+], ids=["string", "list", "duals-u-number", "welfare-nan", "welfare-huge-int"])
+def test_verify_refuses_malformed_solution(fixtures_dir, tmp_path, capsys, edit):
+    # each once raised TypeError out of run() or printed "ok"
+    inst = str(fixtures_dir / "example1.json")
+    out = tmp_path / "sol.json"
+    assert run(["solve", "--in", inst, "--out", str(out)]) == 0
+    out.write_text(json.dumps(edit(_read(out))))
+    assert run(["verify", "--in", inst, "--sol", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "invalid:" in captured.err and "ok:" not in captured.out
+
+
 def test_unknown_flag_exit_code(capsys):
     assert run(["solve", "--frobnicate"]) == 64
     assert "usage" in capsys.readouterr().err.lower()
@@ -200,3 +249,85 @@ def test_trace_flag(fixtures_dir, tmp_path, capsys):
                 "--trace", "--out", str(tmp_path / "s.json")]) == 0
     err = capsys.readouterr().err
     assert "phase=0" in err and "pathlen=" in err
+
+
+# Arbitrary small documents for the property test: mostly well-formed
+# instances (n <= 6, k <= 3), some with one field replaced by arbitrary JSON
+# or an awkward number, and arbitrary or edited solution documents.
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                     st.text(max_size=3))
+_ANY_JSON = st.recursive(
+    _SCALARS, lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3), max_leaves=8)
+_AWKWARD = st.sampled_from([1e308, -1.0, 0.5, float("nan"), float("inf"),
+                            10 ** 400, True, "1", [], {}])
+
+
+@st.composite
+def _instance_docs(draw):
+    n, k = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    types = []
+    for t in range(k):
+        values = draw(st.lists(st.integers(0, 16) | st.floats(0, 16),
+                               max_size=n))
+        discounts = [d / 8 for d in draw(st.lists(st.integers(0, 8),
+                                                  min_size=n, max_size=n))]
+        types.append({"name": f"t{t}", "values": sorted(values, reverse=True),
+                      "discounts": sorted(discounts, reverse=True)})
+    gap = draw(st.none() | st.lists(st.lists(st.integers(0, 2), min_size=k,
+                                             max_size=k), min_size=k, max_size=k))
+    doc = {"num_slots": n, "types": types, "gap": gap}
+    where = draw(st.sampled_from(["none", "doc", "num_slots", "gap", "type",
+                                  "value", "discount"]))
+    junk = draw(_ANY_JSON | _AWKWARD)
+    if where == "doc":
+        return junk
+    if where in ("num_slots", "gap"):
+        doc[where] = junk
+    elif where == "type":
+        types[draw(st.integers(0, k - 1))] = junk
+    elif where != "none":
+        spec = types[draw(st.integers(0, k - 1))]
+        entries = spec["values" if where == "value" else "discounts"]
+        entries.insert(draw(st.integers(0, len(entries))), junk)
+    return doc
+
+
+def _strict_json(text: str):
+    def refuse(constant):
+        raise ValueError(f"non-finite number {constant} in output")
+    return json.loads(text, parse_constant=refuse)
+
+
+@given(doc=_instance_docs(), data=st.data())
+@settings(max_examples=150, derandomize=True, deadline=None)
+def test_cli_never_raises(doc, data):
+    # every document is either solved (exit 0, strict JSON out, and the
+    # adtypes solution verifies) or refused with exit 1 or 2; nothing
+    # escapes run()
+    with tempfile.TemporaryDirectory() as tmp:
+        inst, out = Path(tmp) / "inst.json", Path(tmp) / "out.json"
+        inst.write_text(json.dumps(doc))
+        solved = None
+        for cmd in (["solve", "--algo", "adtypes"], ["solve", "--algo", "gapdp"],
+                    ["price", "--mechanism", "vcg"],
+                    ["price", "--mechanism", "reserve"]):
+            out.unlink(missing_ok=True)
+            code = run(cmd + ["--in", str(inst), "--out", str(out)])
+            assert code in (0, 1, 2), cmd
+            if code == 0:
+                result = _strict_json(out.read_text())
+                if cmd[-1] == "adtypes":
+                    solved = result
+        sol = data.draw(st.one_of(st.just(solved), _ANY_JSON) if solved is None
+                        else st.one_of(st.just(solved), _ANY_JSON,
+                                       st.builds(dict, st.just(solved),
+                                                 welfare=_ANY_JSON | _AWKWARD),
+                                       st.builds(dict, st.just(solved),
+                                                 duals=_ANY_JSON | _AWKWARD)))
+        out.write_text(json.dumps(sol))
+        code = run(["verify", "--in", str(inst), "--sol", str(out)])
+        if solved is not None and sol == solved:
+            assert code == 0  # the solver's own output passes verification
+        else:
+            assert code in (0, 1, 2)

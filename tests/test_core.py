@@ -67,6 +67,7 @@ def test_non_finite_numbers_flagged(bad):
 @pytest.mark.parametrize("field,bad", [
     ("values", 5), ("discounts", 0.5), ("values", "12"), ("values", [1.0, None]),
     ("discounts", {"a": 1}), ("discounts", [[1.0], 0.5]),
+    ("values", [True, 1.0]), ("discounts", ["1", 0.5]), ("values", [10 ** 400]),
 ])
 def test_malformed_number_lists_refused_on_load(field, bad):
     data = {"num_slots": 2, "types": [
@@ -87,6 +88,29 @@ def test_malformed_number_lists_refused_on_load(field, bad):
 def test_malformed_documents_refused_on_load(data):
     with pytest.raises(ValidationError):
         instance_from_dict(data)
+
+
+@pytest.mark.parametrize("num_slots,gap", [
+    (2.5, None), ("2", None), (True, None), (2.0, None),
+    (2, [[0.5, 0], [0, 0]]), (2, [[0, "1"], [0, 0]]), (2, [[False, 0], [0, 0]]),
+])
+def test_non_integers_refused_not_rounded(num_slots, gap):
+    # int() would turn 2.5 into 2, "2" into 2 and a gap of 0.5 into 0
+    types = [TypeSpec("a", [1.0], [1.0, 0.5]), TypeSpec("b", [1.0], [1.0, 0.5])]
+    with pytest.raises(ValidationError, match="integer"):
+        Instance(num_slots, types, gap)
+    doc = {"num_slots": num_slots, "gap": gap, "types": [
+        {"name": "a", "values": [1.0], "discounts": [1.0, 0.5]},
+        {"name": "b", "values": [1.0], "discounts": [1.0, 0.5]}]}
+    with pytest.raises(ValidationError, match="integer"):
+        instance_from_dict(doc)
+
+
+@pytest.mark.parametrize("discounts", [[1e308, 1.0], [1.0, 1.0]])
+def test_overflowing_welfare_bound_flagged(discounts):
+    # every number is finite, but an edge value or the welfare is not
+    inst = Instance(2, [TypeSpec("t", [1e308, 1e308], discounts)])
+    assert any("welfare bound" in e for e in validate_instance(inst).errors)
 
 
 def test_padding_and_truncation():

@@ -28,11 +28,12 @@ from adtypes.hungarian import (
     DualSolution,
     OptimalSolution,
     PhaseInvariantError,
-    PhaseState,
+    _frontiers,
+    _scan,
+    _Tables,
     certify,
     crossing_violations,
     solve_adtypes,
-    update_possible_new_edges,
 )
 from adtypes.pricing import vcg_prices_fast
 
@@ -90,32 +91,42 @@ def test_instrumentation_budgets():
         assert stats.max_queue_occupancy <= inst.num_slots + inst.num_types
 
 
+def _scan_refs(inst: Instance, m: Matching, slot: int) -> list[AdRef]:
+    """The solver's candidate scan for ``slot`` under matching ``m``, with
+    ads converted between ``AdRef`` and the solver's ``a = t*n + r``."""
+    tables = _Tables(inst)
+    n = tables.n
+    slot_ad, ad_slot = [-1] * n, [-1] * (tables.k * n)
+    for s, ad in m.pairs:
+        a = ad.ad_type * n + ad.rank
+        slot_ad[s], ad_slot[a] = a, s
+    frontiers = _frontiers(tables, slot_ad, ad_slot)
+    return [AdRef(*divmod(a, n)) for a in _scan(frontiers, tables.val, slot)]
+
+
 def test_scan_candidates_three_cases():
     # one type, three ads; rank 0 matched to slot 0, ranks 1-2 unmatched
     inst = Instance(3, [TypeSpec("t", [9.0, 5.0, 2.0], [1.0, 0.5, 0.25])])
     m = Matching({0: AdRef(0, 0)})
-    state = PhaseState(inst, m, root_slot=1)
-    assert set(state.last_scan_candidates) == {AdRef(0, 1), AdRef(0, 0)}
+    assert set(_scan_refs(inst, m, 1)) == {AdRef(0, 1), AdRef(0, 0)}
 
 
 def test_scan_candidates_matched_above_and_below():
     inst = Instance(4, [TypeSpec("t", [9.0, 5.0, 4.0, 2.0],
                                  [1.0, 0.5, 0.25, 0.125])])
     m = Matching({0: AdRef(0, 0), 3: AdRef(0, 1)})
-    state = PhaseState(inst, m, root_slot=2)
     # lowest unmatched rank, highest rank matched below, lowest matched above
-    assert set(state.last_scan_candidates) == \
+    assert set(_scan_refs(inst, m, 2)) == \
         {AdRef(0, 2), AdRef(0, 0), AdRef(0, 1)}
 
 
 def test_scan_all_unmatched_one_candidate_per_type():
     types = [TypeSpec(f"t{i}", [3.0, 1.0], [1.0, 0.5]) for i in range(3)]
     inst = Instance(2, types)
-    state = PhaseState(inst, Matching({}), root_slot=0)
-    assert len(state.last_scan_candidates) == 3
-    assert {ad.ad_type for ad in state.last_scan_candidates} == {0, 1, 2}
-    state2 = update_possible_new_edges(state, inst, Matching({}), 1)
-    assert len(state2.last_scan_candidates) == 3
+    cands = _scan_refs(inst, Matching({}), 0)
+    assert len(cands) == 3
+    assert {ad.ad_type for ad in cands} == {0, 1, 2}
+    assert len(_scan_refs(inst, Matching({}), 1)) == 3
 
 
 def test_certify_flags_corrupted_dual(example1):
@@ -127,6 +138,36 @@ def test_certify_flags_corrupted_dual(example1):
     report = certify(example1, corrupt)
     assert not report.passed
     assert report.worst_violation == pytest.approx(1.0)
+
+
+def test_certify_fails_on_a_nan_dual(example1):
+    # every comparison with NaN is false, so a check written as
+    # "fail if x > tol" would pass it
+    sol = solve_adtypes(example1)
+    u = [list(row) for row in sol.duals.u]
+    u[1][0] = float("nan")
+    corrupt = OptimalSolution(sol.matching,
+                              DualSolution(tuple(map(tuple, u)), sol.duals.p),
+                              sol.welfare)
+    assert not certify(example1, corrupt).passed
+
+
+def test_certify_fails_on_a_priced_empty_slot():
+    # the empty matching with the one slot priced at its only edge value is
+    # feasible and tight on the (empty) matched subgraph, yet welfare 5 was
+    # available: without zero prices on empty slots the duals prove nothing
+    inst = Instance(1, [TypeSpec("t", [5.0], [1.0])])
+    empty = OptimalSolution(Matching({}), DualSolution(((0.0,),), (5.0,)), 0.0)
+    assert not certify(inst, empty).passed
+
+
+@pytest.mark.parametrize("discounts", [[1e308, 1.0], [1.0, 1.0]])
+def test_overflowing_instance_refused(discounts):
+    # [1e308, 1.0] overflows an edge value (NaN duals); [1.0, 1.0] keeps the
+    # edges finite but overflows the welfare; either once passed certify
+    inst = Instance(2, [TypeSpec("t", [1e308, 1e308], discounts)])
+    with pytest.raises(ValidationError, match="welfare bound"):
+        solve_adtypes(inst)
 
 
 def test_certify_accepts_generic_solver_output():
@@ -219,52 +260,6 @@ def test_counters_pinned_on_scaling_instance():
     assert stats.max_queue_occupancy == 8
     assert stats.max_scan_candidates == 9
     assert sum(hops for _, _, _, hops in stats.phases) == 1996
-
-
-def test_adref_views_replay_the_flat_solve():
-    # drive every phase through the AdRef methods, check each view against
-    # the int scan (a = t*n + r), and the whole run against solve_adtypes,
-    # on tie-heavy instances
-    for seed in range(60):
-        inst = gen_exact_random(seed)
-        n, k = inst.num_slots, inst.num_types
-        ref = solve_adtypes(inst, collect_phase_matchings=True)
-        u = p = None  # phase 0 starts from the initial duals
-        matching = Matching({})
-        for j in range(n):
-            state = PhaseState(inst, matching, j, u=u, p=p)
-            u, p = state.u, state.p
-            slot = j
-            while True:
-                ints = [ad.ad_type * n + ad.rank
-                        for ad in state.last_scan_candidates]
-                assert ints == state.last_scan, f"seed {seed} phase {j}"
-                assert state.scan_candidates(slot) == \
-                    state.last_scan_candidates
-                ad, via = state.pop_next_tight()
-                slot = state.grow(ad, via)
-                if slot is None:
-                    break
-                state.update_possible_new_edges(slot)
-            hops = state.augment(ad.ad_type * n + ad.rank)
-            state.writeback_duals()
-            assert (j, state.pops, state.delta_acc, hops) == \
-                ref.stats.phases[j], f"seed {seed} phase {j}"
-            matching = Matching({s: AdRef(*divmod(a, n))
-                                 for s, a in enumerate(state.slot_ad) if a >= 0})
-            assert matching == ref.stats.phase_matchings[j]
-        assert tuple(tuple(u[t * n:(t + 1) * n]) for t in range(k)) == \
-            ref.duals.u
-        assert tuple(p) == ref.duals.p
-
-
-def test_phase_state_rejects_out_of_range_refs():
-    inst = Instance(2, [TypeSpec("t", [3.0, 1.0], [1.0, 0.5])])
-    with pytest.raises(IndexError):
-        PhaseState(inst, Matching({0: AdRef(0, 2)}), root_slot=1)
-    state = PhaseState(inst, Matching({}), root_slot=0)
-    with pytest.raises(IndexError):
-        state.grow(AdRef(1, 0), 0)
 
 
 _SCALED_PARETO = """
