@@ -1,16 +1,34 @@
 """Exact solvers for instances with gap rules.
 
-The general solver is a dynamic program over states (ads placed per type,
-last slot used per type).  States are reached forward, appending one ad at a
-time at a slot past every type's last; an append only has to clear each
-type's most recent ad, since the blocking window of an older same-type ad is
-contained in the newer one's.  Also here: the k=2 gap-free dynamic program,
-the independent-set reduction used for hardness-style instances, and an
-exhaustive oracle.
+The general solver, :func:`solve_gap_dp`, walks the slots once, front to
+back.  At each slot it either leaves the slot empty or places some type's
+next ad, in rank order.  Only what can still block a placement is
+remembered: a state is ``(counts, wait)``, where ``counts[t]`` is the number
+of type-t ads placed and ``wait[j]`` the number of coming slots in which the
+ads already placed forbid a type-j ad.  This is the vector of slots since
+each type's last ad reduced to what it blocks,
+``wait[j] = max_m max(0, G[m][j] + 1 - since[m])``, so ``wait[j]`` is capped
+at ``W_j = max_m G[m][j]``; an ad placed more than every window back, or
+never, blocks nothing, and pasts that block alike are one state.  Type t may
+go at the current slot when ``wait[t] == 0``; placing it sets ``wait[j]`` to
+``max(wait[j] - 1, G[t][j])``, an empty slot to ``max(wait[j] - 1, 0)``.
+With ``S`` the largest number of states in one layer,
+``S <= prod_t (cap_t + 1) * (W_t + 1)`` (``cap_t`` is type t's real ad
+count), and S never exceeds the number of since-vectors capped at
+``max_j G[t][j] + 1``.  The work is O(k n S).  The guard counts the states
+stored across all layers, so it refuses by the size of the work, not by
+``n``; when a lower bound on that count is already over, it refuses before
+the work.
+
+Also here: the sparse DP over (ads per type, last slot per type) that the
+capped DP replaced, kept as a cross-check oracle; the k=2 gap-free dynamic
+program; the independent-set reduction used for hardness-style instances;
+and an exhaustive oracle.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .core import (
     AdRef,
@@ -53,13 +71,134 @@ def _append_ok(gap, last_slots, ad_type: int, slot: int) -> bool:
     return True
 
 
+def _min_states(caps, n: int, spacing: int) -> int:
+    """A lower bound on the states :func:`solve_gap_dp` stores, so that an
+    instance it must refuse is refused before the work.  After s slots,
+    every count vector (``counts[t] <= caps[t]``) with at most
+    ``s // spacing`` ads is reachable when ``spacing`` exceeds every gap:
+    place the ads ``spacing`` slots apart, in any type order.  States with
+    different counts are different states."""
+    top = n // spacing
+    ways = [1] + [0] * top  # count vectors over the types so far, by total
+    for cap in caps:
+        prefix = list(accumulate(ways))
+        ways = [prefix[m] - (prefix[m - cap - 1] if m > cap else 0)
+                for m in range(top + 1)]
+    upto = list(accumulate(ways))
+    return sum(upto[s // spacing] for s in range(n + 1))
+
+
 def solve_gap_dp(inst: Instance, *, max_states: int = 2_000_000) -> Matching:
-    """Welfare-maximizing gap-feasible matching via the sparse state DP.
+    """Welfare-maximizing gap-feasible matching via the slot-by-slot DP over
+    capped ``(counts, wait)`` states described in the module docstring.
 
     Within a type, ads are placed in rank order (same-type swaps never
-    change gap feasibility and sorted values make rank order optimal).
-    Refuses instances whose reachable state space exceeds ``max_states``;
-    the hard cap n <= 12 bounds the per-type dimension.
+    change gap feasibility and sorted values make rank order optimal).  Of
+    two ways into a state the first strictly better one is kept.  Refuses,
+    with :class:`GuardError`, an instance whose layers together store more
+    than ``max_states`` states.
+    """
+    from array import array  # here, so commands without the DP never load it
+
+    ensure_valid(inst)
+    n, k = inst.num_slots, inst.num_types
+    gap = _gap(inst)
+    caps = inst.real_counts
+    radix = [max(gap[m][j] for m in range(k)) + 1 for j in range(k)]
+    least = _min_states(caps, n, max(radix))
+    if least > max_states:
+        raise GuardError(f"gap DP would store at least {least} states, over "
+                         f"max_states={max_states} (k={k}, n={n})")
+    # A state is one int.  Its low part, below ``width``, holds wait[j] in
+    # mixed radix W_j + 1; above it, counts[t] in mixed radix cap_t + 1.
+    weight = [1] * k
+    for j in range(1, k):
+        weight[j] = weight[j - 1] * radix[j - 1]
+    width = weight[-1] * radix[-1]
+    stride = [width] * k
+    for t in range(1, k):
+        stride[t] = stride[t - 1] * (caps[t - 1] + 1)
+
+    def moves_from(code: int):
+        """The key offset of leaving a slot empty from wait-code ``code``,
+        and ``(t, stride, cap + 1, cap, key offset)`` for each type that may
+        go next."""
+        wait = [code // weight[j] % radix[j] for j in range(k)]
+        aged = [max(w - 1, 0) for w in wait]
+        empty = sum(a * w for a, w in zip(aged, weight)) - code
+        places = tuple(
+            (t, stride[t], caps[t] + 1, caps[t],
+             sum(max(a, g) * w for a, g, w in zip(aged, gap[t], weight))
+             - code + stride[t])
+            for t in range(k) if caps[t] and wait[t] == 0)
+        return empty, places
+
+    vals = [spec.values for spec in inst.types]
+    disc = [spec.discounts for spec in inst.types]
+    moves: dict[int, tuple] = {}
+    cur = {0: 0.0}
+    stored = 1
+    # history[s][j]: for state j of the layer after slot s (in insertion
+    # order), (k + 1) * its parent's index in the layer before, plus the
+    # move taken at slot s: 0 for an empty slot, t + 1 for a type-t ad
+    history: list[array] = []
+    k1 = k + 1
+    for s in range(n):
+        here = [d[s] for d in disc]
+        nxt: dict[int, float] = {}
+        par: dict[int, int] = {}
+        for i, (key, v) in enumerate(cur.items()):
+            code = key % width
+            mv = moves.get(code)
+            if mv is None:
+                mv = moves[code] = moves_from(code)
+            empty, places = mv
+            p = i * k1
+            # values are non-negative, so a state's first offer always lands
+            nk = key + empty
+            if v > nxt.get(nk, -1.0):
+                nxt[nk] = v
+                par[nk] = p
+            for t, st, rad, cap, delta in places:
+                c = key // st % rad
+                if c < cap:
+                    w = v + vals[t][c] * here[t]
+                    nk = key + delta
+                    if w > nxt.get(nk, -1.0):
+                        nxt[nk] = w
+                        par[nk] = p + t + 1
+        stored += len(nxt)
+        if stored > max_states:
+            raise GuardError(
+                f"gap DP stored {stored} states by slot {s + 1} of {n}, over "
+                f"max_states={max_states} (k={k})")
+        history.append(array("q", par.values()))
+        cur = nxt
+
+    final = list(cur.values())
+    j = max(range(len(final)), key=final.__getitem__)
+    placed: list[tuple[int, int]] = []
+    for s in range(n - 1, -1, -1):
+        j, move = divmod(history[s][j], k1)
+        if move:
+            placed.append((s, move - 1))
+    assignment: dict[int, AdRef] = {}
+    per_type = [0] * k
+    for s, t in reversed(placed):
+        assignment[s] = AdRef(t, per_type[t])
+        per_type[t] += 1
+    return Matching(assignment)
+
+
+def _sparse_gap_dp(inst: Instance, *, max_states: int = 2_000_000) -> Matching:
+    """Cross-check oracle for :func:`solve_gap_dp`: the sparse DP over
+    states (ads placed per type, last slot used per type).  States are
+    reached forward, appending one ad at a time at a slot past every type's
+    last; an append only has to clear each type's most recent ad, since the
+    blocking window of an older same-type ad is contained in the newer
+    one's.  An O(n) loop over target slots per state makes it much slower
+    than the capped DP, so it is guarded twice: n <= 12, and at most
+    ``max_states`` reachable states.
     """
     ensure_valid(inst)
     n, k = inst.num_slots, inst.num_types

@@ -164,7 +164,16 @@ def vcg_outcome(inst: Instance) -> PricedOutcome:
 
 def filter_by_reserves(inst: Instance, reserves: ReserveVector):
     """Drop real ads bidding below their reserve.  Returns the filtered
-    instance plus the map from surviving original refs to filtered refs."""
+    instance plus the map from surviving original refs to filtered refs.  A
+    reserve for an ad the instance does not have (a type out of range, or a
+    rank past the type's real ads) raises :class:`ValidationError`."""
+    unknown = [ad for ad, _ in reserves.by_ad
+               if not (0 <= ad.ad_type < inst.num_types
+                       and 0 <= ad.rank < inst.real_counts[ad.ad_type])]
+    if unknown:
+        raise ValidationError(
+            "reserves name ads the instance does not have: "
+            + ", ".join(f"type {ad.ad_type} rank {ad.rank}" for ad in unknown))
     keep_map: dict[AdRef, AdRef] = {}
     types = []
     for t, spec in enumerate(inst.types):

@@ -1,5 +1,6 @@
 import json
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -42,6 +43,34 @@ def test_solve_gapdp(fixtures_dir, tmp_path):
                 "--algo", "gapdp", "--out", str(out)])
     assert code == 0
     assert _read(out)["welfare"] > 0
+
+
+def _flat_instance(path, n: int, k: int, gap) -> None:
+    path.write_text(json.dumps({
+        "num_slots": n,
+        "types": [{"name": f"t{t}", "values": [1.0] * n,
+                   "discounts": [1.0] * n} for t in range(k)],
+        "gap": gap}))
+
+
+def test_solve_gapdp_past_twelve_slots(tmp_path):
+    # n <= 12 no longer caps the gap DP; its state count does
+    inst, out = tmp_path / "in.json", tmp_path / "out.json"
+    _flat_instance(inst, 13, 2, [[1, 0], [0, 1]])
+    assert run(["solve", "--in", str(inst), "--algo", "gapdp",
+                "--out", str(out)]) == 0
+    assert _read(out)["welfare"] == 13.0
+
+
+def test_solve_gapdp_refuses_a_large_state_space(tmp_path, capsys):
+    # no gaps, k=6, n=60: about 8.7e8 states, refused before the work
+    inst = tmp_path / "in.json"
+    _flat_instance(inst, 60, 6, [[0] * 6 for _ in range(6)])
+    start = time.perf_counter()
+    assert run(["solve", "--in", str(inst), "--algo", "gapdp",
+                "--out", str(tmp_path / "out.json")]) == 2
+    assert time.perf_counter() - start < 5.0
+    assert "states" in capsys.readouterr().err
 
 
 def test_verify_round_trip(fixtures_dir, tmp_path, capsys):
@@ -113,6 +142,21 @@ def test_bad_reserves_file_exit_code(fixtures_dir, tmp_path, capsys, reserves):
                     "--mechanism", mechanism, "--reserves", str(path),
                     "--out", str(tmp_path / "x.json")]) == 1
         assert "invalid:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry", [{"type": 7, "rank": 0, "reserve": 1.0},
+                                   {"type": 0, "rank": 99, "reserve": 1.0}])
+def test_reserve_for_a_missing_ad_refused(fixtures_dir, tmp_path, capsys,
+                                          entry):
+    # two_bidders.json has one type with two ads: a reserve for type 7, or
+    # for rank 99, names no ad and must not price as if it were absent
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps([entry]))
+    for mechanism in ("reserve", "myerson-greedy"):
+        assert run(["price", "--in", str(fixtures_dir / "two_bidders.json"),
+                    "--mechanism", mechanism, "--reserves", str(path),
+                    "--out", str(tmp_path / "x.json")]) == 1
+        assert "does not have" in capsys.readouterr().err
 
 
 def test_price_myerson_greedy(fixtures_dir, tmp_path):

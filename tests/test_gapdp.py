@@ -1,9 +1,20 @@
+import numpy as np
 import pytest
 
+from adtypes import gapdp
 from adtypes.bench import GenConfig, gen_gap_random, gen_random
-from adtypes.core import AdRef, GuardError, Instance, Matching, TypeSpec, welfare
+from adtypes.core import (
+    AdRef,
+    GuardError,
+    Instance,
+    Matching,
+    TypeSpec,
+    tol_for,
+    welfare,
+)
 from adtypes.gapdp import (
     Graph,
+    _sparse_gap_dp,
     brute_force_gap,
     check_gap_feasible,
     graph_to_text,
@@ -45,14 +56,14 @@ def test_gap_dp_matches_bruteforce():
 def test_gap_dp_guard_slots():
     inst = Instance(13, [TypeSpec("t", [1.0] * 13, [1.0] * 13)], [[0]])
     with pytest.raises(GuardError, match="n <= 12"):
-        solve_gap_dp(inst)
+        _sparse_gap_dp(inst)
 
 
 def test_gap_dp_state_budget():
     types = [TypeSpec(f"t{i}", [1.0] * 8, [1.0] * 8) for i in range(4)]
     inst = Instance(8, types, [[0] * 4 for _ in range(4)])
     with pytest.raises(GuardError, match="states"):
-        solve_gap_dp(inst, max_states=50)
+        _sparse_gap_dp(inst, max_states=50)
 
 
 def test_brute_force_gap_guard():
@@ -126,3 +137,63 @@ def test_gap_dp_outputs_rank_order():
             pairs.sort()
             ranks = [r for _, r in pairs]
             assert ranks == sorted(ranks)
+
+
+def _gap_instance(rng, n: int, k: int, max_cross: int) -> Instance:
+    types = [TypeSpec(f"t{t}",
+                      sorted(rng.integers(0, 20, int(rng.integers(0, n + 1)))
+                             .astype(float), reverse=True),
+                      sorted(rng.uniform(0.0, 1.0, n), reverse=True))
+             for t in range(k)]
+    gap = [[int(rng.integers(0, max_cross + 1)) for _ in range(k)]
+           for _ in range(k)]
+    return Instance(n, types, gap)
+
+
+def test_capped_dp_matches_sparse_oracle():
+    # the sizes brute force (n <= 6) cannot reach
+    for seed in range(120):
+        rng = np.random.default_rng(seed + 7000)
+        inst = _gap_instance(rng, int(rng.integers(7, 13)),
+                             int(rng.integers(1, 4)), 3)
+        dp = solve_gap_dp(inst)
+        assert check_gap_feasible(inst, dp), f"seed {seed}"
+        assert welfare(inst, dp) == welfare(inst, _sparse_gap_dp(inst)), \
+            f"seed {seed}"
+
+
+@pytest.mark.parametrize("n,k", [(30, 2), (15, 3)])
+def test_capped_dp_without_gaps_matches_hungarian(n, k):
+    for seed in range(5):
+        base = gen_random(GenConfig(n, k, seed, "uniform-real", "geometric"))
+        inst, best = _zero_gap(base), solve_adtypes(base).welfare
+        assert abs(welfare(inst, solve_gap_dp(inst)) - best) <= tol_for(best)
+
+
+def test_capped_dp_guard_names_the_state_count():
+    # refused up front by the lower bound (no gaps: every count vector is
+    # a state) and while running (self-gaps leave the bound below the count)
+    types = [TypeSpec(f"t{i}", [1.0] * 8, [1.0] * 8) for i in range(4)]
+    free = Instance(8, types, [[0] * 4 for _ in range(4)])
+    with pytest.raises(GuardError, match=r"at least \d+ states"):
+        solve_gap_dp(free, max_states=50)
+    spaced = Instance(8, types, [[int(i == j) for j in range(4)]
+                                 for i in range(4)])
+    assert gapdp._min_states(spaced.real_counts, 8, 2) <= 400
+    with pytest.raises(GuardError, match=r"stored \d+ states by slot \d+"):
+        solve_gap_dp(spaced, max_states=400)
+
+
+def test_min_states_never_exceeds_the_states_stored(monkeypatch):
+    # with the up-front check off, a budget one below the bound must still
+    # be exceeded while running
+    bound = gapdp._min_states
+    monkeypatch.setattr(gapdp, "_min_states", lambda *args: 0)
+    for seed in range(80):
+        rng = np.random.default_rng(seed + 9000)
+        inst = _gap_instance(rng, int(rng.integers(1, 11)),
+                             int(rng.integers(1, 4)), int(rng.integers(0, 3)))
+        least = bound(inst.real_counts, inst.num_slots,
+                      max(map(max, inst.gap)) + 1)
+        with pytest.raises(GuardError, match="stored"):
+            solve_gap_dp(inst, max_states=least - 1)

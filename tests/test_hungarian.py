@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adtypes.baseline import solve_bruteforce, solve_generic_hungarian
 from adtypes.bench import (
@@ -22,6 +24,7 @@ from adtypes.core import (
     Matching,
     TypeSpec,
     ValidationError,
+    tol_for,
     welfare,
 )
 from adtypes.hungarian import (
@@ -356,3 +359,40 @@ def test_power_of_two_scaling_scales_every_output_exactly(c):
         assert sol_c.duals.p == tuple(x * c for x in sol.duals.p), f"seed {seed}"
         assert vcg_prices_fast(big, sol_c) == \
             tuple(x * c for x in vcg_prices_fast(inst, sol)), f"seed {seed}"
+
+
+_UNIT = st.floats(0.0, 1.0)
+_MAGNITUDE = st.floats(-6.0, 12.0).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def _scale_cases(draw):
+    """A full instance (n real ads per type) with values of magnitude
+    ``mag`` and a factor ``c`` that takes it to another magnitude, both in
+    [1e-6, 1e12]."""
+    n, k = draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    mag, target = draw(_MAGNITUDE), draw(_MAGNITUDE)
+    types = [TypeSpec(f"t{t}",
+                      sorted((x * mag for x in draw(st.lists(
+                          _UNIT, min_size=n, max_size=n))), reverse=True),
+                      sorted(draw(st.lists(_UNIT, min_size=n, max_size=n)),
+                             reverse=True))
+             for t in range(k)]
+    return Instance(n, types), target / mag
+
+
+@given(_scale_cases())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_scaling_by_any_factor_scales_the_welfare(case):
+    # the one tolerance rule in every unit: welfare scales by c within
+    # tol_for, both solves certify, and with no tied edge values (so one
+    # optimum) the matching does not move
+    inst, c = case
+    big = _scaled(inst, c)
+    sol, sol_c = solve_adtypes(inst), solve_adtypes(big)
+    assert certify(inst, sol).passed and certify(big, sol_c).passed
+    assert abs(sol_c.welfare - c * sol.welfare) <= tol_for(c * sol.welfare)
+    edges = [v * d for spec in inst.types for v in spec.values
+             for d in spec.discounts]
+    if len(set(edges)) == len(edges):
+        assert sol_c.matching == sol.matching
