@@ -28,7 +28,9 @@ def main():
         print(f"  {spec.name:>5}: values {spec.values}, discounts {spec.discounts}")
 
     print("\nSpecialized solver, phase by phase:")
-    sol = solve_adtypes(inst, trace=lambda line: print("  " + line))
+    sol = solve_adtypes(inst)
+    for line in sol.stats.trace_lines():
+        print("  " + line)
     names = {t: spec.name for t, spec in enumerate(inst.types)}
     for slot, ad in sol.matching.pairs:
         print(f"  slot {slot} <- {names[ad.ad_type]} "

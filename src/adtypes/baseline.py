@@ -8,8 +8,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-import numpy as np
-
 from .core import (
     AdRef,
     GuardError,
@@ -108,7 +106,7 @@ def solve_generic_hungarian(inst: Instance, *, order: str = "worst-first",
     return OptimalSolution(matching, duals, welfare(inst, matching), stats)
 
 
-def _matching_from_flat(ad_of_slot: np.ndarray, n: int) -> Matching:
+def _matching_from_flat(ad_of_slot: list[int], n: int) -> Matching:
     return Matching({s: AdRef(int(a) // n, int(a) % n)
                      for s, a in enumerate(ad_of_slot) if a >= 0})
 
@@ -230,50 +228,46 @@ class AllocationCurve:
             all(q >= 0 for q in qs)
 
 
-def candidate_bids(inst: Instance, ad: AdRef, resolution: int | None = None) -> list[float]:
+#: The most probes one bid sweep may make; a longer one is refused.
+MAX_SWEEP_PROBES = 4096
+
+
+def check_sweep(ad: AdRef, probes: int) -> None:
+    if probes > MAX_SWEEP_PROBES:
+        raise GuardError(f"bid sweep of a type-{ad.ad_type} ad needs {probes} "
+                         f"probes (guard: at most {MAX_SWEEP_PROBES})")
+
+
+def candidate_bids(inst: Instance, ad: AdRef) -> list[float]:
     """Bids where the greedy comparator order can flip for the probed ad:
     every rival edge value divided by each positive probed discount, plus 0
-    and the ad's own value.  ``resolution`` caps the set (even subsample)."""
-    probed = inst.types[ad.ad_type]
-    own_discounts = [d for d in probed.discounts if d > 0]
-    rival_values: set[float] = set()
-    for t, spec in enumerate(inst.types):
-        for r, v in enumerate(spec.values):
-            if t == ad.ad_type and r == ad.rank:
-                continue
-            for d in spec.discounts:
-                rival_values.add(v * d)
-    bids = {0.0, inst.value_of(ad)}
-    for e in rival_values:
-        for d in own_discounts:
-            bids.add(e / d)
-    out = sorted(bids)
-    if resolution is not None and len(out) > resolution:
-        idx = np.linspace(0, len(out) - 1, resolution).round().astype(int)
-        out = [out[i] for i in dict.fromkeys(idx)]
-    return out
+    and the ad's own value, sorted."""
+    own_discounts = [d for d in inst.types[ad.ad_type].discounts if d > 0]
+    rival_values = {v * d for t, spec in enumerate(inst.types)
+                    for r, v in enumerate(spec.values)
+                    if (t, r) != (ad.ad_type, ad.rank) for d in spec.discounts}
+    return sorted({0.0, inst.value_of(ad)}
+                  | {e / d for e in rival_values for d in own_discounts})
 
 
-def greedy_quantity(inst: Instance, ad: AdRef, bid: float,
-                    allocator=solve_greedy) -> float:
-    """The discount the probed ad receives from ``allocator`` at ``bid``."""
+def greedy_quantity(inst: Instance, ad: AdRef, bid: float) -> float:
+    """The discount the probed ad receives from greedy at ``bid``."""
     probe_inst, probe_ref, _ = with_bid(inst, ad, bid)
-    m = allocator(probe_inst)
-    slot = m.slot_of(probe_ref)
+    slot = solve_greedy(probe_inst).slot_of(probe_ref)
     return 0.0 if slot is None else probe_inst.types[ad.ad_type].discounts[slot]
 
 
-def greedy_allocation_curve(inst: Instance, ad: AdRef,
-                            resolution: int = 4096) -> AllocationCurve:
-    """Sweep the probed ad's bid over the candidate thresholds, re-running
+def greedy_allocation_curve(inst: Instance, ad: AdRef) -> AllocationCurve:
+    """Sweep the probed ad's bid over every candidate threshold, re-running
     greedy at interval midpoints (greedy is constant between consecutive
-    candidates, so midpoints determine the curve exactly)."""
+    candidates, so midpoints determine the curve exactly); refused past
+    :data:`MAX_SWEEP_PROBES` candidates."""
     ensure_valid(inst)
     if has_gap_rules(inst):
         raise ValidationError("allocation curves are defined without gap rules")
-    cands = candidate_bids(inst, ad, resolution)
-    probes = [(cands[i] + cands[i + 1]) / 2 for i in range(len(cands) - 1)]
-    probes.append(cands[-1] + 1.0)
+    cands = candidate_bids(inst, ad)
+    check_sweep(ad, len(cands))
+    probes = [(a + b) / 2 for a, b in zip(cands, cands[1:])] + [cands[-1] + 1.0]
     points: list[tuple[float, float]] = []
     prev_q = 0.0
     for threshold, bid in zip(cands, probes):

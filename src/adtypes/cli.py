@@ -26,6 +26,7 @@ from .core import (
     load_instance,
     matching_from_list,
     matching_to_list,
+    read_json,
     tol_for,
     welfare,
 )
@@ -71,10 +72,11 @@ def _solution_dict(algo: str, inst: Instance, matching: Matching,
 
 def _cmd_solve(args) -> int:
     inst = load_instance(args.infile)
-    trace = (lambda line: print(line, file=sys.stderr)) if args.trace else None
     algo = args.algo
     if algo == "adtypes":
-        sol = hungarian.solve_adtypes(inst, trace=trace)
+        sol = hungarian.solve_adtypes(inst)
+        if args.trace:
+            print(*sol.stats.trace_lines(), sep="\n", file=sys.stderr)
         out = _solution_dict(algo, inst, sol.matching, sol.duals)
     elif algo == "generic":
         sol = baseline.solve_generic_hungarian(inst)
@@ -96,16 +98,19 @@ def _cmd_solve(args) -> int:
 def _load_reserves(path) -> dict[AdRef, float]:
     if path is None:
         return {}
-    with open(path) as fh:
-        data = json.load(fh)
+    data = read_json(path)
     entries = data.get("reserves") if isinstance(data, dict) else data
     try:
-        return {AdRef(index(e["type"]), index(e["rank"])):
-                as_number(e["reserve"], "reserve") for e in entries}
+        pairs = [(AdRef(index(e["type"]), index(e["rank"])),
+                  as_number(e["reserve"], "reserve")) for e in entries]
     except (KeyError, TypeError, ValueError) as exc:
         bad = '{"type": int, "rank": int, "reserve": number}'
         raise ValidationError(f"reserves must be a list of {bad} ({exc!r})") \
             from exc
+    reserves = dict(pairs)
+    if len(reserves) < len(pairs):
+        raise ValidationError("reserves list an ad more than once")
+    return reserves
 
 
 def _cmd_price(args) -> int:
@@ -174,8 +179,7 @@ def _load_solution(path) -> tuple[list, float | None,
     """The assignment entries, stated welfare and duals of a solution file
     (``None`` for an absent welfare or duals).  A document of another shape
     raises :class:`ValidationError`."""
-    with open(path) as fh:
-        data = json.load(fh)
+    data = read_json(path)
     if not (isinstance(data, dict) and isinstance(data.get("assignment"), list)):
         raise ValidationError("solution must be an object with an "
                               "'assignment' list")
@@ -246,7 +250,7 @@ def build_parser() -> _Parser:
                             "brute", "two-type"])
     p.add_argument("--out", default=None)
     p.add_argument("--trace", action="store_true",
-                   help="per-phase trace on stderr")
+                   help="per-phase trace on stderr, after the solve")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("price", help="compute incentive-compatible payments")
@@ -301,7 +305,7 @@ def run(argv) -> int:
     except GuardError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except (ValueError, KeyError, FileNotFoundError) as exc:
+    except (ValueError, KeyError, OSError) as exc:  # OSError: a bad path
         print(f"invalid: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -37,7 +37,8 @@ class ValidationError(ValueError):
 
 
 class GuardError(RuntimeError):
-    """Raised when an exhaustive solver refuses an instance as too large."""
+    """Raised when an exhaustive solver or a bid sweep refuses an instance
+    as too large."""
 
 
 def as_number(x, what: str) -> float:
@@ -346,15 +347,17 @@ def instance_from_dict(data: Mapping) -> Instance:
         raise ValidationError(f"malformed instance: {exc}") from exc
 
 
-def dump_instance(inst: Instance, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(instance_to_dict(inst), fh, indent=2)
-        fh.write("\n")
+def read_json(path):
+    """The JSON document at ``path``; too deep a one is a ValidationError."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValidationError(f"{path}: JSON nested too deeply") from None
 
 
 def load_instance(path) -> Instance:
-    with open(path) as fh:
-        return instance_from_dict(json.load(fh))
+    return instance_from_dict(read_json(path))
 
 
 def matching_to_list(m: Matching) -> list[dict]:

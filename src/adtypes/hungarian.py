@@ -32,8 +32,8 @@ once per solve.  :class:`AdRef` and :class:`Matching` appear only at the
 edges: :func:`solve_adtypes` validates the instance on the way in and
 builds the final matching (and the per-phase ones, when
 ``collect_phase_matchings`` asks) on the way out.  A solve can be followed
-phase by phase through ``trace=``, :attr:`SolveStats.phases` and
-``collect_phase_matchings``.
+phase by phase through :attr:`SolveStats.phases` (printed by
+:meth:`SolveStats.trace_lines`) and ``collect_phase_matchings``.
 """
 from __future__ import annotations
 
@@ -42,7 +42,6 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import accumulate
-from typing import Callable
 
 import numpy as np
 
@@ -84,7 +83,8 @@ class DualSolution:
 
 @dataclass
 class SolveStats:
-    """Instrumentation collected during a solve."""
+    """Instrumentation collected during a solve.  ``phases`` holds one
+    ``(root slot, pops, dual shift, path length)`` per phase."""
 
     max_queue_occupancy: int = 0
     max_scan_candidates: int = 0
@@ -92,6 +92,11 @@ class SolveStats:
     total_pops: int = 0
     phases: list[tuple[int, int, float, int]] = field(default_factory=list)
     phase_matchings: list[Matching] | None = None
+
+    def trace_lines(self) -> list[str]:
+        """One ``phase=j pops=... delta=... pathlen=...`` line per phase."""
+        return [f"phase={j} pops={pops} delta={delta:g} pathlen={hops}"
+                for j, pops, delta, hops in self.phases]
 
 
 @dataclass
@@ -303,7 +308,7 @@ def _phase(tables: _Tables, slot_ad: list[int], ad_slot: list[int],
     stats.phases.append((root, pops, delta, hops))
 
 
-def solve_adtypes(inst: Instance, *, trace: Callable[[str], None] | None = None,
+def solve_adtypes(inst: Instance, *,
                   collect_phase_matchings: bool = False) -> OptimalSolution:
     """Optimal matching plus certifying duals.
 
@@ -326,9 +331,6 @@ def solve_adtypes(inst: Instance, *, trace: Callable[[str], None] | None = None,
         _phase(tables, slot_ad, ad_slot, u, p, j, stats)
         if stats.phase_matchings is not None:
             stats.phase_matchings.append(tables.matching(slot_ad))
-        if trace is not None:
-            _, pops, delta, hops = stats.phases[-1]
-            trace(f"phase={j} pops={pops} delta={delta:g} pathlen={hops}")
 
     matching = tables.matching(slot_ad)
     duals = DualSolution(tuple(tuple(u[t * n:(t + 1) * n]) for t in range(k)),

@@ -11,7 +11,8 @@ Four pricing routes:
   welfare with its bid lowered to its reserve less the others' welfare now,
   one re-solve per winner;
 * a bid-sweep oracle that prices any monotone allocation rule by summing
-  bid x allocation-jump over its changepoints.
+  bid x allocation-jump over its changepoints; exact, or refused with
+  :class:`~adtypes.core.GuardError` when a sweep is too long.
 
 Tolerances come from :mod:`adtypes.core`: certificates and utilities are
 compared within ``scaled_tol`` (relative to the largest edge value), welfare
@@ -41,7 +42,7 @@ from .core import (
     with_bid,
 )
 from .hungarian import OptimalSolution, certify, solve_adtypes
-from .baseline import candidate_bids
+from .baseline import candidate_bids, check_sweep, solve_greedy
 
 
 class NonMonotoneAllocationError(RuntimeError):
@@ -77,9 +78,10 @@ class ReserveVector:
         if not all(math.isfinite(r) and r >= 0 for _, r in items):
             raise ValidationError("reserves must be finite and non-negative")
         object.__setattr__(self, "by_ad", items)
+        object.__setattr__(self, "_lookup", dict(items))
 
     def get(self, ad: AdRef) -> float:
-        return dict(self.by_ad).get(ad, 0.0)
+        return self._lookup.get(ad, 0.0)
 
     def remap(self, ad_map: Mapping[AdRef, AdRef]) -> "ReserveVector":
         return ReserveVector({ad_map.get(ad, ad): r for ad, r in self.by_ad})
@@ -132,16 +134,16 @@ def vcg_prices_fast(inst: Instance, sol: OptimalSolution) -> tuple[float, ...]:
     return tuple(float(x) for x in prices)
 
 
-def vcg_prices_naive(inst: Instance, solver=solve_adtypes) -> tuple[float, ...]:
+def vcg_prices_naive(inst: Instance) -> tuple[float, ...]:
     """Definitional VCG: for each winner, re-solve with its bid lowered to 0
     (the welfare of the others without it) and charge the drop in everyone
     else's welfare.  One solve per slot plus one."""
-    sol = solver(inst)
+    sol = solve_adtypes(inst)
     total = sol.welfare
     prices = [0.0] * inst.num_slots
     for slot, ad in sol.matching.pairs:
         others_now = total - edge_value(inst, ad, slot)
-        others_best = solver(with_bid(inst, ad, 0.0)[0]).welfare
+        others_best = solve_adtypes(with_bid(inst, ad, 0.0)[0]).welfare
         prices[slot] = max(0.0, others_best - others_now)
     return tuple(prices)
 
@@ -259,8 +261,7 @@ def vcg_mechanism() -> Callable:
 # Myerson changepoint oracle
 
 def myerson_changepoint_prices(inst: Instance, allocator, ad: AdRef, r: float,
-                               *, method: str = "envelope",
-                               resolution: int = 4096) -> float:
+                               *, method: str = "envelope") -> float:
     """Price the probed ad by scanning its allocation curve: the payment is
     the sum over allocation changepoints of bid x quantity-jump, with the
     reserve as the first changepoint.
@@ -268,8 +269,9 @@ def myerson_changepoint_prices(inst: Instance, allocator, ad: AdRef, r: float,
     ``method='envelope'`` locates changepoints by intersecting welfare
     tangents (valid for exact welfare maximizers, whose welfare is convex in
     one bid); ``method='scan'`` probes between comparator-crossing candidate
-    bids (valid for greedy).  Raises :class:`NonMonotoneAllocationError` when
-    the swept allocation decreases.
+    bids (valid for greedy; GuardError past ``MAX_SWEEP_PROBES`` probes).
+    Raises :class:`NonMonotoneAllocationError` when the swept allocation
+    decreases.
     """
     ensure_valid(inst)
     bid = inst.value_of(ad)
@@ -288,7 +290,7 @@ def myerson_changepoint_prices(inst: Instance, allocator, ad: AdRef, r: float,
     if method == "envelope":
         return _envelope_payment(run, r, bid)
     if method == "scan":
-        return _scan_payment(run, inst, ad, r, bid, resolution)
+        return _scan_payment(run, inst, ad, r, bid)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -332,34 +334,29 @@ def _envelope_payment(run, lo: float, hi: float) -> float:
     return payment
 
 
-def _scan_payment(run, filtered: Instance, probe: AdRef, lo: float, hi: float,
-                  resolution: int) -> float:
-    cands = candidate_bids(filtered, probe, resolution)
+def _scan_payment(run, filtered: Instance, probe: AdRef, lo: float,
+                  hi: float) -> float:
+    cands = candidate_bids(filtered, probe)
     cuts = sorted({lo, hi} | {c for c in cands if lo < c < hi})
-    quantities = []
-    for i in range(len(cuts) - 1):
-        mid = (cuts[i] + cuts[i + 1]) / 2
-        quantities.append(run(mid)[1])
-    for i in range(len(quantities) - 1):
+    check_sweep(probe, len(cuts))
+    # a probe at each interval's midpoint, then at hi itself
+    bids = [(a + b) / 2 for a, b in zip(cuts, cuts[1:])] + [hi]
+    quantities = [run(b)[1] for b in bids]
+    for i in range(len(bids) - 1):
         if quantities[i + 1] < quantities[i] - 1e-12:
-            raise NonMonotoneAllocationError(
-                (cuts[i] + cuts[i + 1]) / 2, (cuts[i + 1] + cuts[i + 2]) / 2,
-                quantities[i], quantities[i + 1])
-    x_hi = run(hi)[1]
-    if quantities and x_hi < quantities[-1] - 1e-12:
-        raise NonMonotoneAllocationError(
-            (cuts[-2] + cuts[-1]) / 2, hi, quantities[-1], x_hi)
-    area = sum(q * (cuts[i + 1] - cuts[i]) for i, q in enumerate(quantities))
-    return hi * x_hi - area
+            raise NonMonotoneAllocationError(bids[i], bids[i + 1],
+                                             quantities[i], quantities[i + 1])
+    area = sum(q * (cuts[i + 1] - cuts[i])
+               for i, q in enumerate(quantities[:-1]))
+    return hi * quantities[-1] - area
 
 
 def myerson_greedy_outcome(inst: Instance,
-                           reserves: ReserveVector | Mapping | None = None,
-                           resolution: int = 4096) -> PricedOutcome:
+                           reserves: ReserveVector | Mapping | None = None
+                           ) -> PricedOutcome:
     """Greedy allocation priced by the bid-sweep identity (greedy's
-    allocation curve is monotone, so the payments are incentive compatible)."""
-    from .baseline import solve_greedy
-
+    allocation curve is monotone, so the payments are incentive compatible).
+    Exact, or :class:`~adtypes.core.GuardError` when a sweep is too long."""
     ensure_valid(inst)
     if not isinstance(reserves, ReserveVector):
         reserves = ReserveVector(reserves)
@@ -372,8 +369,7 @@ def myerson_greedy_outcome(inst: Instance,
         if m.slot_of(kept) is None:
             continue
         raw = myerson_changepoint_prices(
-            filtered, solve_greedy, kept, reserves.get(orig),
-            method="scan", resolution=resolution)
+            filtered, solve_greedy, kept, reserves.get(orig), method="scan")
         min_raw = min(min_raw, raw)
         payments[orig] = max(0.0, raw)
     inv = {kept: orig for orig, kept in keep_map.items()}

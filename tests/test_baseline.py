@@ -109,10 +109,16 @@ def test_allocation_curve_monotone_on_random_probes():
                                 max_n=4, max_k=2)
         for t in range(inst.num_types):
             for r in range(inst.real_counts[t]):
-                curve = greedy_allocation_curve(inst, AdRef(t, r),
-                                                resolution=512)
+                curve = greedy_allocation_curve(inst, AdRef(t, r))
                 assert curve.is_monotone(), (inst, t, r)
                 checked += 1
+
+
+def test_allocation_curve_over_the_guard_refused():
+    # 5584 candidate bids: refused, not swept over a subsample
+    inst = gen_random(GenConfig(12, 4, 3, "uniform-real", "geometric"))
+    with pytest.raises(GuardError, match="5584 probes"):
+        greedy_allocation_curve(inst, AdRef(3, 0))
 
 
 def test_candidate_bids_include_own_value_and_zero():

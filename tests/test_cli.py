@@ -1,4 +1,5 @@
 import json
+import re
 import tempfile
 import time
 from pathlib import Path
@@ -7,7 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adtypes.bench import GenConfig, gen_random
 from adtypes.cli import run
+from adtypes.core import instance_to_dict, load_instance
+from adtypes.hungarian import solve_adtypes
 
 
 def _read(path):
@@ -289,10 +293,70 @@ def test_bench_csv(tmp_path):
 
 
 def test_trace_flag(fixtures_dir, tmp_path, capsys):
-    assert run(["solve", "--in", str(fixtures_dir / "example1.json"),
-                "--trace", "--out", str(tmp_path / "s.json")]) == 0
-    err = capsys.readouterr().err
-    assert "phase=0" in err and "pathlen=" in err
+    # one line per slot, printed from the solve's SolveStats.phases
+    path = fixtures_dir / "example1.json"
+    assert run(["solve", "--in", str(path), "--trace",
+                "--out", str(tmp_path / "s.json")]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    inst = load_instance(path)
+    assert len(lines) == inst.num_slots
+    for j, line in enumerate(lines):
+        assert re.fullmatch(
+            rf"phase={j} pops=\d+ delta=[-0-9.e+]+ pathlen=\d+", line)
+    assert lines == solve_adtypes(inst).stats.trace_lines()
+
+
+def test_duplicate_reserve_refused(fixtures_dir, tmp_path, capsys):
+    # an ad listed twice must not silently keep its last reserve
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps([{"type": 0, "rank": 0, "reserve": 9.5},
+                                {"type": 0, "rank": 0, "reserve": 1.0}]))
+    for mechanism in ("reserve", "myerson-greedy"):
+        assert run(["price", "--in", str(fixtures_dir / "two_bidders.json"),
+                    "--mechanism", mechanism, "--reserves", str(path),
+                    "--out", str(tmp_path / "x.json")]) == 1
+        assert "more than once" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--in", "--out", "--reserves", "--sol"])
+def test_directory_path_refused(fixtures_dir, tmp_path, capsys, flag):
+    # a path that cannot be opened as a file exits 1, not with a traceback
+    inst = str(fixtures_dir / "two_bidders.json")
+    sol = tmp_path / "sol.json"
+    assert run(["solve", "--in", inst, "--out", str(sol)]) == 0
+    argv = {"--in": ["solve", "--in", str(tmp_path)],
+            "--out": ["solve", "--in", inst, "--out", str(tmp_path)],
+            "--reserves": ["price", "--in", inst, "--mechanism", "reserve",
+                           "--reserves", str(tmp_path)],
+            "--sol": ["verify", "--in", inst, "--sol", str(tmp_path)]}[flag]
+    assert run(argv) == 1
+    assert "invalid:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--in", "--reserves", "--sol"])
+def test_deeply_nested_json_refused(fixtures_dir, tmp_path, capsys, flag):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    inst, out = str(fixtures_dir / "two_bidders.json"), str(tmp_path / "x")
+    argv = {"--in": ["solve", "--in", str(deep), "--out", out],
+            "--reserves": ["price", "--in", inst, "--mechanism", "reserve",
+                           "--reserves", str(deep), "--out", out],
+            "--sol": ["verify", "--in", inst, "--sol", str(deep)]}[flag]
+    assert run(argv) == 1
+    assert "invalid:" in capsys.readouterr().err
+
+
+def test_myerson_greedy_sweep_over_guard_exits_2(tmp_path, capsys):
+    # a winner of type 3 has 4389 candidate bids inside its sweep window:
+    # refused, naming the probe count, instead of priced from a subsample
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(instance_to_dict(
+        gen_random(GenConfig(12, 4, 3, "uniform-real", "geometric")))))
+    out = tmp_path / "x.json"
+    assert run(["price", "--in", str(path), "--mechanism", "myerson-greedy",
+                "--out", str(out)]) == 2
+    assert "4391 probes" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # Arbitrary small documents for the property test: mostly well-formed

@@ -2,9 +2,22 @@ import numpy as np
 import pytest
 
 from adtypes import pricing
-from adtypes.baseline import solve_generic_hungarian
+from adtypes.baseline import (
+    MAX_SWEEP_PROBES,
+    candidate_bids,
+    solve_generic_hungarian,
+    solve_greedy,
+)
 from adtypes.bench import GenConfig, gen_exact_random, gen_greedy_tight, gen_random
-from adtypes.core import AdRef, Instance, Matching, TypeSpec, ValidationError
+from adtypes.core import (
+    AdRef,
+    GuardError,
+    Instance,
+    Matching,
+    TypeSpec,
+    ValidationError,
+    with_bid,
+)
 from adtypes.hungarian import DualSolution, OptimalSolution, solve_adtypes
 from adtypes.pricing import (
     NonMonotoneAllocationError,
@@ -202,6 +215,40 @@ def test_myerson_greedy_tight_probe():
     assert curve.is_monotone()
     assert pay == pytest.approx(sum(t * q for t, q in curve.points[:1]),
                                 abs=1e-9)
+
+
+def _sweep_instance():
+    # n=12, k=4: every winner of type 3 has over 5500 candidate bids
+    return gen_random(GenConfig(12, 4, 3, "uniform-real", "geometric"))
+
+
+def test_myerson_greedy_refuses_a_sweep_over_the_guard():
+    # the type-3 winner at slot 1 has 4389 candidates inside its window
+    with pytest.raises(GuardError, match="4391 probes"):
+        myerson_greedy_outcome(_sweep_instance())
+
+
+def test_myerson_scan_prices_a_fitting_window_exactly():
+    # the full candidate set is over the guard, the window (0, value) is
+    # not: the sweep probes every window candidate, none is skipped
+    inst, ad = _sweep_instance(), AdRef(3, 10)
+    value = inst.value_of(ad)
+    cands = candidate_bids(inst, ad)
+    cuts = [0.0] + [c for c in cands if 0.0 < c < value] + [value]
+    assert len(cands) > MAX_SWEEP_PROBES >= len(cuts)
+
+    def quantity(bid):
+        probe, ref, _ = with_bid(inst, ad, bid)
+        slot = solve_greedy(probe).slot_of(ref)
+        return 0.0 if slot is None else probe.types[3].discounts[slot]
+
+    qs = [quantity((a + b) / 2) for a, b in zip(cuts, cuts[1:])]
+    qs.append(quantity(value))
+    # Myerson: each changepoint's bid times the quantity jump there
+    expected = sum(c * (q1 - q0) for c, q0, q1 in zip(cuts[1:], qs, qs[1:]))
+    assert myerson_changepoint_prices(inst, solve_greedy, ad, 0.0,
+                                      method="scan") \
+        == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 def test_myerson_greedy_outcome_consistent():
