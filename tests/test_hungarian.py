@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -226,6 +227,14 @@ def test_phase_welfare_matches_full_scan_variant():
                                          full.stats.phase_matchings)):
             assert welfare(inst, ma) == welfare(inst, mb), \
                 f"seed {seed} phase {j}"
+
+
+def test_trace_format(example1):
+    lines = solve_adtypes(example1).stats.trace_lines()
+    assert len(lines) == example1.num_slots
+    for line in lines:
+        assert re.fullmatch(
+            r"phase=\d+ pops=\d+ delta=[-0-9.e+]+ pathlen=\d+", line)
 
 
 def test_matched_ranks_ascend_with_slots():
