@@ -6,7 +6,6 @@ specialized solver so they can cross-check it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from .core import (
     AdRef,
@@ -20,19 +19,17 @@ from .core import (
     welfare,
     with_bid,
 )
-from .hungarian import DualSolution, OptimalSolution, SolveStats
+from .hungarian import DualSolution, OptimalSolution
 
 
-def solve_generic_hungarian(inst: Instance, *, order: str = "worst-first",
-                            collect_phase_matchings: bool = False) -> OptimalSolution:
+def solve_generic_hungarian(inst: Instance) -> OptimalSolution:
     """Textbook Hungarian on the flattened bipartite graph, no type shortcuts.
 
-    One phase per free slot; whenever a slot joins the alternating tree,
-    every ad's pending slack is rescanned (dual shifts are implicit: each
-    ad keys the accumulated shift at which its best tree edge goes tight).
-    ``order`` picks which free slot roots each phase: ``worst-first`` (lowest
-    discount first, the default) or ``best-first``; both give an optimal
-    matching with certifying duals.
+    One phase per slot, rooted worst slot first (lowest discount first);
+    whenever a slot joins the alternating tree, every ad's pending slack is
+    rescanned (dual shifts are implicit: each ad keys the accumulated shift
+    at which its best tree edge goes tight).  Returns an optimal matching
+    with certifying duals and no stats record.
     """
     ensure_valid(inst)
     if has_gap_rules(inst):
@@ -44,16 +41,9 @@ def solve_generic_hungarian(inst: Instance, *, order: str = "worst-first",
     p = [max(max(row) for row in values)] * n
     ad_of_slot = [-1] * n
     slot_of_ad = [-1] * num_ads
-    if order == "worst-first":
-        roots: Iterable[int] = range(n - 1, -1, -1)
-    elif order == "best-first":
-        roots = range(n)
-    else:
-        raise ValueError(f"unknown phase order {order!r}")
-    phase_matchings: list[Matching] | None = [] if collect_phase_matchings else None
     inf = float("inf")
 
-    for root in roots:
+    for root in range(n - 1, -1, -1):
         in_tree = [False] * num_ads
         parent = [-1] * num_ads
         p_root = p[root]
@@ -94,21 +84,12 @@ def solve_generic_hungarian(inst: Instance, *, order: str = "worst-first",
             if s == root:
                 break
             a = prev
-        if phase_matchings is not None:
-            phase_matchings.append(_matching_from_flat(ad_of_slot, n))
 
-    matching = _matching_from_flat(ad_of_slot, n)
+    matching = Matching({s: AdRef(a // n, a % n)
+                         for s, a in enumerate(ad_of_slot) if a >= 0})
     u_grid = tuple(tuple(u[t * n:(t + 1) * n]) for t in range(k))
     duals = DualSolution(u_grid, tuple(p))
-    stats = None
-    if phase_matchings is not None:
-        stats = SolveStats(phase_matchings=phase_matchings)
-    return OptimalSolution(matching, duals, welfare(inst, matching), stats)
-
-
-def _matching_from_flat(ad_of_slot: list[int], n: int) -> Matching:
-    return Matching({s: AdRef(int(a) // n, int(a) % n)
-                     for s, a in enumerate(ad_of_slot) if a >= 0})
+    return OptimalSolution(matching, duals, welfare(inst, matching))
 
 
 def solve_bruteforce(inst: Instance) -> Matching:

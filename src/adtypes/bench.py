@@ -101,16 +101,15 @@ def gen_strict_random(seed: int, max_n: int = 8, max_k: int = 4) -> Instance:
     return inst
 
 
-def gen_gap_random(seed: int, max_n: int = 5, max_k: int = 3,
-                   max_total_ads: int = 12) -> Instance:
+def gen_gap_random(seed: int) -> Instance:
     """Small random instance with gap rules, sized for the exhaustive gap
-    oracle: dyadic edge values, per-type ad counts capped so the total stays
-    within the oracle's guard."""
+    oracle :func:`~adtypes.gapdp.brute_force_gap` (guard: n <= 6, <= 12
+    ads): n <= 5, k <= 3, dyadic edge values and at most 12 ads in all."""
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(1, max_n + 1))
-    k = int(rng.integers(1, max_k + 1))
+    n = int(rng.integers(1, 6))
+    k = int(rng.integers(1, 4))
     types = []
-    budget = max_total_ads
+    budget = 12
     for t in range(k):
         count = int(rng.integers(1, min(n, max(1, budget - (k - 1 - t))) + 1))
         budget -= count

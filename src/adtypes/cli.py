@@ -71,8 +71,10 @@ def _solution_dict(algo: str, inst: Instance, matching: Matching,
 
 
 def _cmd_solve(args) -> int:
-    inst = load_instance(args.infile)
     algo = args.algo
+    if args.trace and algo != "adtypes":
+        raise _UsageError(f"--trace traces --algo adtypes only, not {algo}")
+    inst = load_instance(args.infile)
     if algo == "adtypes":
         sol = hungarian.solve_adtypes(inst)
         if args.trace:
@@ -114,6 +116,9 @@ def _load_reserves(path) -> dict[AdRef, float]:
 
 
 def _cmd_price(args) -> int:
+    if args.reserves is not None and args.mechanism == "vcg":
+        raise _UsageError("--mechanism vcg charges no reserves; "
+                          "use --mechanism reserve to price with them")
     inst = load_instance(args.infile)
     reserves = _load_reserves(args.reserves)
     if args.mechanism == "vcg":
@@ -250,7 +255,8 @@ def build_parser() -> _Parser:
                             "brute", "two-type"])
     p.add_argument("--out", default=None)
     p.add_argument("--trace", action="store_true",
-                   help="per-phase trace on stderr, after the solve")
+                   help="per-phase trace on stderr, after the solve "
+                        "(--algo adtypes only)")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("price", help="compute incentive-compatible payments")
@@ -258,7 +264,8 @@ def build_parser() -> _Parser:
     p.add_argument("--mechanism", required=True,
                    choices=["vcg", "reserve", "myerson-greedy"])
     p.add_argument("--reserves", default=None,
-                   help='JSON file: [{"type": t, "rank": r, "reserve": x}]')
+                   help='JSON file: [{"type": t, "rank": r, "reserve": x}] '
+                        '(reserve and myerson-greedy only)')
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_price)
 

@@ -43,6 +43,9 @@ from .core import (
 
 BOTTOM = None  # "no ad of this type placed yet"
 
+#: The most states one gap DP may store; a larger instance is refused.
+MAX_STATES = 2_000_000
+
 
 def _gap(inst: Instance):
     if inst.gap is not None:
@@ -88,7 +91,7 @@ def _min_states(caps, n: int, spacing: int) -> int:
     return sum(upto[s // spacing] for s in range(n + 1))
 
 
-def solve_gap_dp(inst: Instance, *, max_states: int = 2_000_000) -> Matching:
+def solve_gap_dp(inst: Instance) -> Matching:
     """Welfare-maximizing gap-feasible matching via the slot-by-slot DP over
     capped ``(counts, wait)`` states described in the module docstring.
 
@@ -96,7 +99,7 @@ def solve_gap_dp(inst: Instance, *, max_states: int = 2_000_000) -> Matching:
     change gap feasibility and sorted values make rank order optimal).  Of
     two ways into a state the first strictly better one is kept.  Refuses,
     with :class:`GuardError`, an instance whose layers together store more
-    than ``max_states`` states.
+    than :data:`MAX_STATES` states.
     """
     from array import array  # here, so commands without the DP never load it
 
@@ -106,9 +109,9 @@ def solve_gap_dp(inst: Instance, *, max_states: int = 2_000_000) -> Matching:
     caps = inst.real_counts
     radix = [max(gap[m][j] for m in range(k)) + 1 for j in range(k)]
     least = _min_states(caps, n, max(radix))
-    if least > max_states:
+    if least > MAX_STATES:
         raise GuardError(f"gap DP would store at least {least} states, over "
-                         f"max_states={max_states} (k={k}, n={n})")
+                         f"MAX_STATES={MAX_STATES} (k={k}, n={n})")
     # A state is one int.  Its low part, below ``width``, holds wait[j] in
     # mixed radix W_j + 1; above it, counts[t] in mixed radix cap_t + 1.
     weight = [1] * k
@@ -168,10 +171,10 @@ def solve_gap_dp(inst: Instance, *, max_states: int = 2_000_000) -> Matching:
                         nxt[nk] = w
                         par[nk] = p + t + 1
         stored += len(nxt)
-        if stored > max_states:
+        if stored > MAX_STATES:
             raise GuardError(
                 f"gap DP stored {stored} states by slot {s + 1} of {n}, over "
-                f"max_states={max_states} (k={k})")
+                f"MAX_STATES={MAX_STATES} (k={k})")
         history.append(array("q", par.values()))
         cur = nxt
 
@@ -190,7 +193,7 @@ def solve_gap_dp(inst: Instance, *, max_states: int = 2_000_000) -> Matching:
     return Matching(assignment)
 
 
-def _sparse_gap_dp(inst: Instance, *, max_states: int = 2_000_000) -> Matching:
+def _sparse_gap_dp(inst: Instance) -> Matching:
     """Cross-check oracle for :func:`solve_gap_dp`: the sparse DP over
     states (ads placed per type, last slot used per type).  States are
     reached forward, appending one ad at a time at a slot past every type's
@@ -198,7 +201,7 @@ def _sparse_gap_dp(inst: Instance, *, max_states: int = 2_000_000) -> Matching:
     blocking window of an older same-type ad is contained in the newer
     one's.  An O(n) loop over target slots per state makes it much slower
     than the capped DP, so it is guarded twice: n <= 12, and at most
-    ``max_states`` reachable states.
+    :data:`MAX_STATES` reachable states, the capped DP's budget.
     """
     ensure_valid(inst)
     n, k = inst.num_slots, inst.num_types
@@ -233,9 +236,9 @@ def _sparse_gap_dp(inst: Instance, *, max_states: int = 2_000_000) -> Matching:
                     v = base + vals[t][c] * disc[t][s]
                     old = value.get(new)
                     if old is None:
-                        if len(value) >= max_states:
+                        if len(value) >= MAX_STATES:
                             raise GuardError(
-                                f"gap DP exceeded {max_states} states "
+                                f"gap DP exceeded {MAX_STATES} states "
                                 f"(k={k}, n={n}; reachable space too large)")
                         value[new] = v
                         parent[new] = (state, t, s)

@@ -11,8 +11,10 @@ Four pricing routes:
   welfare with its bid lowered to its reserve less the others' welfare now,
   one re-solve per winner;
 * a bid-sweep oracle that prices any monotone allocation rule by summing
-  bid x allocation-jump over its changepoints; exact, or refused with
-  :class:`~adtypes.core.GuardError` when a sweep is too long.
+  bid x allocation-jump over its changepoints, found where welfare tangents
+  cross when the allocator returns an :class:`OptimalSolution`, and by
+  probing candidate bids when it returns a bare :class:`Matching`; exact, or
+  refused with :class:`~adtypes.core.GuardError` when a sweep is too long.
 
 Tolerances come from :mod:`adtypes.core`: certificates and utilities are
 compared within ``scaled_tol`` (relative to the largest edge value), welfare
@@ -38,7 +40,6 @@ from .core import (
     ensure_valid,
     scaled_tol,
     tol_for,
-    welfare,
     with_bid,
 )
 from .hungarian import OptimalSolution, certify, solve_adtypes
@@ -153,8 +154,7 @@ def vcg_outcome(inst: Instance) -> PricedOutcome:
     minimal feasible price, losers pay 0."""
     sol = solve_adtypes(inst)
     prices = vcg_prices_fast(inst, sol)
-    payments = {AdRef(t, r): 0.0 for t in range(inst.num_types)
-                for r in range(inst.real_counts[t])}
+    payments = dict.fromkeys(inst.real_ads(), 0.0)
     for slot, ad in sol.matching.pairs:
         if ad.rank < inst.real_counts[ad.ad_type]:
             payments[ad] = prices[slot]
@@ -222,8 +222,7 @@ def price_with_reserves(inst: Instance, reserves: ReserveVector | Mapping | None
         raise ValidationError(["allocator output failed certification: "
                                + "; ".join(report.messages)])
     total = sol.welfare
-    payments = {AdRef(t, r): 0.0 for t in range(inst.num_types)
-                for r in range(inst.real_counts[t])}
+    payments = dict.fromkeys(inst.real_ads(), 0.0)
     min_raw = 0.0
     inv = {kept: orig for orig, kept in keep_map.items()}
     for slot, kept in sol.matching.pairs:
@@ -260,48 +259,44 @@ def vcg_mechanism() -> Callable:
 # ---------------------------------------------------------------------------
 # Myerson changepoint oracle
 
-def myerson_changepoint_prices(inst: Instance, allocator, ad: AdRef, r: float,
-                               *, method: str = "envelope") -> float:
+def myerson_changepoint_prices(inst: Instance, allocator, ad: AdRef,
+                               r: float) -> float:
     """Price the probed ad by scanning its allocation curve: the payment is
     the sum over allocation changepoints of bid x quantity-jump, with the
     reserve as the first changepoint.
 
-    ``method='envelope'`` locates changepoints by intersecting welfare
-    tangents (valid for exact welfare maximizers, whose welfare is convex in
-    one bid); ``method='scan'`` probes between comparator-crossing candidate
-    bids (valid for greedy; GuardError past ``MAX_SWEEP_PROBES`` probes).
-    Raises :class:`NonMonotoneAllocationError` when the swept allocation
-    decreases.
+    The allocator runs first at the ad's own bid, and its result type picks
+    how the changepoints are found.  An :class:`OptimalSolution` marks an
+    exact welfare maximizer, whose welfare is convex in one bid, so the
+    changepoints are where welfare tangents cross.  A bare :class:`Matching`
+    (greedy) is probed between comparator-crossing candidate bids, with
+    GuardError past ``MAX_SWEEP_PROBES`` probes.  Raises
+    :class:`NonMonotoneAllocationError` when the swept allocation decreases.
     """
     ensure_valid(inst)
     bid = inst.value_of(ad)
     if bid < r:
         return 0.0
+    seen: dict[float, tuple[float | None, float]] = {}
 
     def run(b: float):
-        inst_b, ref_b, _ = with_bid(inst, ad, b)
-        out = allocator(inst_b)
-        m = out.matching if isinstance(out, OptimalSolution) else out
-        w = out.welfare if isinstance(out, OptimalSolution) else welfare(inst_b, m)
-        return w, _quantity(inst_b, m, ref_b)
+        if b not in seen:
+            inst_b, ref_b, _ = with_bid(inst, ad, b)
+            out = allocator(inst_b)
+            if isinstance(out, OptimalSolution):
+                seen[b] = out.welfare, _quantity(inst_b, out.matching, ref_b)
+            else:
+                seen[b] = None, _quantity(inst_b, out, ref_b)
+        return seen[b]
 
     if bid == r:
         return r * run(r)[1]
-    if method == "envelope":
+    if run(bid)[0] is not None:  # only an OptimalSolution carries a welfare
         return _envelope_payment(run, r, bid)
-    if method == "scan":
-        return _scan_payment(run, inst, ad, r, bid)
-    raise ValueError(f"unknown method {method!r}")
+    return _scan_payment(run, inst, ad, r, bid)
 
 
-def _envelope_payment(run, lo: float, hi: float) -> float:
-    cache: dict[float, tuple[float, float]] = {}
-
-    def f(b: float):
-        if b not in cache:
-            cache[b] = run(b)
-        return cache[b]
-
+def _envelope_payment(f, lo: float, hi: float) -> float:
     jumps: list[tuple[float, float, float]] = []
 
     def rec(a: float, b: float, depth: int):
@@ -334,11 +329,19 @@ def _envelope_payment(run, lo: float, hi: float) -> float:
     return payment
 
 
-def _scan_payment(run, filtered: Instance, probe: AdRef, lo: float,
-                  hi: float) -> float:
+def _sweep_cuts(filtered: Instance, probe: AdRef, lo: float,
+                hi: float) -> list[float]:
+    """The candidate bids of the probed ad's sweep window ``[lo, hi]``, both
+    ends included; GuardError when they are too many to probe."""
     cands = candidate_bids(filtered, probe)
     cuts = sorted({lo, hi} | {c for c in cands if lo < c < hi})
     check_sweep(probe, len(cuts))
+    return cuts
+
+
+def _scan_payment(run, filtered: Instance, probe: AdRef, lo: float,
+                  hi: float) -> float:
+    cuts = _sweep_cuts(filtered, probe, lo, hi)
     # a probe at each interval's midpoint, then at hi itself
     bids = [(a + b) / 2 for a, b in zip(cuts, cuts[1:])] + [hi]
     quantities = [run(b)[1] for b in bids]
@@ -356,20 +359,22 @@ def myerson_greedy_outcome(inst: Instance,
                            ) -> PricedOutcome:
     """Greedy allocation priced by the bid-sweep identity (greedy's
     allocation curve is monotone, so the payments are incentive compatible).
-    Exact, or :class:`~adtypes.core.GuardError` when a sweep is too long."""
+    Exact, or :class:`~adtypes.core.GuardError` when a sweep is too long;
+    every winner's window is checked before the first probe."""
     ensure_valid(inst)
     if not isinstance(reserves, ReserveVector):
         reserves = ReserveVector(reserves)
     filtered, keep_map = filter_by_reserves(inst, reserves)
     m = solve_greedy(filtered)
-    payments = {AdRef(t, r): 0.0 for t in range(inst.num_types)
-                for r in range(inst.real_counts[t])}
+    winners = [(orig, kept) for orig, kept in keep_map.items()
+               if m.slot_of(kept) is not None]
+    for orig, kept in winners:
+        _sweep_cuts(filtered, kept, reserves.get(orig), filtered.value_of(kept))
+    payments = dict.fromkeys(inst.real_ads(), 0.0)
     min_raw = 0.0
-    for orig, kept in keep_map.items():
-        if m.slot_of(kept) is None:
-            continue
+    for orig, kept in winners:
         raw = myerson_changepoint_prices(
-            filtered, solve_greedy, kept, reserves.get(orig), method="scan")
+            filtered, solve_greedy, kept, reserves.get(orig))
         min_raw = min(min_raw, raw)
         payments[orig] = max(0.0, raw)
     inv = {kept: orig for orig, kept in keep_map.items()}

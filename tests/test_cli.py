@@ -306,6 +306,32 @@ def test_trace_flag(fixtures_dir, tmp_path, capsys):
     assert lines == solve_adtypes(inst).stats.trace_lines()
 
 
+@pytest.mark.parametrize("algo", ["generic", "greedy", "gapdp", "brute",
+                                  "two-type"])
+def test_trace_flag_without_a_trace_refused(fixtures_dir, tmp_path, capsys,
+                                            algo):
+    # only the specialized solver records phases; a trace request for any
+    # other algorithm is a usage error, not silence
+    out = tmp_path / "s.json"
+    assert run(["solve", "--in", str(fixtures_dir / "example1.json"),
+                "--algo", algo, "--trace", "--out", str(out)]) == 64
+    assert "--trace" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_reserves_with_vcg_refused(fixtures_dir, tmp_path, capsys):
+    # VCG charges no reserves: the file would be ignored and the top bidder
+    # would pay the plain VCG price of 3.0
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps([{"type": 0, "rank": 0, "reserve": 9.5}]))
+    out = tmp_path / "x.json"
+    assert run(["price", "--in", str(fixtures_dir / "two_bidders.json"),
+                "--mechanism", "vcg", "--reserves", str(path),
+                "--out", str(out)]) == 64
+    assert "--mechanism reserve" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_duplicate_reserve_refused(fixtures_dir, tmp_path, capsys):
     # an ad listed twice must not silently keep its last reserve
     path = tmp_path / "r.json"

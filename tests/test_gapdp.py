@@ -59,11 +59,12 @@ def test_gap_dp_guard_slots():
         _sparse_gap_dp(inst)
 
 
-def test_gap_dp_state_budget():
+def test_gap_dp_state_budget(monkeypatch):
     types = [TypeSpec(f"t{i}", [1.0] * 8, [1.0] * 8) for i in range(4)]
     inst = Instance(8, types, [[0] * 4 for _ in range(4)])
+    monkeypatch.setattr(gapdp, "MAX_STATES", 50)
     with pytest.raises(GuardError, match="states"):
-        _sparse_gap_dp(inst, max_states=50)
+        _sparse_gap_dp(inst)
 
 
 def test_brute_force_gap_guard():
@@ -170,18 +171,20 @@ def test_capped_dp_without_gaps_matches_hungarian(n, k):
         assert abs(welfare(inst, solve_gap_dp(inst)) - best) <= tol_for(best)
 
 
-def test_capped_dp_guard_names_the_state_count():
+def test_capped_dp_guard_names_the_state_count(monkeypatch):
     # refused up front by the lower bound (no gaps: every count vector is
     # a state) and while running (self-gaps leave the bound below the count)
     types = [TypeSpec(f"t{i}", [1.0] * 8, [1.0] * 8) for i in range(4)]
     free = Instance(8, types, [[0] * 4 for _ in range(4)])
+    monkeypatch.setattr(gapdp, "MAX_STATES", 50)
     with pytest.raises(GuardError, match=r"at least \d+ states"):
-        solve_gap_dp(free, max_states=50)
+        solve_gap_dp(free)
     spaced = Instance(8, types, [[int(i == j) for j in range(4)]
                                  for i in range(4)])
     assert gapdp._min_states(spaced.real_counts, 8, 2) <= 400
+    monkeypatch.setattr(gapdp, "MAX_STATES", 400)
     with pytest.raises(GuardError, match=r"stored \d+ states by slot \d+"):
-        solve_gap_dp(spaced, max_states=400)
+        solve_gap_dp(spaced)
 
 
 def test_min_states_never_exceeds_the_states_stored(monkeypatch):
@@ -195,5 +198,6 @@ def test_min_states_never_exceeds_the_states_stored(monkeypatch):
                              int(rng.integers(1, 4)), int(rng.integers(0, 3)))
         least = bound(inst.real_counts, inst.num_slots,
                       max(map(max, inst.gap)) + 1)
+        monkeypatch.setattr(gapdp, "MAX_STATES", least - 1)
         with pytest.raises(GuardError, match="stored"):
-            solve_gap_dp(inst, max_states=least - 1)
+            solve_gap_dp(inst)

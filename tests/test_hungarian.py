@@ -201,31 +201,21 @@ def test_crossing_violations_scale_with_the_values():
 
 
 def test_prefix_optimal_after_each_phase():
-    for seed in range(60):
-        inst = gen_exact_random(seed)
+    # the welfare after phase j is the optimum over slots 0..j, which is
+    # also what a full-scan Hungarian rooting slots best-first reaches
+    cases = [(seed, gen_exact_random(seed)) for seed in range(60)]
+    cases += [(seed, gen_exact_random(seed, max_n=12, max_k=4))
+              for seed in range(1000, 1040)]
+    for seed, inst in cases:
         sol = solve_adtypes(inst, collect_phase_matchings=True)
         for j, m in enumerate(sol.stats.phase_matchings):
-            prefix = Matching({s: ad for s, ad in m.pairs if s <= j})
+            assert all(s <= j for s, _ in m.pairs), f"seed {seed} phase {j}"
             trunc = Instance(j + 1,
                              [TypeSpec(spec.name, spec.values[:j + 1],
                                        spec.discounts[:j + 1])
                               for spec in inst.types])
             independent = solve_generic_hungarian(trunc)
-            assert welfare(trunc, prefix) == independent.welfare, \
-                f"seed {seed} phase {j}"
-
-
-def test_phase_welfare_matches_full_scan_variant():
-    # the O(k)-scan phases must augment exactly as a full-scan Hungarian
-    # does when both process slots best-first
-    for seed in range(40):
-        inst = gen_exact_random(seed + 1000, max_n=12, max_k=4)
-        mine = solve_adtypes(inst, collect_phase_matchings=True)
-        full = solve_generic_hungarian(inst, order="best-first",
-                                       collect_phase_matchings=True)
-        for j, (ma, mb) in enumerate(zip(mine.stats.phase_matchings,
-                                         full.stats.phase_matchings)):
-            assert welfare(inst, ma) == welfare(inst, mb), \
+            assert welfare(trunc, m) == independent.welfare, \
                 f"seed {seed} phase {j}"
 
 

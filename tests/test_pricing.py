@@ -208,8 +208,7 @@ def test_myerson_greedy_tight_probe():
     inst = gen_greedy_tight(0.25)
     from adtypes.baseline import greedy_allocation_curve, solve_greedy
 
-    pay = myerson_changepoint_prices(inst, solve_greedy, AdRef(1, 0), 0.0,
-                                     method="scan")
+    pay = myerson_changepoint_prices(inst, solve_greedy, AdRef(1, 0), 0.0)
     # the flat bidder wins quantity 1 at any positive bid: critical bid 0
     curve = greedy_allocation_curve(inst, AdRef(1, 0))
     assert curve.is_monotone()
@@ -222,10 +221,20 @@ def _sweep_instance():
     return gen_random(GenConfig(12, 4, 3, "uniform-real", "geometric"))
 
 
-def test_myerson_greedy_refuses_a_sweep_over_the_guard():
-    # the type-3 winner at slot 1 has 4389 candidates inside its window
+def test_myerson_greedy_refuses_a_sweep_over_the_guard(monkeypatch):
+    # the type-3 winner at slot 1 has 4389 candidates inside its window.
+    # Every winner's window is checked up front, so the refusal costs only
+    # the main allocation, not the sweeps of the winners met before
+    runs = []
+
+    def counted(inst):
+        runs.append(inst)
+        return solve_greedy(inst)
+
+    monkeypatch.setattr(pricing, "solve_greedy", counted)
     with pytest.raises(GuardError, match="4391 probes"):
         myerson_greedy_outcome(_sweep_instance())
+    assert len(runs) == 1
 
 
 def test_myerson_scan_prices_a_fitting_window_exactly():
@@ -246,8 +255,7 @@ def test_myerson_scan_prices_a_fitting_window_exactly():
     qs.append(quantity(value))
     # Myerson: each changepoint's bid times the quantity jump there
     expected = sum(c * (q1 - q0) for c, q0, q1 in zip(cuts[1:], qs, qs[1:]))
-    assert myerson_changepoint_prices(inst, solve_greedy, ad, 0.0,
-                                      method="scan") \
+    assert myerson_changepoint_prices(inst, solve_greedy, ad, 0.0) \
         == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
@@ -272,8 +280,7 @@ def test_non_monotone_allocator_detected():
         return Matching({0: AdRef(0, 0)})
 
     with pytest.raises(NonMonotoneAllocationError) as info:
-        myerson_changepoint_prices(inst, perverse, AdRef(0, 0), 0.0,
-                                   method="scan")
+        myerson_changepoint_prices(inst, perverse, AdRef(0, 0), 0.0)
     assert len(info.value.counterexample) == 4
 
 
