@@ -13,7 +13,6 @@ from .core import (
     Instance,
     Matching,
     ValidationError,
-    edge_matrix,
     ensure_valid,
     has_gap_rules,
     welfare,
@@ -36,7 +35,8 @@ def solve_generic_hungarian(inst: Instance) -> OptimalSolution:
         raise ValidationError("instance has gap rules: use the gap dynamic program")
     n, k = inst.num_slots, inst.num_types
     num_ads = k * n
-    values = edge_matrix(inst).reshape(num_ads, n).tolist()
+    values = [[v * d for d in spec.discounts]
+              for spec in inst.types for v in spec.values]
     u = [0.0] * num_ads
     p = [max(max(row) for row in values)] * n
     ad_of_slot = [-1] * n

@@ -181,7 +181,7 @@ def brute_force_assignment(weights) -> float:
 # ---------------------------------------------------------------------------
 # Scaling harness
 
-def gen_scaling_instance(n: int, k: int, seed: int = 0) -> Instance:
+def gen_scaling_instance(n: int, k: int, seed: int) -> Instance:
     """Strictly decreasing values and slowly decaying, strictly decreasing
     discounts.  Every new slot displaces the incumbents, which drives the
     generic solver's alternating trees to full depth."""
@@ -221,7 +221,7 @@ _SOLVERS = (
 )
 
 
-def bench_scaling(sizes, reps: int = 5, *, seed: int = 0) -> BenchReport:
+def bench_scaling(sizes, reps: int, *, seed: int = 0) -> BenchReport:
     """Median-of-reps wall times for both solvers on each (n, k).
 
     One warm-up run per (n, k, solver) is discarded; a welfare mismatch

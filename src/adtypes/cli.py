@@ -58,7 +58,7 @@ def _write_json(obj, path) -> None:
 
 
 def _solution_dict(algo: str, inst: Instance, matching: Matching,
-                   duals=None) -> dict:
+                   duals) -> dict:
     out = {
         "algo": algo,
         "welfare": welfare(inst, matching),
@@ -84,13 +84,13 @@ def _cmd_solve(args) -> int:
         sol = baseline.solve_generic_hungarian(inst)
         out = _solution_dict(algo, inst, sol.matching, sol.duals)
     elif algo == "greedy":
-        out = _solution_dict(algo, inst, baseline.solve_greedy(inst))
+        out = _solution_dict(algo, inst, baseline.solve_greedy(inst), None)
     elif algo == "brute":
-        out = _solution_dict(algo, inst, baseline.solve_bruteforce(inst))
+        out = _solution_dict(algo, inst, baseline.solve_bruteforce(inst), None)
     elif algo == "gapdp":
-        out = _solution_dict(algo, inst, gapdp.solve_gap_dp(inst))
+        out = _solution_dict(algo, inst, gapdp.solve_gap_dp(inst), None)
     elif algo == "two-type":
-        out = _solution_dict(algo, inst, gapdp.solve_two_type_dp(inst))
+        out = _solution_dict(algo, inst, gapdp.solve_two_type_dp(inst), None)
     else:  # pragma: no cover - argparse restricts choices
         raise _UsageError(f"unknown algorithm {algo}")
     _write_json(out, args.out)
@@ -150,7 +150,7 @@ def _cmd_gen(args) -> int:
         rng = np.random.default_rng(args.seed)
         weights = rng.integers(1, 100, size=(args.n, args.n)).astype(float)
         inst, offset = bench.assignment_to_adtypes(weights)
-        print(f"offset={offset!r}")
+        print(f"offset={offset!r}", file=sys.stderr)
     else:  # pragma: no cover
         raise _UsageError(f"unknown family {args.family}")
     _write_json(instance_to_dict(inst), args.out)

@@ -15,8 +15,6 @@ import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
 TOL = 1e-9
 
 
@@ -108,8 +106,6 @@ class Instance:
         object.__setattr__(self, "num_slots", n)
         norm, real = [], []
         for spec in types:
-            if not isinstance(spec, TypeSpec):
-                spec = TypeSpec(*spec)
             vals = spec.values[:n] if n > 0 else spec.values
             real.append(len(vals))
             # pad no further than the discount curve reaches: a longer
@@ -264,15 +260,6 @@ def welfare(inst: Instance, m: Matching) -> float:
     """Total value of a matching.  Summed in slot order so the result does
     not depend on the mapping's iteration order."""
     return sum(edge_value(inst, ad, slot) for slot, ad in m.pairs)
-
-
-def edge_matrix(inst: Instance) -> np.ndarray:
-    """Edge values as an array of shape (k, n, n) indexed [type, rank, slot]."""
-    n = inst.num_slots
-    out = np.empty((inst.num_types, n, n))
-    for t, spec in enumerate(inst.types):
-        out[t] = np.outer(np.asarray(spec.values), np.asarray(spec.discounts))
-    return out
 
 
 def with_bid(inst: Instance, ad: AdRef, bid: float):

@@ -16,7 +16,8 @@ head, one matched below, one matched above); ties widen the scan just enough
 to stay safe.
 
 The duals certify optimality: feasible (u_i + p_j >= v_ij everywhere),
-non-negative, tight on every matched edge, and zero on unmatched ads.
+non-negative, tight on every matched edge, and zero on unmatched ads;
+:func:`certify` checks them one slot at a time, in O(kn) memory.
 
 One function, :func:`_phase`, runs a phase over local variables: offer the
 candidates :func:`_scan` finds for the slot that just joined the tree, pop
@@ -50,7 +51,6 @@ from .core import (
     Instance,
     Matching,
     ValidationError,
-    edge_matrix,
     ensure_valid,
     has_gap_rules,
     scaled_tol,
@@ -88,10 +88,15 @@ class SolveStats:
 
     max_queue_occupancy: int = 0
     max_scan_candidates: int = 0
-    scan_calls: int = 0
-    total_pops: int = 0
     phases: list[tuple[int, int, float, int]] = field(default_factory=list)
     phase_matchings: list[Matching] | None = None
+
+    @property
+    def total_pops(self) -> int:
+        return sum(pops for _, pops, _, _ in self.phases)
+
+    # a phase scans its root, then each slot a pop adds: one scan per pop
+    scan_calls = total_pops
 
     def trace_lines(self) -> list[str]:
         """One ``phase=j pops=... delta=... pathlen=...`` line per phase."""
@@ -224,7 +229,7 @@ def _phase(tables: _Tables, slot_ad: list[int], ad_slot: list[int],
     reaches an unmatched ad, flip that augmenting path into ``slot_ad`` and
     ``ad_slot``, and write the accumulated dual shift back into ``u`` and
     ``p``, all in place.  Appends ``(root, pops, shift, path length)`` to
-    ``stats.phases`` and adds the phase's counters to ``stats``.
+    ``stats.phases`` and raises the running maxima in ``stats``.
 
     The queue keys each candidate ad by the accumulated shift at which its
     best edge into the tree goes tight, so a pop is a dual update and a tree
@@ -246,7 +251,6 @@ def _phase(tables: _Tables, slot_ad: list[int], ad_slot: list[int],
         # lowering a candidate's key when this edge goes tight sooner than
         # its current best; ads already in the tree are skipped
         cands = _scan(frontiers, val, slot)
-        stats.scan_calls += 1
         stats.max_scan_candidates = max(stats.max_scan_candidates, len(cands))
         potential = p[slot] + tree_slots[slot]
         for a in cands:
@@ -304,7 +308,6 @@ def _phase(tables: _Tables, slot_ad: list[int], ad_slot: list[int],
         u[a] += delta - entry_shift
     for s, entry_shift in tree_slots.items():
         p[s] -= delta - entry_shift
-    stats.total_pops += pops
     stats.phases.append((root, pops, delta, hops))
 
 
@@ -355,14 +358,13 @@ def certify(inst: Instance, sol: OptimalSolution) -> CertificateReport:
     """Check the dual certificate: finite duals, slacks and welfare,
     feasibility on every edge, non-negative duals, tightness of matched
     edges, zero utility on unmatched ads, zero price on empty slots, and
-    welfare against the dual value on the matched subgraph.  The per-edge checks allow
-    :func:`~adtypes.core.scaled_tol`, the welfare checks
-    :func:`~adtypes.core.tol_for` the welfare.  Every check is written so
-    that a NaN fails it."""
+    welfare against the dual value on the matched subgraph, in O(kn)
+    memory.  The per-edge checks allow :func:`~adtypes.core.scaled_tol`,
+    the welfare checks :func:`~adtypes.core.tol_for` the welfare.  Every
+    check is written so that a NaN fails it."""
     msgs: list[str] = []
     edge_tol = scaled_tol(inst)
     worst = 0.0
-    values = edge_matrix(inst)
     u = np.asarray(sol.duals.u)
     p = np.asarray(sol.duals.p)
     k, n = inst.num_types, inst.num_slots
@@ -377,9 +379,15 @@ def certify(inst: Instance, sol: OptimalSolution) -> CertificateReport:
         worst = max(worst, -neg)
         msgs.append(f"negative dual variable ({neg:g})")
 
-    slack = u[:, :, None] + p[None, None, :] - values
-    min_slack = float(slack.min())
-    if not (math.isfinite(min_slack) and math.isfinite(float(slack.max()))):
+    # one slot's k×n slack column at a time; numpy's min and max keep a NaN
+    vals = np.array([spec.values for spec in inst.types])
+    disc = np.array([spec.discounts for spec in inst.types])
+    col_min, col_max = np.empty(n), np.empty(n)
+    for s in range(n):
+        col = u + p[s] - vals * disc[:, s, None]
+        col_min[s], col_max[s] = col.min(), col.max()
+    min_slack = float(col_min.min())
+    if not (math.isfinite(min_slack) and math.isfinite(float(col_max.max()))):
         return CertificateReport(False, float("inf"), ["non-finite edge slack"])
     if not min_slack >= -edge_tol:
         worst = max(worst, -min_slack)
@@ -392,13 +400,14 @@ def certify(inst: Instance, sol: OptimalSolution) -> CertificateReport:
         if not (0 <= slot < n and 0 <= ad.ad_type < k and 0 <= ad.rank < n):
             return CertificateReport(False, float("inf"),
                                      [f"matched pair out of range: {slot}, {ad}"])
-        matched_mask[ad.ad_type, ad.rank] = True
+        t, r = ad.ad_type, ad.rank
+        matched_mask[t, r] = True
         filled[slot] = True
-        resid = abs(float(slack[ad.ad_type, ad.rank, slot]))
+        resid = abs(float(u[t, r] + p[slot] - vals[t, r] * disc[t, slot]))
         if not resid <= edge_tol:
             worst = max(worst, resid)
             msgs.append(f"matched edge slot {slot} not tight (residual {resid:g})")
-        dual_on_matched += u[ad.ad_type, ad.rank] + p[slot]
+        dual_on_matched += u[t, r] + p[slot]
 
     # complementary slackness: losers carry no utility, empty slots no price
     loose = float(u[~matched_mask].max(initial=0.0))
@@ -433,12 +442,12 @@ def crossing_violations(inst: Instance, duals: DualSolution) -> list[tuple]:
     order is then interchangeable."""
     out = []
     tol = scaled_tol(inst)
-    values = edge_matrix(inst)
     u = np.asarray(duals.u)
     p = np.asarray(duals.p)
     for t, spec in enumerate(inst.types):
-        tight = np.argwhere(
-            np.abs(u[t][:, None] + p[None, :] - values[t]) <= tol)
+        tight = np.argwhere(np.abs(u[t][:, None] + p[None, :]
+                                   - np.outer(spec.values, spec.discounts))
+                            <= tol)
         for a in range(len(tight)):
             r1, s1 = tight[a]
             for b in range(len(tight)):

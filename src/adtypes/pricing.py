@@ -74,7 +74,7 @@ class ReserveVector:
 
     by_ad: tuple[tuple[AdRef, float], ...]
 
-    def __init__(self, reserves: Mapping[AdRef, float] | None = None):
+    def __init__(self, reserves: Mapping[AdRef, float] | None):
         items = tuple(sorted((reserves or {}).items()))
         if not all(math.isfinite(r) and r >= 0 for _, r in items):
             raise ValidationError("reserves must be finite and non-negative")
@@ -151,14 +151,15 @@ def vcg_prices_naive(inst: Instance) -> tuple[float, ...]:
 
 def vcg_outcome(inst: Instance) -> PricedOutcome:
     """Full VCG mechanism: optimal allocation, winners pay their slot's
-    minimal feasible price, losers pay 0."""
+    minimal feasible price, losers pay 0.  The outcome's matching names real
+    ads only; slots the solver filled with zero-value padding are left out."""
     sol = solve_adtypes(inst)
     prices = vcg_prices_fast(inst, sol)
+    winners = Matching([(slot, ad) for slot, ad in sol.matching.pairs
+                        if ad.rank < inst.real_counts[ad.ad_type]])
     payments = dict.fromkeys(inst.real_ads(), 0.0)
-    for slot, ad in sol.matching.pairs:
-        if ad.rank < inst.real_counts[ad.ad_type]:
-            payments[ad] = prices[slot]
-    return PricedOutcome(sol.matching, payments, "vcg")
+    payments.update((ad, prices[slot]) for slot, ad in winners.pairs)
+    return PricedOutcome(winners, payments, "vcg")
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +243,7 @@ def reserve_mechanism(reserves: ReserveVector | Mapping | None) -> Callable:
     """Mechanism closure for audits: remaps the reserves when ranks shift."""
     base = reserves if isinstance(reserves, ReserveVector) else ReserveVector(reserves)
 
-    def run(inst: Instance, ad_map: Mapping[AdRef, AdRef] | None = None):
+    def run(inst: Instance, ad_map: Mapping[AdRef, AdRef] | None):
         res = base.remap(ad_map) if ad_map else base
         return price_with_reserves(inst, res)
 
@@ -250,7 +251,7 @@ def reserve_mechanism(reserves: ReserveVector | Mapping | None) -> Callable:
 
 
 def vcg_mechanism() -> Callable:
-    def run(inst: Instance, ad_map=None):
+    def run(inst: Instance, ad_map):
         return vcg_outcome(inst)
 
     return run
@@ -355,7 +356,7 @@ def _scan_payment(run, filtered: Instance, probe: AdRef, lo: float,
 
 
 def myerson_greedy_outcome(inst: Instance,
-                           reserves: ReserveVector | Mapping | None = None
+                           reserves: ReserveVector | Mapping | None
                            ) -> PricedOutcome:
     """Greedy allocation priced by the bid-sweep identity (greedy's
     allocation curve is monotone, so the payments are incentive compatible).

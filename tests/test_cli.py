@@ -171,6 +171,23 @@ def test_price_myerson_greedy(fixtures_dir, tmp_path):
     assert _read(out)["mechanism"] == "myerson-greedy"
 
 
+def test_price_mechanisms_list_only_real_winners(tmp_path):
+    # three slots, one ad per type: the solver fills slot 2 with a
+    # zero-value padding ad, which no mechanism may list as assigned
+    inst = tmp_path / "short.json"
+    inst.write_text(json.dumps({"num_slots": 3, "types": [
+        {"name": "a", "values": [5.0], "discounts": [1.0, 0.5, 0.25]},
+        {"name": "b", "values": [4.0], "discounts": [1.0, 0.6, 0.3]}]}))
+    assignments = []
+    for mechanism in ("vcg", "reserve", "myerson-greedy"):
+        out = tmp_path / f"{mechanism}.json"
+        assert run(["price", "--in", str(inst), "--mechanism", mechanism,
+                    "--out", str(out)]) == 0
+        assignments.append(_read(out)["assignment"])
+    assert assignments == [[{"slot": 0, "type": 0, "rank": 0},
+                            {"slot": 1, "type": 1, "rank": 0}]] * 3
+
+
 def test_gen_deterministic_bytes(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     args = ["gen", "--family", "random", "--seed", "9", "--n", "5",
@@ -205,8 +222,16 @@ def test_gen_assignment_family(tmp_path, capsys):
     out = tmp_path / "asg.json"
     assert run(["gen", "--family", "assignment", "--n", "4", "--seed", "2",
                 "--out", str(out)]) == 0
-    assert "offset=" in capsys.readouterr().out
+    assert "offset=" in capsys.readouterr().err
     assert len(_read(out)["types"]) == 4
+
+
+def test_gen_assignment_family_stdout_is_the_instance(capsys):
+    # the offset goes to stderr, so stdout redirected to a file is valid JSON
+    assert run(["gen", "--family", "assignment", "--n", "2"]) == 0
+    captured = capsys.readouterr()
+    assert len(json.loads(captured.out)["types"]) == 2
+    assert "offset=" in captured.err
 
 
 def test_guard_refusal_exit_code(tmp_path):

@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from adtypes.core import (
     Matching,
     TypeSpec,
     ValidationError,
+    scaled_tol,
     tol_for,
     welfare,
 )
@@ -162,6 +164,68 @@ def test_certify_fails_on_a_priced_empty_slot():
     inst = Instance(1, [TypeSpec("t", [5.0], [1.0])])
     empty = OptimalSolution(Matching({}), DualSolution(((0.0,),), (5.0,)), 0.0)
     assert not certify(inst, empty).passed
+
+
+def _dense_slack_findings(inst: Instance, sol: OptimalSolution):
+    """The feasibility and tightness findings of a certificate, read off the
+    whole k×n×n slack array at once: the messages and the worst of them."""
+    tol = scaled_tol(inst)
+    u, p = np.asarray(sol.duals.u), np.asarray(sol.duals.p)
+    outer = np.array([np.outer(s.values, s.discounts) for s in inst.types])
+    slack = u[:, :, None] + p - outer
+    msgs, worst = [], 0.0
+    min_slack = float(slack.min())
+    if min_slack < -tol:
+        msgs.append(f"dual infeasible: worst edge slack {min_slack:g}")
+        worst = -min_slack
+    for slot, ad in sol.matching.pairs:
+        resid = abs(float(slack[ad.ad_type, ad.rank, slot]))
+        if resid > tol:
+            msgs.append(f"matched edge slot {slot} not tight "
+                        f"(residual {resid:g})")
+            worst = max(worst, resid)
+    return msgs, worst
+
+
+@pytest.mark.parametrize("c", [1.0, 1e7, 1e12])
+def test_certify_matches_a_dense_slack_reference(c):
+    # certify forms one slot's k×n slack column at a time; on the solvers'
+    # duals and on corrupted ones it must find what the dense array shows
+    for seed in range(40):
+        inst = _scaled(gen_exact_random(seed), c)
+        rng = np.random.default_rng(seed)
+        for solver in (solve_adtypes, solve_generic_hungarian):
+            sol = solver(inst)
+            u, p = np.array(sol.duals.u), np.array(sol.duals.p)
+            low_p, high_u = p.copy(), u.copy()
+            low_p[rng.integers(p.size)] -= c * rng.uniform(0.5, 3.0)
+            high_u[tuple(rng.integers(u.shape))] += c * rng.uniform(0.5, 3.0)
+            for uu, pp in ((u, p), (u, low_p), (high_u, p)):
+                case = OptimalSolution(
+                    sol.matching,
+                    DualSolution(tuple(map(tuple, uu.tolist())),
+                                 tuple(pp.tolist())), sol.welfare)
+                report = certify(inst, case)
+                msgs, worst = _dense_slack_findings(inst, case)
+                found = [m for m in report.messages
+                         if m.startswith(("dual infeasible", "matched edge"))]
+                assert found == msgs, (seed, solver.__name__)
+                assert report.worst_violation >= worst
+                assert report.passed == (uu is u and pp is p)
+
+
+def test_certify_memory_is_linear_in_the_slots():
+    # one dense k×n×n float array at n=300, k=4 takes 2,880 KB; certify
+    # must stay below an eighth of it
+    inst = gen_scaling_instance(300, 4, 0)
+    sol = solve_adtypes(inst)
+    tracemalloc.start()
+    try:
+        assert certify(inst, sol).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 300 * 300 * 8 // 8, peak
 
 
 @pytest.mark.parametrize("discounts", [[1e308, 1.0], [1.0, 1.0]])

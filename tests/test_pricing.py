@@ -100,22 +100,21 @@ def test_fast_equals_naive_exactly_on_dyadic_instances():
 def test_pointwise_minimality_literal():
     # at the returned prices, every positive price sits within 1e-6 of a
     # binding feasibility constraint
-    from adtypes.core import edge_matrix
+    from adtypes.core import edge_value
 
     for seed in range(60):
         inst = gen_exact_random(seed)
         sol = solve_adtypes(inst)
         prices = vcg_prices_fast(inst, sol)
-        values = edge_matrix(inst)
         winners = sol.matching.as_dict()
         u = {}
         for slot, ad in winners.items():
-            u[ad] = values[ad.ad_type, ad.rank, slot] - prices[slot]
+            u[ad] = edge_value(inst, ad, slot) - prices[slot]
         for slot, price in enumerate(prices):
             assert price >= -1e-12
             if price > 0:
                 ad = winners[slot]
-                slackest = u[ad] + price - values[ad.ad_type, ad.rank, slot]
+                slackest = u[ad] + price - edge_value(inst, ad, slot)
                 assert slackest <= 1e-6, f"seed {seed} slot {slot}"
 
 
@@ -233,7 +232,7 @@ def test_myerson_greedy_refuses_a_sweep_over_the_guard(monkeypatch):
 
     monkeypatch.setattr(pricing, "solve_greedy", counted)
     with pytest.raises(GuardError, match="4391 probes"):
-        myerson_greedy_outcome(_sweep_instance())
+        myerson_greedy_outcome(_sweep_instance(), None)
     assert len(runs) == 1
 
 
@@ -261,7 +260,7 @@ def test_myerson_scan_prices_a_fitting_window_exactly():
 
 def test_myerson_greedy_outcome_consistent():
     inst = gen_greedy_tight(0.25)
-    out = myerson_greedy_outcome(inst)
+    out = myerson_greedy_outcome(inst, None)
     assert out.mechanism == "myerson-greedy"
     assert out.min_raw_payment >= -1e-9
     for ad, pay in out.payments.items():
