@@ -27,6 +27,7 @@ from .core import (
     matching_from_list,
     matching_to_list,
     read_json,
+    real_pairs,
     tol_for,
     welfare,
 )
@@ -59,6 +60,11 @@ def _write_json(obj, path) -> None:
 
 def _solution_dict(algo: str, inst: Instance, matching: Matching,
                    duals) -> dict:
+    """The solution document.  Its assignment lists real ads only: a slot
+    a solver filled with a zero-value padding ad is written as empty, which
+    changes neither the welfare nor, since such an edge is tight at zero,
+    what the duals certify."""
+    matching = real_pairs(inst, matching)
     out = {
         "algo": algo,
         "welfare": welfare(inst, matching),

@@ -262,6 +262,13 @@ def welfare(inst: Instance, m: Matching) -> float:
     return sum(edge_value(inst, ad, slot) for slot, ad in m.pairs)
 
 
+def real_pairs(inst: Instance, m: Matching) -> Matching:
+    """``m`` less the slots it fills with zero-value padding ads: the
+    assignment every solver and mechanism writes out."""
+    return Matching([(slot, ad) for slot, ad in m.pairs
+                     if ad.rank < inst.real_counts[ad.ad_type]])
+
+
 def with_bid(inst: Instance, ad: AdRef, bid: float):
     """Rebuild the instance with ``ad`` bidding ``bid`` instead of its value.
 

@@ -9,7 +9,8 @@ Four pricing routes:
   the externality;
 * reserve pricing without changepoint computation: each winner pays the
   welfare with its bid lowered to its reserve less the others' welfare now,
-  one re-solve per winner;
+  that welfare read off the same certified duals by one more shortest-path
+  pass over the slots per winner, so the allocator runs once;
 * a bid-sweep oracle that prices any monotone allocation rule by summing
   bid x allocation-jump over its changepoints, found where welfare tangents
   cross when the allocator returns an :class:`OptimalSolution`, and by
@@ -38,6 +39,7 @@ from .core import (
     ValidationError,
     edge_value,
     ensure_valid,
+    real_pairs,
     scaled_tol,
     tol_for,
     with_bid,
@@ -89,50 +91,148 @@ class ReserveVector:
 
 
 # ---------------------------------------------------------------------------
+# Shortest paths over the slots of a certified solution
+
+def _dijkstra(start: np.ndarray, via: Callable) -> np.ndarray:
+    """Distances over the slots from the start distances ``start``: settle
+    the nearest unsettled slot x, lower each unsettled slot's distance to
+    ``via(x, dist[x])`` where that is smaller, repeat.  The lengths are
+    reduced costs, never negative, so each slot settles once.  A slot that
+    starts and stays infinite is never settled."""
+    work = start.copy()
+    dist = np.full_like(start, np.inf)
+    settled = np.zeros_like(start)  # inf once settled, so no via lowers it
+    for _ in range(len(start)):
+        x = int(work.argmin())
+        d = float(work[x])
+        if d == np.inf:
+            break
+        dist[x] = d
+        settled[x] = work[x] = np.inf
+        np.minimum(work, via(x, d) + settled, out=work)
+    return dist
+
+
+class _SlotPaths:
+    """What changing one winner costs the others, read off a certified
+    solution by Dijkstra over the slots, with no re-solve.
+
+    Write ``M`` for the certified matching and ``slack(a, s) = u_a + p_s -
+    v_a * alpha_{t(a), s}`` for ad a's reduced cost in slot s.  The duals are feasible, so every slack is
+    non-negative, and tight, so a matched edge's slack is 0; a loser has
+    ``u = 0`` and an empty slot ``p = 0``, so the welfare ``W`` is the sum
+    of all duals.  Hence any matching falls short of ``W`` by the slacks of
+    its edges plus the duals it leaves uncovered: ``u`` for each ad it does
+    not place and ``p`` for each slot it leaves empty.  Every term is
+    non-negative, so the best matching after a change is a shortest path
+    with non-negative lengths (Tomizawa 1971; Mills-Tettey, Stentz & Dias
+    2007, "The Dynamic Hungarian Algorithm"), and Dijkstra finds it.
+
+    * ``vacate[y]``, the first pass: the least shortfall of repairing a
+      vacancy at slot y.  The vacancy is left open (``p_y``), filled by a
+      loser (its slack; each type's lowest-rank loser is the cheapest), or
+      filled by the ad of a slot s, which moves the vacancy to s
+      (``vacate[s] + slack(ad at s, y)``).  Slot y's VCG price is
+      ``p_y - vacate[y]``, and without the winner i at slot ``s_i`` the
+      others' best welfare is ``W_{-i} = W - u_i - vacate[s_i]``.
+    * :meth:`lowered_welfare`, one more pass per winner: the welfare with i
+      bidding r.  Either i is left out (``W_{-i}``), or it takes a slot j
+      and earns ``r * alpha_{t_i, j}``, the others keeping ``W - u_i - p_j``
+      less ``room[j]``, the least cost of making room at j once i has
+      left ``s_i``.  The ad at j is displaced: it is dropped (``u``) and
+      the vacancy at ``s_i`` is repaired apart (``vacate[s_i]``); or it
+      takes another slot x, displacing x's ad in turn (``room[x] +
+      slack(ad at j, x)``); or it takes ``s_i`` itself, which closes the
+      chain at no further cost (``room[s_i] = 0``).  An empty slot is
+      room at ``vacate[s_i]``, and nothing moves out of one.
+
+    Why one pass per winner is exact.  With i left out and slot j taken,
+    the others' best is ``W - u_i - p_j`` less the least shortfall, counted
+    as above, of a matching of the other ads into the other slots.  Compare
+    such a matching with ``M`` less i and less j's ad: their symmetric
+    difference is alternating paths and cycles.  A component that touches
+    neither deficient vertex (j's displaced ad, the vacancy at ``s_i``)
+    falls short by at least 0, so undoing it loses nothing.  That leaves
+    one chain from the displaced ad into ``s_i``, or two disjoint chains,
+    one from each: the two-chain case, where the chain from j drops an ad
+    while ``s_i`` is refilled from outside.  ``room`` prices that second
+    chain by ``vacate[s_i]``, which was computed with slot j and its ad in
+    place, so the two chains it pairs may share a slot z.  The pair still
+    costs no less than some matching: follow the chain from j up to z and
+    then the other one backwards from z into ``s_i``; that is one chain
+    into ``s_i``, and what it cuts off has non-negative length.  So the
+    least cost over the pairs ``room`` prices is the least over matchings.
+    ``W_{-i}`` is the one-deficiency case: the vacancy at ``s_i`` alone.
+
+    Each pass settles n slots and reads one row or column of the k x n
+    discount table per settle: O(n(k + n)) time and O(kn) memory.
+    """
+
+    def __init__(self, inst: Instance, sol: OptimalSolution):
+        n = inst.num_slots
+        u = np.asarray(sol.duals.u, dtype=float)
+        self.p = p = np.asarray(sol.duals.p, dtype=float)
+        self.disc = disc = np.array([spec.discounts for spec in inst.types])
+        self.slot_disc = disc.T.copy()  # slot_disc[x][t] == disc[t][x]
+        self.welfare = sol.welfare
+        # per slot: its ad's type, value and utility; an empty slot has no
+        # ad to move, so nothing leaves it (utility inf)
+        self.t_at = t_at = np.zeros(n, dtype=int)
+        self.v_at = v_at = np.zeros(n)
+        self.u_at = u_at = np.full(n, np.inf)
+        matched = np.zeros(u.shape, dtype=bool)
+        for slot, ad in sol.matching.pairs:
+            t_at[slot], v_at[slot] = ad.ad_type, inst.value_of(ad)
+            u_at[slot] = u[ad.ad_type, ad.rank]
+            matched[ad.ad_type, ad.rank] = True
+        self.filled = np.isfinite(u_at)
+        start = p.copy()
+        for t, spec in enumerate(inst.types):
+            free = np.flatnonzero(~matched[t])
+            if free.size:
+                r = free[0]
+                np.minimum(start, u[t, r] + p - spec.values[r] * disc[t],
+                           out=start)
+        start[~self.filled] = np.inf
+        # the ad at s moves into each other slot
+        self.vacate = _dijkstra(start, lambda s, d: d + u_at[s] + p
+                                - v_at[s] * disc[t_at[s]])
+
+    def lowered_welfare(self, s_i: int, r: float) -> float:
+        """The welfare with the ad at slot ``s_i`` bidding ``r``."""
+        p, t_at, v_at, slot_disc = self.p, self.t_at, self.v_at, self.slot_disc
+        u_at = self.u_at.copy()
+        u_at[s_i] = np.inf  # the ad at s_i is gone: nothing moves out
+        room = np.where(self.filled, self.u_at, 0.0) + self.vacate[s_i]
+        room[s_i] = 0.0
+        # the ad at each other slot moves into x
+        room = _dijkstra(room, lambda x, d: u_at - v_at * slot_disc[x][t_at]
+                         + (d + p[x]))
+        others = self.welfare - self.u_at[s_i]
+        placed = r * self.disc[t_at[s_i]] + others - p - room
+        return max(others - self.vacate[s_i], float(placed.max()))
+
+
+# ---------------------------------------------------------------------------
 # VCG
 
 def vcg_prices_fast(inst: Instance, sol: OptimalSolution) -> tuple[float, ...]:
     """Point-wise minimal competitive-equilibrium slot prices, which are the
     VCG prices, from a certified solution in one shortest-path pass.
 
-    Lowering slot j's price by ``d_j`` raises its ad's utility as much.  With
-    ``slack = u + p - v >= 0``, feasibility caps ``d_j`` by ``p_j``, by
-    ``slack(i, j)`` for each unmatched ad i (the lowest-rank one of each type
-    is the tightest) and by ``d_s + slack(ad at s, j)`` for each slot s; the
-    greatest such ``d`` is Dijkstra's distance over the slots, and slot j's
-    price is ``p_j - d_j``.  A slot with no ad keeps its price.
+    Lowering slot j's price by ``d_j`` raises its ad's utility as much.
+    Feasibility caps ``d_j`` by ``p_j``, by the slack of each loser in j and
+    by ``d_s + slack(ad at s, j)`` for each slot s; the greatest such ``d``
+    is the distance ``vacate`` of :class:`_SlotPaths`, and slot j's price is
+    ``p_j - d_j``.  A slot with no ad keeps its price.
     """
     report = certify(inst, sol)
     if not report.passed:
         raise ValidationError(["solution fails certification: "
                                + "; ".join(report.messages)])
-    u = np.asarray(sol.duals.u, dtype=float)
-    p = np.asarray(sol.duals.p, dtype=float)
-    disc = [np.asarray(spec.discounts) for spec in inst.types]
-    ad_at: list[AdRef | None] = [None] * inst.num_slots
-    matched = np.zeros(u.shape, dtype=bool)
-    for slot, ad in sol.matching.pairs:
-        ad_at[slot] = ad
-        matched[ad.ad_type, ad.rank] = True
-    dist = p.copy()
-    for t, spec in enumerate(inst.types):
-        free = np.flatnonzero(~matched[t])
-        if free.size:
-            r = free[0]
-            np.minimum(dist, u[t, r] + p - spec.values[r] * disc[t], out=dist)
-    todo = np.array([ad is not None for ad in ad_at])
-    dist[~todo] = np.inf
-    prices = p.copy()
-    for _ in range(int(todo.sum())):
-        s = int(np.argmin(dist))
-        d_s = float(dist[s])
-        prices[s] = max(0.0, p[s] - d_s)
-        todo[s] = False
-        dist[s] = np.inf
-        t, r = ad_at[s].ad_type, ad_at[s].rank
-        np.minimum(dist, d_s + u[t, r] + p - inst.types[t].values[r] * disc[t],
-                   out=dist, where=todo)
-    return tuple(float(x) for x in prices)
+    paths = _SlotPaths(inst, sol)
+    return tuple(max(0.0, float(p - d)) if filled else float(p)
+                 for p, d, filled in zip(paths.p, paths.vacate, paths.filled))
 
 
 def vcg_prices_naive(inst: Instance) -> tuple[float, ...]:
@@ -155,8 +255,7 @@ def vcg_outcome(inst: Instance) -> PricedOutcome:
     ads only; slots the solver filled with zero-value padding are left out."""
     sol = solve_adtypes(inst)
     prices = vcg_prices_fast(inst, sol)
-    winners = Matching([(slot, ad) for slot, ad in sol.matching.pairs
-                        if ad.rank < inst.real_counts[ad.ad_type]])
+    winners = real_pairs(inst, sol.matching)
     payments = dict.fromkeys(inst.real_ads(), 0.0)
     payments.update((ad, prices[slot]) for slot, ad in winners.pairs)
     return PricedOutcome(winners, payments, "vcg")
@@ -205,10 +304,15 @@ def price_with_reserves(inst: Instance, reserves: ReserveVector | Mapping | None
     reserve bid.  With ``x`` its quantity now, ``W`` the welfare now and
     ``W(b -> r)`` the welfare with its bid lowered to its reserve, the reserve
     terms cancel and the charge is ``W(b -> r) - (W - x * b)``.  Bidders that
-    win nothing pay 0 without a re-solve, so ``allocator`` runs once plus
-    once per winner with positive quantity.  Requires an exact welfare
-    maximizer; the allocator's main run is certified and rejected if the
-    certificate fails.
+    win nothing pay 0.
+
+    ``allocator`` runs once, and its result is certified and rejected if the
+    certificate fails, so it must be an exact welfare maximizer with duals.
+    Each ``W(b -> r)`` then comes from those duals, not from a re-solve: one
+    shortest-path pass over the slots per winner with positive quantity
+    (:meth:`_SlotPaths.lowered_welfare`, where the proof is, the two-chain
+    case included).  That is O(n(k + n)) time per winner on top of the one
+    solve, in O(kn) memory.
     """
     ensure_valid(inst)
     if not isinstance(reserves, ReserveVector):
@@ -223,6 +327,7 @@ def price_with_reserves(inst: Instance, reserves: ReserveVector | Mapping | None
         raise ValidationError(["allocator output failed certification: "
                                + "; ".join(report.messages)])
     total = sol.welfare
+    paths = _SlotPaths(filtered, sol)
     payments = dict.fromkeys(inst.real_ads(), 0.0)
     min_raw = 0.0
     inv = {kept: orig for orig, kept in keep_map.items()}
@@ -231,8 +336,8 @@ def price_with_reserves(inst: Instance, reserves: ReserveVector | Mapping | None
         x_now = filtered.types[kept.ad_type].discounts[slot]
         if orig is None or x_now == 0.0:
             continue  # padding, or individual rationality caps it at 0
-        at_reserve = with_bid(filtered, kept, reserves.get(orig))[0]
-        raw = allocator(at_reserve).welfare - (total - x_now * inst.value_of(orig))
+        lowered = paths.lowered_welfare(slot, reserves.get(orig))
+        raw = lowered - (total - x_now * inst.value_of(orig))
         min_raw = min(min_raw, raw)
         payments[orig] = max(0.0, raw)
     m = Matching({slot: inv[ad] for slot, ad in sol.matching.pairs if ad in inv})

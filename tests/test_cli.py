@@ -171,21 +171,75 @@ def test_price_myerson_greedy(fixtures_dir, tmp_path):
     assert _read(out)["mechanism"] == "myerson-greedy"
 
 
-def test_price_mechanisms_list_only_real_winners(tmp_path):
-    # three slots, one ad per type: the solver fills slot 2 with a
-    # zero-value padding ad, which no mechanism may list as assigned
-    inst = tmp_path / "short.json"
-    inst.write_text(json.dumps({"num_slots": 3, "types": [
+def _short_instance(path):
+    # three slots, one ad per type: a solver may fill slot 2 with a
+    # zero-value padding ad
+    path.write_text(json.dumps({"num_slots": 3, "types": [
         {"name": "a", "values": [5.0], "discounts": [1.0, 0.5, 0.25]},
         {"name": "b", "values": [4.0], "discounts": [1.0, 0.6, 0.3]}]}))
+    return str(path)
+
+
+def test_price_mechanisms_list_only_real_winners(tmp_path):
+    # no mechanism may list the padding ad as assigned
+    inst = _short_instance(tmp_path / "short.json")
     assignments = []
     for mechanism in ("vcg", "reserve", "myerson-greedy"):
         out = tmp_path / f"{mechanism}.json"
-        assert run(["price", "--in", str(inst), "--mechanism", mechanism,
+        assert run(["price", "--in", inst, "--mechanism", mechanism,
                     "--out", str(out)]) == 0
         assignments.append(_read(out)["assignment"])
     assert assignments == [[{"slot": 0, "type": 0, "rank": 0},
                             {"slot": 1, "type": 1, "rank": 0}]] * 3
+
+
+@pytest.mark.parametrize("algo", ["adtypes", "generic", "greedy", "brute",
+                                  "gapdp", "two-type"])
+def test_solve_lists_only_real_ads(tmp_path, capsys, algo):
+    inst = _short_instance(tmp_path / "short.json")
+    out = tmp_path / "sol.json"
+    assert run(["solve", "--in", inst, "--algo", algo, "--out", str(out)]) == 0
+    sol = _read(out)
+    assert sol["assignment"] == [{"slot": 0, "type": 0, "rank": 0},
+                                 {"slot": 1, "type": 1, "rank": 0}]
+    assert sol["welfare"] == 5.0 + 4.0 * 0.6
+    # the trimmed assignment still certifies against the duals
+    assert (sol["duals"] is not None) == (algo in ("adtypes", "generic"))
+    assert run(["verify", "--in", inst, "--sol", str(out)]) == 0
+    assert "ok:" in capsys.readouterr().out
+
+
+def test_trimmed_solutions_certify(tmp_path, capsys):
+    # fewer ads than slots in some types, so padding fills slots; with it
+    # trimmed, the written duals still certify the written assignment
+    for seed in range(40):
+        doc = instance_to_dict(gen_random(GenConfig(
+            2 + seed % 7, 1 + seed % 3, seed, "uniform-real", "linear")))
+        for t, spec in enumerate(doc["types"]):
+            del spec["values"][(seed + t) % len(spec["values"]):]
+        inst = tmp_path / "in.json"
+        inst.write_text(json.dumps(doc))
+        for algo in ("adtypes", "generic"):
+            out = tmp_path / f"{algo}.json"
+            assert run(["solve", "--in", str(inst), "--algo", algo,
+                        "--out", str(out)]) == 0
+            assigned = _read(out)["assignment"]
+            assert all(e["rank"] < len(doc["types"][e["type"]]["values"])
+                       for e in assigned), (seed, algo)
+            assert run(["verify", "--in", str(inst), "--sol", str(out)]) == 0, \
+                (seed, algo, capsys.readouterr().out)
+
+
+def test_verify_accepts_a_solution_listing_padding(tmp_path, capsys):
+    # files written before padding was trimmed list slot 2's padding ad
+    inst = _short_instance(tmp_path / "short.json")
+    out = tmp_path / "sol.json"
+    assert run(["solve", "--in", inst, "--out", str(out)]) == 0
+    sol = _read(out)
+    sol["assignment"].append({"slot": 2, "type": 0, "rank": 1})
+    out.write_text(json.dumps(sol))
+    assert run(["verify", "--in", inst, "--sol", str(out)]) == 0
+    assert "ok: welfare 7.4, 3 slots assigned" in capsys.readouterr().out
 
 
 def test_gen_deterministic_bytes(tmp_path):

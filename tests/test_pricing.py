@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,13 @@ from adtypes.baseline import (
     solve_generic_hungarian,
     solve_greedy,
 )
-from adtypes.bench import GenConfig, gen_exact_random, gen_greedy_tight, gen_random
+from adtypes.bench import (
+    GenConfig,
+    gen_exact_random,
+    gen_greedy_tight,
+    gen_random,
+    gen_scaling_instance,
+)
 from adtypes.core import (
     AdRef,
     GuardError,
@@ -16,6 +24,7 @@ from adtypes.core import (
     Matching,
     TypeSpec,
     ValidationError,
+    tol_for,
     with_bid,
 )
 from adtypes.hungarian import DualSolution, OptimalSolution, solve_adtypes
@@ -157,6 +166,8 @@ def test_zero_reserves_equal_vcg_exactly_on_integer_fixtures():
 
 
 def test_reserve_pricing_resolves_only_for_winners():
+    # the lowered welfares come from the certified duals: the allocator runs
+    # once, whatever the number of winners
     for seed in range(30):
         inst = gen_exact_random(seed, max_n=6, max_k=3)
         reserves = {ad: 0.5 * inst.value_of(ad) for ad in inst.real_ads()[::2]}
@@ -167,13 +178,98 @@ def test_reserve_pricing_resolves_only_for_winners():
             return solve_adtypes(sub)
 
         out = price_with_reserves(inst, reserves, allocator=counting)
-        filtered, keep = filter_by_reserves(inst, ReserveVector(reserves))
-        sol = solve_adtypes(filtered)
-        positive = [ad for s, ad in sol.matching.pairs
-                    if ad in keep.values()
-                    and filtered.types[ad.ad_type].discounts[s] > 0]
-        assert len(calls) == 1 + len(positive), f"seed {seed}"
+        assert len(calls) == 1, f"seed {seed}"
         assert out == price_with_reserves(inst, reserves)
+
+
+def _resolved_payments(inst, reserves):
+    """Reserve payments by definition: one re-solve per winner with its bid
+    lowered to its reserve, charged ``W(b -> r) - (W - x * b)``."""
+    rv = ReserveVector(reserves)
+    filtered, keep = filter_by_reserves(inst, rv)
+    sol = solve_adtypes(filtered)
+    payments = dict.fromkeys(inst.real_ads(), 0.0)
+    for orig, kept in keep.items():
+        slot = sol.matching.slot_of(kept)
+        x = 0.0 if slot is None else filtered.types[kept.ad_type].discounts[slot]
+        if x == 0.0:
+            continue
+        lowered = solve_adtypes(with_bid(filtered, kept, rv.get(orig))[0])
+        raw = lowered.welfare - (sol.welfare - x * inst.value_of(orig))
+        payments[orig] = max(0.0, raw)
+    return payments
+
+
+def test_lowered_welfares_match_the_resolve_oracle():
+    # every value and discount family; n <= 15 and k <= 4, so padding ads
+    # and zero-discount (step) slots occur
+    checked = 0
+    for seed in range(180):
+        rng = np.random.default_rng(seed + 7000)
+        dist = ("uniform-int", "uniform-real", "pareto")[seed % 3]
+        fam = ("geometric", "linear", "step")[seed // 3 % 3]
+        inst = gen_random(GenConfig(int(rng.integers(1, 16)),
+                                    int(rng.integers(1, 5)), seed, dist, fam))
+        sol = solve_adtypes(inst)
+        paths = pricing._SlotPaths(inst, sol)
+        for slot, ad in sol.matching.pairs:
+            value = inst.value_of(ad)
+            for r in (0.0, value, float(rng.uniform(0.0, value))):
+                got = paths.lowered_welfare(slot, r)
+                want = solve_adtypes(with_bid(inst, ad, r)[0]).welfare
+                assert abs(got - want) <= tol_for(want), (seed, slot, r)
+                checked += 1
+    assert checked > 3000
+
+
+def test_reserve_payments_equal_resolving_bit_for_bit_on_exact_instances():
+    # dyadic values, discounts and reserves: every sum is exact, so the
+    # duals' route and the re-solves give the same floats
+    positive = 0
+    for seed in range(300):
+        inst = gen_exact_random(seed)
+        rng = np.random.default_rng(seed + 8000)
+        reserves = {ad: float(rng.integers(0, 65)) / 4
+                    for ad in inst.real_ads() if rng.random() < 0.5}
+        out = price_with_reserves(inst, reserves)
+        assert out.payments == _resolved_payments(inst, reserves), f"seed {seed}"
+        positive += sum(pay > 0 for pay in out.payments.values())
+    assert positive > 500
+
+
+def test_reserve_pricing_memory_is_linear_in_the_slots():
+    # one dense n x n float array at n=300 takes 720 KB; the passes over
+    # the slots must stay below a quarter of it
+    inst = gen_scaling_instance(300, 4, 0)
+    sol = solve_adtypes(inst)
+    tracemalloc.start()
+    try:
+        paths = pricing._SlotPaths(inst, sol)
+        for slot, ad in sol.matching.pairs[::30]:
+            paths.lowered_welfare(slot, 0.5 * inst.value_of(ad))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 300 * 300 * 8 // 4, peak
+
+
+def test_lowered_welfare_two_chain_case():
+    # Lowering A (30 -> 10) moves it from slot 0 to slot 1.  The ad there,
+    # B, is dropped, and slot 0 is refilled from outside by C, which is
+    # worth more there than B: 6 + 9 = 15.  The one-chain repair (B moves
+    # up into slot 0) gives only 4 + 9 = 13.
+    inst = Instance(2, [TypeSpec("A", [30.0], [1.0, 0.9]),
+                        TypeSpec("B", [4.0], [1.0, 1.0]),
+                        TypeSpec("C", [6.0], [1.0, 0.0])])
+    sol = solve_adtypes(inst)
+    assert sol.matching == Matching({0: AdRef(0, 0), 1: AdRef(1, 0)})
+    lowered = solve_adtypes(with_bid(inst, AdRef(0, 0), 10.0)[0])
+    assert lowered.matching == Matching({0: AdRef(2, 0), 1: AdRef(0, 0)})
+    assert lowered.welfare == 15.0
+    assert pricing._SlotPaths(inst, sol).lowered_welfare(0, 10.0) == 15.0
+    out = price_with_reserves(inst, {AdRef(0, 0): 10.0})
+    assert out.payments == _resolved_payments(inst, {AdRef(0, 0): 10.0})
+    assert out.payments[AdRef(0, 0)] == 15.0 - (34.0 - 30.0)
 
 
 def test_myerson_lone_bidder_reserve():
