@@ -3,6 +3,11 @@
 Thin adapters over the library; all interchange happens through the JSON
 instance/solution/priced-outcome schemas and the bench CSV.  Exit codes:
 0 success, 1 validation failure, 2 size-guard refusal, 64 usage error.
+
+Each handler imports the modules it runs, so a call loads only what its
+command needs: ``solve`` (any ``--algo``) and ``verify`` of a solution
+without duals never import numpy; ``price``, ``gen``, ``bench`` and
+``verify`` with duals do.
 """
 from __future__ import annotations
 
@@ -12,7 +17,7 @@ import math
 import sys
 from operator import index
 
-from . import baseline, bench, gapdp, hungarian, pricing
+from . import hungarian
 from .core import (
     AdRef,
     GuardError,
@@ -86,19 +91,22 @@ def _cmd_solve(args) -> int:
         if args.trace:
             print(*sol.stats.trace_lines(), sep="\n", file=sys.stderr)
         out = _solution_dict(algo, inst, sol.matching, sol.duals)
-    elif algo == "generic":
-        sol = baseline.solve_generic_hungarian(inst)
-        out = _solution_dict(algo, inst, sol.matching, sol.duals)
-    elif algo == "greedy":
-        out = _solution_dict(algo, inst, baseline.solve_greedy(inst), None)
-    elif algo == "brute":
-        out = _solution_dict(algo, inst, baseline.solve_bruteforce(inst), None)
-    elif algo == "gapdp":
-        out = _solution_dict(algo, inst, gapdp.solve_gap_dp(inst), None)
-    elif algo == "two-type":
-        out = _solution_dict(algo, inst, gapdp.solve_two_type_dp(inst), None)
-    else:  # pragma: no cover - argparse restricts choices
-        raise _UsageError(f"unknown algorithm {algo}")
+    elif algo in ("gapdp", "two-type"):
+        from . import gapdp  # here, so the other solvers never load it
+        dp = gapdp.solve_gap_dp if algo == "gapdp" else gapdp.solve_two_type_dp
+        out = _solution_dict(algo, inst, dp(inst), None)
+    else:
+        from . import baseline  # here, so the other solvers never load it
+        if algo == "generic":
+            sol = baseline.solve_generic_hungarian(inst)
+            out = _solution_dict(algo, inst, sol.matching, sol.duals)
+        elif algo == "greedy":
+            out = _solution_dict(algo, inst, baseline.solve_greedy(inst), None)
+        elif algo == "brute":
+            out = _solution_dict(algo, inst, baseline.solve_bruteforce(inst),
+                                 None)
+        else:  # pragma: no cover - argparse restricts choices
+            raise _UsageError(f"unknown algorithm {algo}")
     _write_json(out, args.out)
     return EXIT_OK
 
@@ -122,6 +130,8 @@ def _load_reserves(path) -> dict[AdRef, float]:
 
 
 def _cmd_price(args) -> int:
+    from . import pricing  # here, so other commands never load numpy
+
     if args.reserves is not None and args.mechanism == "vcg":
         raise _UsageError("--mechanism vcg charges no reserves; "
                           "use --mechanism reserve to price with them")
@@ -140,6 +150,8 @@ def _cmd_price(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    from . import bench  # here, so other commands never load numpy
+
     if args.family == "random":
         inst = bench.gen_random(bench.GenConfig(
             args.n, args.k, args.seed, args.values, args.discounts))
@@ -148,6 +160,7 @@ def _cmd_gen(args) -> int:
     elif args.family == "mis":
         if not args.graph:
             raise _UsageError("--graph is required for the mis family")
+        from . import gapdp  # here, so the other families never load it
         with open(args.graph) as fh:
             g = gapdp.parse_graph_text(fh.read())
         inst = gapdp.mis_to_adtypes(g)
@@ -174,6 +187,8 @@ def _parse_sizes(text: str) -> list[tuple[int, int]]:
 
 
 def _cmd_bench(args) -> int:
+    from . import bench  # here, so other commands never load numpy
+
     report = bench.bench_scaling(_parse_sizes(args.sizes), args.reps,
                                  seed=args.seed)
     text = report.to_csv()
@@ -231,8 +246,10 @@ def _cmd_verify(args) -> int:
         stated = w
     if not abs(stated - w) <= tol_for(w):
         failures.append(f"stated welfare {stated!r} != recomputed {w!r}")
-    if has_gap_rules(inst) and not gapdp.check_gap_feasible(inst, matching):
-        failures.append("assignment violates gap rules")
+    if has_gap_rules(inst):
+        from . import gapdp  # here, so gap-free instances never load it
+        if not gapdp.check_gap_feasible(inst, matching):
+            failures.append("assignment violates gap rules")
     if duals is not None:
         sol = hungarian.OptimalSolution(matching, duals, stated)
         cert = hungarian.certify(inst, sol)
@@ -243,7 +260,7 @@ def _cmd_verify(args) -> int:
         print(f"violation: {f}")
     if failures:
         return EXIT_INVALID
-    print(f"ok: welfare {w!r}, {len(matching)} slots assigned")
+    print(f"ok: welfare {w!r}, {len(real_pairs(inst, matching))} slots assigned")
     return EXIT_OK
 
 

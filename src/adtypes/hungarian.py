@@ -44,8 +44,6 @@ from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import accumulate
 
-import numpy as np
-
 from .core import (
     AdRef,
     Instance,
@@ -362,6 +360,8 @@ def certify(inst: Instance, sol: OptimalSolution) -> CertificateReport:
     memory.  The per-edge checks allow :func:`~adtypes.core.scaled_tol`,
     the welfare checks :func:`~adtypes.core.tol_for` the welfare.  Every
     check is written so that a NaN fails it."""
+    import numpy as np  # here, so a solve alone never loads it
+
     msgs: list[str] = []
     edge_tol = scaled_tol(inst)
     worst = 0.0
@@ -440,6 +440,8 @@ def crossing_violations(inst: Instance, duals: DualSolution) -> list[tuple]:
     (i',j) tight, within :func:`~adtypes.core.scaled_tol`.  Feasible duals
     admit none; equal-value or equal-discount pairs are exempt since either
     order is then interchangeable."""
+    import numpy as np  # here, so a solve alone never loads it
+
     out = []
     tol = scaled_tol(inst)
     u = np.asarray(duals.u)
