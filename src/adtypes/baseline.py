@@ -231,28 +231,38 @@ def candidate_bids(inst: Instance, ad: AdRef) -> list[float]:
                   | {e / d for e in rival_values for d in own_discounts})
 
 
-def greedy_quantity(inst: Instance, ad: AdRef, bid: float) -> float:
-    """The discount the probed ad receives from greedy at ``bid``."""
-    probe_inst, probe_ref, _ = with_bid(inst, ad, bid)
-    slot = solve_greedy(probe_inst).slot_of(probe_ref)
-    return 0.0 if slot is None else probe_inst.types[ad.ad_type].discounts[slot]
+def received_discount(inst: Instance, out, ad: AdRef) -> float:
+    """The discount ``ad`` gets in ``out`` (matching or solution), or 0."""
+    m = out.matching if isinstance(out, OptimalSolution) else out
+    slot = m.slot_of(ad)
+    return 0.0 if slot is None else inst.types[ad.ad_type].discounts[slot]
+
+
+def bid_sweep(inst: Instance, ad: AdRef, allocator, cuts: list[float],
+              top: float) -> list[tuple[float, float]]:
+    """``(bid, quantity)`` of the probed ad under ``allocator`` at the
+    midpoint of each pair of consecutive ``cuts``, then at ``top``; refused
+    past :data:`MAX_SWEEP_PROBES` probes."""
+    check_sweep(ad, len(cuts))
+    sweep = []
+    for bid in [(a + b) / 2 for a, b in zip(cuts, cuts[1:])] + [top]:
+        probe, ref, _ = with_bid(inst, ad, bid)
+        sweep.append((bid, received_discount(probe, allocator(probe), ref)))
+    return sweep
 
 
 def greedy_allocation_curve(inst: Instance, ad: AdRef) -> AllocationCurve:
-    """Sweep the probed ad's bid over every candidate threshold, re-running
-    greedy at interval midpoints (greedy is constant between consecutive
-    candidates, so midpoints determine the curve exactly); refused past
-    :data:`MAX_SWEEP_PROBES` candidates."""
+    """Greedy's curve for the probed ad: :func:`bid_sweep` over every
+    candidate bid (greedy is constant between consecutive candidates, so
+    the midpoints determine the curve exactly), then one past the last."""
     ensure_valid(inst)
     if has_gap_rules(inst):
         raise ValidationError("allocation curves are defined without gap rules")
     cands = candidate_bids(inst, ad)
-    check_sweep(ad, len(cands))
-    probes = [(a + b) / 2 for a, b in zip(cands, cands[1:])] + [cands[-1] + 1.0]
+    sweep = bid_sweep(inst, ad, solve_greedy, cands, cands[-1] + 1.0)
     points: list[tuple[float, float]] = []
     prev_q = 0.0
-    for threshold, bid in zip(cands, probes):
-        q = greedy_quantity(inst, ad, bid)
+    for threshold, (_, q) in zip(cands, sweep):
         if q != prev_q:
             points.append((threshold, q))
             prev_q = q

@@ -180,15 +180,18 @@ def _parse_sizes(text: str) -> list[tuple[int, int]]:
     sizes = []
     for part in text.split(","):
         n, _, k = part.strip().partition(":")
-        if not k:
-            raise _UsageError(f"size {part!r} must look like n:k")
-        sizes.append((int(n), int(k)))
+        try:
+            sizes.append((int(n), int(k)))
+        except ValueError:
+            raise _UsageError(f"size {part!r} must look like n:k") from None
     return sizes
 
 
 def _cmd_bench(args) -> int:
     from . import bench  # here, so other commands never load numpy
 
+    if args.reps < 1:
+        raise _UsageError(f"--reps must be at least 1, not {args.reps}")
     report = bench.bench_scaling(_parse_sizes(args.sizes), args.reps,
                                  seed=args.seed)
     text = report.to_csv()

@@ -14,8 +14,8 @@ Four pricing routes:
 * a bid-sweep oracle that prices any monotone allocation rule by summing
   bid x allocation-jump over its changepoints, found where welfare tangents
   cross when the allocator returns an :class:`OptimalSolution`, and by
-  probing candidate bids when it returns a bare :class:`Matching`; exact, or
-  refused with :class:`~adtypes.core.GuardError` when a sweep is too long.
+  :func:`~adtypes.baseline.bid_sweep` when it returns a bare :class:`Matching`;
+  exact, or refused with :class:`~adtypes.core.GuardError` when too long.
 
 Tolerances come from :mod:`adtypes.core`: certificates and utilities are
 compared within ``scaled_tol`` (relative to the largest edge value), welfare
@@ -45,7 +45,8 @@ from .core import (
     with_bid,
 )
 from .hungarian import OptimalSolution, certify, solve_adtypes
-from .baseline import candidate_bids, check_sweep, solve_greedy
+from .baseline import (bid_sweep, candidate_bids, check_sweep,
+                       received_discount, solve_greedy)
 
 
 class NonMonotoneAllocationError(RuntimeError):
@@ -76,7 +77,9 @@ class ReserveVector:
 
     by_ad: tuple[tuple[AdRef, float], ...]
 
-    def __init__(self, reserves: Mapping[AdRef, float] | None):
+    def __init__(self, reserves: Mapping[AdRef, float] | ReserveVector | None):
+        if isinstance(reserves, ReserveVector):
+            reserves = reserves._lookup
         items = tuple(sorted((reserves or {}).items()))
         if not all(math.isfinite(r) and r >= 0 for _, r in items):
             raise ValidationError("reserves must be finite and non-negative")
@@ -165,10 +168,15 @@ class _SlotPaths:
     ``W_{-i}`` is the one-deficiency case: the vacancy at ``s_i`` alone.
 
     Each pass settles n slots and reads one row or column of the k x n
-    discount table per settle: O(n(k + n)) time and O(kn) memory.
+    discount table per settle: O(n(k + n)) time and O(kn) memory.  A
+    solution that fails :func:`certify` is refused with ValidationError.
     """
 
     def __init__(self, inst: Instance, sol: OptimalSolution):
+        report = certify(inst, sol)
+        if not report.passed:
+            raise ValidationError(["solution fails certification: "
+                                   + "; ".join(report.messages)])
         n = inst.num_slots
         u = np.asarray(sol.duals.u, dtype=float)
         self.p = p = np.asarray(sol.duals.p, dtype=float)
@@ -226,10 +234,6 @@ def vcg_prices_fast(inst: Instance, sol: OptimalSolution) -> tuple[float, ...]:
     is the distance ``vacate`` of :class:`_SlotPaths`, and slot j's price is
     ``p_j - d_j``.  A slot with no ad keeps its price.
     """
-    report = certify(inst, sol)
-    if not report.passed:
-        raise ValidationError(["solution fails certification: "
-                               + "; ".join(report.messages)])
     paths = _SlotPaths(inst, sol)
     return tuple(max(0.0, float(p - d)) if filled else float(p)
                  for p, d, filled in zip(paths.p, paths.vacate, paths.filled))
@@ -289,11 +293,6 @@ def filter_by_reserves(inst: Instance, reserves: ReserveVector):
     return Instance(inst.num_slots, types, inst.gap), keep_map
 
 
-def _quantity(inst: Instance, m: Matching, ad: AdRef) -> float:
-    slot = m.slot_of(ad)
-    return 0.0 if slot is None else inst.types[ad.ad_type].discounts[slot]
-
-
 def price_with_reserves(inst: Instance, reserves: ReserveVector | Mapping | None,
                         allocator=solve_adtypes) -> PricedOutcome:
     """Incentive-compatible pricing with eager per-bidder reserves.
@@ -315,17 +314,12 @@ def price_with_reserves(inst: Instance, reserves: ReserveVector | Mapping | None
     solve, in O(kn) memory.
     """
     ensure_valid(inst)
-    if not isinstance(reserves, ReserveVector):
-        reserves = ReserveVector(reserves)
+    reserves = ReserveVector(reserves)
     filtered, keep_map = filter_by_reserves(inst, reserves)
     sol = allocator(filtered)
     if not isinstance(sol, OptimalSolution):
         raise ValidationError(["allocator must return a certifiable solution "
                                "with duals; inexact allocators are rejected"])
-    report = certify(filtered, sol)
-    if not report.passed:
-        raise ValidationError(["allocator output failed certification: "
-                               + "; ".join(report.messages)])
     total = sol.welfare
     paths = _SlotPaths(filtered, sol)
     payments = dict.fromkeys(inst.real_ads(), 0.0)
@@ -346,7 +340,7 @@ def price_with_reserves(inst: Instance, reserves: ReserveVector | Mapping | None
 
 def reserve_mechanism(reserves: ReserveVector | Mapping | None) -> Callable:
     """Mechanism closure for audits: remaps the reserves when ranks shift."""
-    base = reserves if isinstance(reserves, ReserveVector) else ReserveVector(reserves)
+    base = ReserveVector(reserves)
 
     def run(inst: Instance, ad_map: Mapping[AdRef, AdRef] | None):
         res = base.remap(ad_map) if ad_map else base
@@ -389,17 +383,13 @@ def myerson_changepoint_prices(inst: Instance, allocator, ad: AdRef,
         if b not in seen:
             inst_b, ref_b, _ = with_bid(inst, ad, b)
             out = allocator(inst_b)
-            if isinstance(out, OptimalSolution):
-                seen[b] = out.welfare, _quantity(inst_b, out.matching, ref_b)
-            else:
-                seen[b] = None, _quantity(inst_b, out, ref_b)
+            welfare = out.welfare if isinstance(out, OptimalSolution) else None
+            seen[b] = welfare, received_discount(inst_b, out, ref_b)
         return seen[b]
 
-    if bid == r:
-        return r * run(r)[1]
     if run(bid)[0] is not None:  # only an OptimalSolution carries a welfare
         return _envelope_payment(run, r, bid)
-    return _scan_payment(run, inst, ad, r, bid)
+    return _scan_payment(inst, ad, allocator, _sweep_cuts(inst, ad, r))
 
 
 def _envelope_payment(f, lo: float, hi: float) -> float:
@@ -435,29 +425,24 @@ def _envelope_payment(f, lo: float, hi: float) -> float:
     return payment
 
 
-def _sweep_cuts(filtered: Instance, probe: AdRef, lo: float,
-                hi: float) -> list[float]:
-    """The candidate bids of the probed ad's sweep window ``[lo, hi]``, both
-    ends included; GuardError when they are too many to probe."""
-    cands = candidate_bids(filtered, probe)
-    cuts = sorted({lo, hi} | {c for c in cands if lo < c < hi})
-    check_sweep(probe, len(cuts))
-    return cuts
+def _sweep_cuts(inst: Instance, probe: AdRef, lo: float) -> list[float]:
+    """The candidate bids of the probed ad's sweep window from ``lo`` up to
+    its value ``hi``, both ends included."""
+    hi, cands = inst.value_of(probe), candidate_bids(inst, probe)
+    return sorted({lo, hi} | {c for c in cands if lo < c < hi})
 
 
-def _scan_payment(run, filtered: Instance, probe: AdRef, lo: float,
-                  hi: float) -> float:
-    cuts = _sweep_cuts(filtered, probe, lo, hi)
-    # a probe at each interval's midpoint, then at hi itself
-    bids = [(a + b) / 2 for a, b in zip(cuts, cuts[1:])] + [hi]
-    quantities = [run(b)[1] for b in bids]
-    for i in range(len(bids) - 1):
-        if quantities[i + 1] < quantities[i] - 1e-12:
-            raise NonMonotoneAllocationError(bids[i], bids[i + 1],
-                                             quantities[i], quantities[i + 1])
+def _scan_payment(inst: Instance, probe: AdRef, allocator,
+                  cuts: list[float]) -> float:
+    """``hi * x(hi)`` less the area under the allocation curve over the
+    window ``cuts`` (``[lo, ..., hi]``), read off one :func:`bid_sweep`."""
+    sweep = bid_sweep(inst, probe, allocator, cuts, cuts[-1])
+    for (b_lo, q_lo), (b_hi, q_hi) in zip(sweep, sweep[1:]):
+        if q_hi < q_lo - 1e-12:
+            raise NonMonotoneAllocationError(b_lo, b_hi, q_lo, q_hi)
     area = sum(q * (cuts[i + 1] - cuts[i])
-               for i, q in enumerate(quantities[:-1]))
-    return hi * quantities[-1] - area
+               for i, (_, q) in enumerate(sweep[:-1]))
+    return cuts[-1] * sweep[-1][1] - area
 
 
 def myerson_greedy_outcome(inst: Instance,
@@ -466,24 +451,23 @@ def myerson_greedy_outcome(inst: Instance,
     """Greedy allocation priced by the bid-sweep identity (greedy's
     allocation curve is monotone, so the payments are incentive compatible).
     Exact, or :class:`~adtypes.core.GuardError` when a sweep is too long;
-    every winner's window is checked before the first probe."""
+    each winner's window is computed once and checked before any probe."""
     ensure_valid(inst)
-    if not isinstance(reserves, ReserveVector):
-        reserves = ReserveVector(reserves)
+    reserves = ReserveVector(reserves)
     filtered, keep_map = filter_by_reserves(inst, reserves)
     m = solve_greedy(filtered)
-    winners = [(orig, kept) for orig, kept in keep_map.items()
-               if m.slot_of(kept) is not None]
-    for orig, kept in winners:
-        _sweep_cuts(filtered, kept, reserves.get(orig), filtered.value_of(kept))
+    inv = {kept: orig for orig, kept in keep_map.items()}
+    windows = []
+    for kept in sorted(ad for _, ad in m.pairs if ad in inv):
+        cuts = _sweep_cuts(filtered, kept, reserves.get(inv[kept]))
+        check_sweep(kept, len(cuts))
+        windows.append((kept, cuts))
     payments = dict.fromkeys(inst.real_ads(), 0.0)
     min_raw = 0.0
-    for orig, kept in winners:
-        raw = myerson_changepoint_prices(
-            filtered, solve_greedy, kept, reserves.get(orig))
+    for kept, cuts in windows:
+        raw = _scan_payment(filtered, kept, solve_greedy, cuts)
         min_raw = min(min_raw, raw)
-        payments[orig] = max(0.0, raw)
-    inv = {kept: orig for orig, kept in keep_map.items()}
+        payments[inv[kept]] = max(0.0, raw)
     matching = Matching({s: inv[ad] for s, ad in m.pairs if ad in inv})
     return PricedOutcome(matching, payments, "myerson-greedy", min_raw)
 
@@ -514,7 +498,7 @@ def test_ic_deviation(inst: Instance, mechanism: Callable, ad: AdRef,
     """
     value = inst.value_of(ad)
     truth = mechanism(inst, None)
-    u_true = value * _quantity(inst, truth.matching, ad) - \
+    u_true = value * received_discount(inst, truth.matching, ad) - \
         truth.payments.get(ad, 0.0)
     report = DeviationReport(ad, u_true)
     tol = scaled_tol(inst)
@@ -525,7 +509,7 @@ def test_ic_deviation(inst: Instance, mechanism: Callable, ad: AdRef,
         ad_map = {AdRef(ad.ad_type, old): AdRef(ad.ad_type, new)
                   for old, new in rank_map.items()}
         out = mechanism(inst_b, ad_map)
-        u_dev = value * _quantity(inst_b, out.matching, ref_b) - \
+        u_dev = value * received_discount(inst_b, out.matching, ref_b) - \
             out.payments.get(ref_b, 0.0)
         report.tried.append((b, u_dev))
         if u_dev > u_true + tol:

@@ -6,13 +6,13 @@ from adtypes.baseline import (
     _greedy_with_type_order,
     candidate_bids,
     greedy_allocation_curve,
-    greedy_quantity,
+    received_discount,
     solve_bruteforce,
     solve_generic_hungarian,
     solve_greedy,
 )
 from adtypes.bench import GenConfig, gen_exact_random, gen_greedy_tight, gen_random
-from adtypes.core import AdRef, GuardError, Instance, TypeSpec, welfare
+from adtypes.core import AdRef, GuardError, Instance, TypeSpec, welfare, with_bid
 from adtypes.hungarian import certify, solve_adtypes
 
 
@@ -139,4 +139,6 @@ def test_greedy_quantity_matches_curve():
     probe = AdRef(0, 0)
     curve = greedy_allocation_curve(inst, probe)
     for bid in (0.1, 0.4, 0.9, 1.3, 2.4):
-        assert curve.quantity_at(bid) == greedy_quantity(inst, probe, bid)
+        probe_inst, ref, _ = with_bid(inst, probe, bid)
+        assert curve.quantity_at(bid) == received_discount(
+            probe_inst, solve_greedy(probe_inst), ref)

@@ -371,6 +371,18 @@ def test_bench_csv(tmp_path):
     assert len(lines) == 5
 
 
+@pytest.mark.parametrize("args, named", [
+    (["--sizes", "a:b"], "'a:b'"),
+    (["--sizes", "4:2:3"], "'4:2:3'"),
+    (["--sizes", "10:2", "--reps", "0"], "--reps"),
+    (["--sizes", "10:2", "--reps", "-3"], "--reps"),
+])
+def test_bench_malformed_arguments_are_usage_errors(args, named, capsys):
+    assert run(["bench", *args]) == 64
+    err = capsys.readouterr().err
+    assert "usage error:" in err and named in err
+
+
 def test_trace_flag(fixtures_dir, tmp_path, capsys):
     # one line per slot, printed from the solve's SolveStats.phases
     path = fixtures_dir / "example1.json"

@@ -69,15 +69,29 @@ def test_vcg_all_zero_values():
     assert vcg_prices_fast(inst, sol) == (0.0, 0.0)
 
 
-def test_vcg_rejects_uncertified_solution(two_bidders):
-    sol = solve_adtypes(two_bidders)
+def _uncertified(sol):
     u = [list(row) for row in sol.duals.u]
     u[0][0] += 5.0  # break tightness
-    broken = OptimalSolution(sol.matching,
-                             DualSolution(tuple(map(tuple, u)), sol.duals.p),
-                             sol.welfare)
+    return OptimalSolution(sol.matching,
+                           DualSolution(tuple(map(tuple, u)), sol.duals.p),
+                           sol.welfare)
+
+
+def test_vcg_rejects_uncertified_solution(two_bidders):
+    broken = _uncertified(solve_adtypes(two_bidders))
     with pytest.raises(ValidationError, match="certification"):
         vcg_prices_fast(two_bidders, broken)
+
+
+def test_reserve_pricing_rejects_an_allocator_without_duals(two_bidders):
+    with pytest.raises(ValidationError, match="certifiable solution"):
+        price_with_reserves(two_bidders, None, solve_greedy)
+
+
+def test_reserve_pricing_rejects_uncertified_duals(two_bidders):
+    with pytest.raises(ValidationError, match="certification"):
+        price_with_reserves(two_bidders, None,
+                            lambda inst: _uncertified(solve_adtypes(inst)))
 
 
 def test_fast_equals_naive_on_random_instances():
@@ -352,6 +366,59 @@ def test_myerson_scan_prices_a_fitting_window_exactly():
     expected = sum(c * (q1 - q0) for c, q0, q1 in zip(cuts[1:], qs, qs[1:]))
     assert myerson_changepoint_prices(inst, solve_greedy, ad, 0.0) \
         == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+def test_myerson_greedy_computes_each_window_once(monkeypatch):
+    calls = []
+
+    def counted(inst, ad):
+        calls.append(ad)
+        return candidate_bids(inst, ad)
+
+    monkeypatch.setattr(pricing, "candidate_bids", counted)
+    inst = gen_exact_random(3, max_n=6, max_k=3)
+    out = myerson_greedy_outcome(inst, None)
+    winners = sorted(ad for _, ad in out.matching.pairs)
+    assert len(winners) >= 3
+    assert calls == winners
+
+
+def test_myerson_greedy_payments_are_the_changepoint_sums():
+    # each winner pays r * q0 + sum of c_i * (q_i - q_(i-1)) over the
+    # candidate bids c_i of its window (r, value], where q_i is what greedy
+    # gives it just above c_i (at its value for the last) and q0 just above r
+    rng = np.random.default_rng(13)
+    winners = 0
+    for seed in range(50):
+        inst = gen_exact_random(seed, max_n=6, max_k=3)
+        reserves = {ad: float(rng.uniform(0.0, 1.5)) * inst.value_of(ad)
+                    for i, ad in enumerate(inst.real_ads()) if i % 2}
+        out = myerson_greedy_outcome(inst, reserves)
+        filtered, keep = filter_by_reserves(inst, ReserveVector(reserves))
+        won = {ad for _, ad in out.matching.pairs}
+        for orig in inst.real_ads():
+            if orig not in won:
+                assert out.payments[orig] == 0.0
+                continue
+            kept, r = keep[orig], reserves.get(orig, 0.0)
+            value = filtered.value_of(kept)
+            cuts = sorted({r, value} | {c for c in candidate_bids(filtered, kept)
+                                        if r < c < value})
+
+            def quantity(bid):
+                probe, ref, _ = with_bid(filtered, kept, bid)
+                slot = solve_greedy(probe).slot_of(ref)
+                return 0.0 if slot is None else \
+                    probe.types[ref.ad_type].discounts[slot]
+
+            qs = [quantity((a + b) / 2) for a, b in zip(cuts, cuts[1:])]
+            qs.append(quantity(value))
+            expected = r * qs[0] + sum(c * (q1 - q0) for c, q0, q1
+                                       in zip(cuts[1:], qs, qs[1:]))
+            assert out.payments[orig] == pytest.approx(
+                max(0.0, expected), rel=1e-12, abs=1e-12), (seed, orig)
+            winners += 1
+    assert winners > 100
 
 
 def test_myerson_greedy_outcome_consistent():
