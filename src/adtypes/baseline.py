@@ -13,7 +13,6 @@ from .core import (
     Instance,
     Matching,
     ValidationError,
-    ensure_valid,
     has_gap_rules,
     welfare,
     with_bid,
@@ -30,7 +29,6 @@ def solve_generic_hungarian(inst: Instance) -> OptimalSolution:
     at which its best tree edge goes tight).  Returns an optimal matching
     with certifying duals and no stats record.
     """
-    ensure_valid(inst)
     if has_gap_rules(inst):
         raise ValidationError("instance has gap rules: use the gap dynamic program")
     n, k = inst.num_slots, inst.num_types
@@ -101,7 +99,6 @@ def solve_bruteforce(inst: Instance) -> Matching:
     same-type ads never helps, so nothing is lost.  Guarded to n <= 8,
     k <= 4.  Ties prefer lower type index, then assigning over skipping.
     """
-    ensure_valid(inst)
     if has_gap_rules(inst):
         raise ValidationError("instance has gap rules: use the gap brute force")
     n, k = inst.num_slots, inst.num_types
@@ -149,7 +146,6 @@ def solve_greedy(inst: Instance) -> Matching:
     global edge order).  With sorted values and discounts this fills slots in
     descending discount order using one frontier per type, O(kn) inspections.
     """
-    ensure_valid(inst)
     if has_gap_rules(inst):
         raise ValidationError("instance has gap rules: greedy handles none")
     return _greedy_with_type_order(inst, range(inst.num_types))
@@ -219,16 +215,35 @@ def check_sweep(ad: AdRef, probes: int) -> None:
                          f"probes (guard: at most {MAX_SWEEP_PROBES})")
 
 
+def _rival_values(inst: Instance, ad: AdRef) -> set[float]:
+    return {v * d for t, spec in enumerate(inst.types)
+            for r, v in enumerate(spec.values)
+            if (t, r) != (ad.ad_type, ad.rank) for d in spec.discounts}
+
+
 def candidate_bids(inst: Instance, ad: AdRef) -> list[float]:
     """Bids where the greedy comparator order can flip for the probed ad:
     every rival edge value divided by each positive probed discount, plus 0
     and the ad's own value, sorted."""
     own_discounts = [d for d in inst.types[ad.ad_type].discounts if d > 0]
-    rival_values = {v * d for t, spec in enumerate(inst.types)
-                    for r, v in enumerate(spec.values)
-                    if (t, r) != (ad.ad_type, ad.rank) for d in spec.discounts}
     return sorted({0.0, inst.value_of(ad)}
-                  | {e / d for e in rival_values for d in own_discounts})
+                  | {e / d for e in _rival_values(inst, ad)
+                     for d in own_discounts})
+
+
+def check_window(inst: Instance, ad: AdRef, lo: float, hi: float) -> None:
+    """Refuse a sweep over the window ``lo`` to ``hi`` before its candidate
+    set, O(kn^3) floats, is built: the candidates that the largest own
+    discount alone puts inside the window, O(kn^2) of them, and both ends
+    are already a lower bound on its probes."""
+    d = inst.types[ad.ad_type].discounts[0]
+    if d > 0:
+        least = len({lo, hi} | {e / d for e in _rival_values(inst, ad)
+                                if lo < e / d < hi})
+        if least > MAX_SWEEP_PROBES:
+            raise GuardError(f"bid sweep of a type-{ad.ad_type} ad needs at "
+                             f"least {least} probes (guard: at most "
+                             f"{MAX_SWEEP_PROBES})")
 
 
 def received_discount(inst: Instance, out, ad: AdRef) -> float:
@@ -255,9 +270,9 @@ def greedy_allocation_curve(inst: Instance, ad: AdRef) -> AllocationCurve:
     """Greedy's curve for the probed ad: :func:`bid_sweep` over every
     candidate bid (greedy is constant between consecutive candidates, so
     the midpoints determine the curve exactly), then one past the last."""
-    ensure_valid(inst)
     if has_gap_rules(inst):
         raise ValidationError("allocation curves are defined without gap rules")
+    check_window(inst, ad, 0.0, inst.value_of(ad))
     cands = candidate_bids(inst, ad)
     sweep = bid_sweep(inst, ad, solve_greedy, cands, cands[-1] + 1.0)
     points: list[tuple[float, float]] = []

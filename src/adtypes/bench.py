@@ -14,7 +14,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .core import GuardError, Instance, Matching, TypeSpec, ensure_valid, tol_for
+from .core import GuardError, Instance, Matching, TypeSpec, tol_for
 from .hungarian import solve_adtypes
 from .baseline import solve_generic_hungarian
 
@@ -65,9 +65,7 @@ def gen_random(cfg: GenConfig) -> Instance:
         else:
             raise ValueError(f"unknown discount family {cfg.discount_family!r}")
         types.append(TypeSpec(f"type{t}", [float(v) for v in vals], disc))
-    inst = Instance(cfg.n, types)
-    ensure_valid(inst)
-    return inst
+    return Instance(cfg.n, types)
 
 
 def gen_exact_random(seed: int, max_n: int = 8, max_k: int = 4) -> Instance:
@@ -96,9 +94,7 @@ def gen_strict_random(seed: int, max_n: int = 8, max_k: int = 4) -> Instance:
         ratio = _DYADIC_RATIOS[rng.integers(0, len(_DYADIC_RATIOS))]
         disc = [ratio ** j for j in range(n)]
         types.append(TypeSpec(f"type{t}", [float(v) for v in vals], disc))
-    inst = Instance(n, types)
-    ensure_valid(inst)
-    return inst
+    return Instance(n, types)
 
 
 def gen_gap_random(seed: int) -> Instance:
@@ -118,9 +114,7 @@ def gen_gap_random(seed: int) -> Instance:
         disc = [ratio ** j for j in range(n)]
         types.append(TypeSpec(f"type{t}", [float(v) for v in vals], disc))
     gap = [[int(rng.integers(0, n + 1)) for _ in range(k)] for _ in range(k)]
-    inst = Instance(n, types, gap)
-    ensure_valid(inst)
-    return inst
+    return Instance(n, types, gap)
 
 
 def gen_greedy_tight(epsilon: float) -> Instance:
@@ -156,9 +150,7 @@ def assignment_to_adtypes(weights) -> tuple[Instance, float]:
         types.append(TypeSpec(f"row{i}", [top],
                               [float(x) / top for x in wprime[i]]))
     offset = vstar * n * (n - 1) / 2
-    inst = Instance(n, types)
-    ensure_valid(inst)
-    return inst, offset
+    return Instance(n, types), offset
 
 
 def assignment_value(weights, matching: Matching) -> float:

@@ -24,7 +24,6 @@ from .core import (
     Instance,
     Matching,
     ValidationError,
-    ensure_valid,
     has_gap_rules,
     as_number,
     instance_to_dict,
@@ -52,15 +51,19 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _write_json(obj, path) -> None:
-    """Write ``obj`` as strict JSON: a NaN or infinity raises ValueError
-    before anything is written."""
-    text = json.dumps(obj, indent=2, allow_nan=False) + "\n"
+def _write_text(text: str, path) -> None:
+    """Write ``text`` to the file ``path``, or to stdout for None or "-"."""
     if path is None or path == "-":
         sys.stdout.write(text)
         return
     with open(path, "w") as fh:
         fh.write(text)
+
+
+def _write_json(obj, path) -> None:
+    """Write ``obj`` as strict JSON: a NaN or infinity raises ValueError
+    before anything is written."""
+    _write_text(json.dumps(obj, indent=2, allow_nan=False) + "\n", path)
 
 
 def _solution_dict(algo: str, inst: Instance, matching: Matching,
@@ -114,13 +117,14 @@ def _cmd_solve(args) -> int:
 def _load_reserves(path) -> dict[AdRef, float]:
     if path is None:
         return {}
-    data = read_json(path)
-    entries = data.get("reserves") if isinstance(data, dict) else data
+    entries = read_json(path)
+    bad = '{"type": int, "rank": int, "reserve": number}'
+    if not isinstance(entries, list):
+        raise ValidationError(f"reserves must be a list of {bad}")
     try:
         pairs = [(AdRef(index(e["type"]), index(e["rank"])),
                   as_number(e["reserve"], "reserve")) for e in entries]
     except (KeyError, TypeError, ValueError) as exc:
-        bad = '{"type": int, "rank": int, "reserve": number}'
         raise ValidationError(f"reserves must be a list of {bad} ({exc!r})") \
             from exc
     reserves = dict(pairs)
@@ -194,12 +198,7 @@ def _cmd_bench(args) -> int:
         raise _UsageError(f"--reps must be at least 1, not {args.reps}")
     report = bench.bench_scaling(_parse_sizes(args.sizes), args.reps,
                                  seed=args.seed)
-    text = report.to_csv()
-    if args.out is None or args.out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+    _write_text(report.to_csv(), args.out)
     return EXIT_OK
 
 
@@ -233,7 +232,6 @@ def _load_solution(path) -> tuple[list, float | None,
 def _cmd_verify(args) -> int:
     inst = load_instance(args.infile)
     entries, stated, duals = _load_solution(args.sol)
-    ensure_valid(inst)
     failures = []
     try:
         matching = matching_from_list(entries)

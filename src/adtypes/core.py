@@ -6,6 +6,9 @@ slots (sorted non-increasing, one entry per slot).  The value of placing ad
 ``r`` of type ``t`` in slot ``s`` is ``discounts[t][s] * values[t][r]``.
 Optional gap rules are a k-by-k integer matrix ``G``: after a type-``i`` ad in
 slot ``s``, slots ``s+1 .. s+G[i][j]`` may not hold a type-``j`` ad.
+
+An :class:`Instance` is valid by construction (its constructor raises
+:class:`ValidationError`), so the solvers take validity as given.
 """
 from __future__ import annotations
 
@@ -27,7 +30,7 @@ def tol_for(magnitude: float) -> float:
 
 
 class ValidationError(ValueError):
-    """Raised when a solver is handed an instance that fails validation."""
+    """Raised when an instance, or a document describing one, is invalid."""
 
     def __init__(self, errors):
         self.errors = list(errors) if not isinstance(errors, str) else [errors]
@@ -91,9 +94,9 @@ class Instance:
     Construction normalizes every type to exactly ``num_slots`` values by
     appending zero-value ads (or keeping only the top ``num_slots``); the
     pre-padding count per type is kept in ``real_counts``.  Nothing is
-    re-sorted or rounded: unsorted input is surfaced by
-    :func:`validate_instance`, and a ``num_slots`` or gap entry that is not an
-    integer raises :class:`ValidationError`.
+    re-sorted or rounded: a ``num_slots`` or gap entry that is not an
+    integer, or any error :func:`validate_instance` finds (unsorted input
+    included), raises :class:`ValidationError`.
     """
 
     num_slots: int
@@ -109,8 +112,8 @@ class Instance:
             vals = spec.values[:n] if n > 0 else spec.values
             real.append(len(vals))
             # pad no further than the discount curve reaches: a longer
-            # num_slots is refused by validate_instance, and padding to it
-            # unchecked could exhaust memory
+            # num_slots is refused below, and padding to it first could
+            # exhaust memory
             if len(vals) < n:
                 vals += (0.0,) * (min(n, len(spec.discounts)) - len(vals))
             norm.append(TypeSpec(spec.name, vals, spec.discounts))
@@ -120,6 +123,9 @@ class Instance:
             gap = tuple(tuple(_integer(g, "gap entry") for g in row)
                         for row in gap)
         object.__setattr__(self, "gap", gap)
+        rep = validate_instance(self)
+        if not rep.ok:
+            raise ValidationError(rep.errors)
 
     @property
     def num_types(self) -> int:
@@ -183,7 +189,8 @@ class ValidationReport:
 def validate_instance(inst: Instance) -> ValidationReport:
     """Check finiteness, monotonicity, signs, dimensions, the gap matrix
     shape, and that the welfare bound ``num_slots`` x largest value x largest
-    discount is finite, so no sum the solvers form can overflow."""
+    discount is finite, so no sum the solvers form can overflow.  Every
+    :class:`Instance` passes it, so on one it reports only warnings."""
     rep = ValidationReport()
     err = rep.errors.append
     if inst.num_slots < 1:
@@ -226,12 +233,6 @@ def validate_instance(inst: Instance) -> ValidationReport:
     return rep
 
 
-def ensure_valid(inst: Instance) -> None:
-    rep = validate_instance(inst)
-    if not rep.ok:
-        raise ValidationError(rep.errors)
-
-
 def has_gap_rules(inst: Instance) -> bool:
     return inst.gap is not None and any(g != 0 for row in inst.gap for g in row)
 
@@ -251,9 +252,7 @@ def edge_value(inst: Instance, ad: AdRef, slot: int) -> float:
 def scaled_tol(inst: Instance) -> float:
     """The tolerance for per-edge quantities: :func:`tol_for` the instance's
     largest edge value."""
-    return tol_for(max((max(map(abs, s.values), default=0.0)
-                        * max(map(abs, s.discounts), default=0.0)
-                        for s in inst.types), default=0.0))
+    return tol_for(max(s.values[0] * s.discounts[0] for s in inst.types))
 
 
 def welfare(inst: Instance, m: Matching) -> float:
@@ -272,15 +271,17 @@ def real_pairs(inst: Instance, m: Matching) -> Matching:
 def with_bid(inst: Instance, ad: AdRef, bid: float):
     """Rebuild the instance with ``ad`` bidding ``bid`` instead of its value.
 
-    The probed type's value list is re-sorted (the probed ad is placed ahead
-    of equal values).  Returns ``(new_instance, new_ref, rank_map)`` where
-    ``rank_map`` sends old ranks of the probed type to new ranks.
+    The probed type's real values are re-sorted (the probed ad is placed
+    ahead of equal values); ``real_counts`` is kept for a real probed ad.
+    Returns ``(new_instance, new_ref, rank_map)`` where ``rank_map`` sends
+    old ranks of the probed type to new ranks.
     """
     if bid < 0:
         raise ValueError("bids must be non-negative")
     t = ad.ad_type
     spec = inst.types[t]
-    rest = [v for r, v in enumerate(spec.values) if r != ad.rank]
+    rest = [v for r, v in enumerate(spec.values[:inst.real_counts[t]])
+            if r != ad.rank]
     pos = sum(1 for v in rest if v > bid)
     new_vals = rest[:pos] + [float(bid)] + rest[pos:]
     rank_map: dict[int, int] = {ad.rank: pos}
@@ -289,7 +290,8 @@ def with_bid(inst: Instance, ad: AdRef, bid: float):
             continue
         idx = old - 1 if old > ad.rank else old
         rank_map[old] = idx + 1 if idx >= pos else idx
-    new_types = list(inst.types)
+    new_types = [TypeSpec(s.name, s.values[:c], s.discounts)
+                 for s, c in zip(inst.types, inst.real_counts)]
     new_types[t] = TypeSpec(spec.name, new_vals, spec.discounts)
     new_inst = Instance(inst.num_slots, new_types, inst.gap)
     return new_inst, AdRef(t, pos), rank_map
@@ -320,8 +322,8 @@ def instance_from_dict(data: Mapping) -> Instance:
     """Build an instance from the JSON schema above.  A malformed document
     (types not a list of objects, values or discounts not lists of numbers,
     a ``num_slots`` or gap entry that is not an integer) raises
-    :class:`ValidationError`; the numbers themselves are checked by
-    :func:`validate_instance`."""
+    :class:`ValidationError`, and so does an invalid instance, which the
+    :class:`Instance` constructor refuses."""
     if not isinstance(data, Mapping) or not isinstance(data.get("types"), list):
         raise ValidationError("instance must be an object with a 'types' list")
     types = []

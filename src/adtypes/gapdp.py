@@ -37,7 +37,6 @@ from .core import (
     Matching,
     TypeSpec,
     ValidationError,
-    ensure_valid,
     has_gap_rules,
 )
 
@@ -103,7 +102,6 @@ def solve_gap_dp(inst: Instance) -> Matching:
     """
     from array import array  # here, so commands without the DP never load it
 
-    ensure_valid(inst)
     n, k = inst.num_slots, inst.num_types
     gap = _gap(inst)
     caps = inst.real_counts
@@ -203,7 +201,6 @@ def _sparse_gap_dp(inst: Instance) -> Matching:
     than the capped DP, so it is guarded twice: n <= 12, and at most
     :data:`MAX_STATES` reachable states, the capped DP's budget.
     """
-    ensure_valid(inst)
     n, k = inst.num_slots, inst.num_types
     if n > 12:
         raise GuardError(f"gap DP refuses n={n} (guard: n <= 12, "
@@ -267,7 +264,6 @@ def brute_force_gap(inst: Instance) -> Matching:
     """Exhaustive gap-aware oracle: every slot takes some type's next ad or
     stays empty, with full rule checks along the way.  No memoization, no
     shortcuts beyond within-type rank order.  Guard: n <= 6, <= 12 real ads."""
-    ensure_valid(inst)
     n, k = inst.num_slots, inst.num_types
     total = sum(inst.real_counts)
     if n > 6 or total > 12:
@@ -311,7 +307,6 @@ def solve_two_type_dp(inst: Instance) -> Matching:
     """Gap-free exact solver for exactly two types: a triangular table over
     (ads of type 0 used, ads of type 1 used), filling slots front to back
     with each type's ads in rank order."""
-    ensure_valid(inst)
     if inst.num_types != 2:
         raise ValidationError([f"two-type solver needs k=2, got k={inst.num_types}"])
     if has_gap_rules(inst):

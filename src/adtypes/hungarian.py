@@ -30,7 +30,7 @@ best-key table, the heap entries, the per-type frontier index
 ``ad_slot``, with -1 for unmatched) are lists and dicts keyed by that int,
 and an edge value is read as ``disc[t][slot] * val[a]`` from tables built
 once per solve.  :class:`AdRef` and :class:`Matching` appear only at the
-edges: :func:`solve_adtypes` validates the instance on the way in and
+edges: :func:`solve_adtypes` reads the instance on the way in and
 builds the final matching (and the per-phase ones, when
 ``collect_phase_matchings`` asks) on the way out.  A solve can be followed
 phase by phase through :attr:`SolveStats.phases` (printed by
@@ -49,7 +49,6 @@ from .core import (
     Instance,
     Matching,
     ValidationError,
-    ensure_valid,
     has_gap_rules,
     scaled_tol,
     tol_for,
@@ -318,7 +317,6 @@ def solve_adtypes(inst: Instance, *,
     sub-instance made of slots ``0..j``.  Rejects instances with gap rules,
     and raises :class:`PhaseInvariantError` if rounding breaks a phase.
     """
-    ensure_valid(inst)
     if has_gap_rules(inst):
         raise ValidationError("instance has gap rules: use the gap dynamic program")
     tables = _Tables(inst)

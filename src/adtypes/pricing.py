@@ -38,14 +38,14 @@ from .core import (
     TypeSpec,
     ValidationError,
     edge_value,
-    ensure_valid,
+    matching_to_list,
     real_pairs,
     scaled_tol,
     tol_for,
     with_bid,
 )
 from .hungarian import OptimalSolution, certify, solve_adtypes
-from .baseline import (bid_sweep, candidate_bids, check_sweep,
+from .baseline import (bid_sweep, candidate_bids, check_sweep, check_window,
                        received_discount, solve_greedy)
 
 
@@ -313,7 +313,6 @@ def price_with_reserves(inst: Instance, reserves: ReserveVector | Mapping | None
     case included).  That is O(n(k + n)) time per winner on top of the one
     solve, in O(kn) memory.
     """
-    ensure_valid(inst)
     reserves = ReserveVector(reserves)
     filtered, keep_map = filter_by_reserves(inst, reserves)
     sol = allocator(filtered)
@@ -373,7 +372,6 @@ def myerson_changepoint_prices(inst: Instance, allocator, ad: AdRef,
     GuardError past ``MAX_SWEEP_PROBES`` probes.  Raises
     :class:`NonMonotoneAllocationError` when the swept allocation decreases.
     """
-    ensure_valid(inst)
     bid = inst.value_of(ad)
     if bid < r:
         return 0.0
@@ -428,8 +426,10 @@ def _envelope_payment(f, lo: float, hi: float) -> float:
 def _sweep_cuts(inst: Instance, probe: AdRef, lo: float) -> list[float]:
     """The candidate bids of the probed ad's sweep window from ``lo`` up to
     its value ``hi``, both ends included."""
-    hi, cands = inst.value_of(probe), candidate_bids(inst, probe)
-    return sorted({lo, hi} | {c for c in cands if lo < c < hi})
+    hi = inst.value_of(probe)
+    check_window(inst, probe, lo, hi)
+    return sorted({lo, hi} | {c for c in candidate_bids(inst, probe)
+                              if lo < c < hi})
 
 
 def _scan_payment(inst: Instance, probe: AdRef, allocator,
@@ -452,7 +452,6 @@ def myerson_greedy_outcome(inst: Instance,
     allocation curve is monotone, so the payments are incentive compatible).
     Exact, or :class:`~adtypes.core.GuardError` when a sweep is too long;
     each winner's window is computed once and checked before any probe."""
-    ensure_valid(inst)
     reserves = ReserveVector(reserves)
     filtered, keep_map = filter_by_reserves(inst, reserves)
     m = solve_greedy(filtered)
@@ -522,8 +521,7 @@ def test_ic_deviation(inst: Instance, mechanism: Callable, ad: AdRef,
 
 def priced_outcome_to_dict(out: PricedOutcome) -> dict:
     return {
-        "assignment": [{"slot": s, "type": ad.ad_type, "rank": ad.rank}
-                       for s, ad in out.matching.pairs],
+        "assignment": matching_to_list(out.matching),
         "payments": [{"type": ad.ad_type, "rank": ad.rank, "pay": pay}
                      for ad, pay in sorted(out.payments.items())],
         "mechanism": out.mechanism,

@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 from adtypes.baseline import (
+    MAX_SWEEP_PROBES,
     AllocationCurve,
     _greedy_with_type_order,
     candidate_bids,
+    check_sweep,
+    check_window,
     greedy_allocation_curve,
     received_discount,
     solve_bruteforce,
@@ -119,6 +122,30 @@ def test_allocation_curve_over_the_guard_refused():
     inst = gen_random(GenConfig(12, 4, 3, "uniform-real", "geometric"))
     with pytest.raises(GuardError, match="5584 probes"):
         greedy_allocation_curve(inst, AdRef(3, 0))
+
+
+@pytest.mark.parametrize("inside", [MAX_SWEEP_PROBES - 2, MAX_SWEEP_PROBES - 1])
+def test_window_check_refuses_exactly_what_the_sweep_guard_does(inside):
+    # the probed type has one positive discount, so that discount's
+    # candidates are all of them: the check before the candidate set is
+    # built meets the guard exactly, refusing 4097 probes and not 4096
+    rival = TypeSpec("r", [float(100 - i) for i in range(70)],
+                     [1 / (1 + j / 997) for j in range(70)])
+    edges = sorted({v * d for v in rival.values for d in rival.discounts})
+    value = (edges[inside - 1] + edges[inside]) / 2
+    inst = Instance(70, [TypeSpec("p", [value], [1.0] + [0.0] * 69), rival])
+    ad = AdRef(0, 0)
+    cuts = [0.0] + [c for c in candidate_bids(inst, ad) if 0 < c < value] \
+        + [value]
+    assert len(cuts) == inside + 2
+    if len(cuts) > MAX_SWEEP_PROBES:
+        with pytest.raises(GuardError, match=f"{len(cuts)} probes"):
+            check_sweep(ad, len(cuts))
+        with pytest.raises(GuardError, match=f"at least {len(cuts)} probes"):
+            check_window(inst, ad, 0.0, value)
+    else:
+        check_sweep(ad, len(cuts))
+        check_window(inst, ad, 0.0, value)
 
 
 def test_candidate_bids_include_own_value_and_zero():

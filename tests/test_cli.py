@@ -135,6 +135,7 @@ def test_price_with_reserves_file(fixtures_dir, tmp_path):
     [{"type": 0, "rank": 0, "reserve": -1.0}],
     [{"type": 0, "rank": 0, "reserve": 10 ** 400}],
     [{"type": 0, "rank": 0, "reserve": "4.0"}],
+    {"reserves": [{"type": 0, "rank": 0, "reserve": 1.0}]},
 ])
 def test_bad_reserves_file_exit_code(fixtures_dir, tmp_path, capsys, reserves):
     # malformed entries and NaN reserves are refused, not a traceback and

@@ -29,18 +29,15 @@ def test_wellformed_instance_is_valid():
 
 
 def test_increasing_discounts_flagged():
-    inst = Instance(2, [TypeSpec("t", [3.0, 1.0], [0.5, 0.9])])
-    report = validate_instance(inst)
-    assert not report.ok
-    assert any("discounts not non-increasing" in e for e in report.errors)
+    with pytest.raises(ValidationError, match="discounts not non-increasing"):
+        Instance(2, [TypeSpec("t", [3.0, 1.0], [0.5, 0.9])])
 
 
 def test_gap_matrix_shape_flagged():
-    inst = Instance(2, [TypeSpec("a", [1.0], [1.0, 0.5]),
-                        TypeSpec("b", [1.0], [1.0, 0.5])],
-                    gap=[[0, 0, 0], [0, 0, 0]])
-    report = validate_instance(inst)
-    assert any("gap matrix not k x k" in e for e in report.errors)
+    with pytest.raises(ValidationError, match="gap matrix not k x k"):
+        Instance(2, [TypeSpec("a", [1.0], [1.0, 0.5]),
+                     TypeSpec("b", [1.0], [1.0, 0.5])],
+                 gap=[[0, 0, 0], [0, 0, 0]])
 
 
 def test_discount_above_one_is_warning_not_error():
@@ -51,19 +48,16 @@ def test_discount_above_one_is_warning_not_error():
 
 
 def test_unsorted_values_flagged_not_repaired():
-    inst = Instance(2, [TypeSpec("t", [1.0, 3.0], [1.0, 0.5])])
-    assert inst.types[0].values == (1.0, 3.0)
-    assert not validate_instance(inst).ok
+    with pytest.raises(ValidationError, match="values not non-increasing"):
+        Instance(2, [TypeSpec("t", [1.0, 3.0], [1.0, 0.5])])
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 def test_non_finite_numbers_flagged(bad):
-    in_values = Instance(2, [TypeSpec("t", [bad, 1.0], [1.0, 0.5])])
-    assert any("non-finite value" in e
-               for e in validate_instance(in_values).errors)
-    in_discounts = Instance(2, [TypeSpec("t", [3.0, 1.0], [1.0, bad])])
-    assert any("non-finite discount" in e
-               for e in validate_instance(in_discounts).errors)
+    with pytest.raises(ValidationError, match="non-finite value"):
+        Instance(2, [TypeSpec("t", [bad, 1.0], [1.0, 0.5])])
+    with pytest.raises(ValidationError, match="non-finite discount"):
+        Instance(2, [TypeSpec("t", [3.0, 1.0], [1.0, bad])])
 
 
 @pytest.mark.parametrize("field,bad", [
@@ -111,8 +105,8 @@ def test_non_integers_refused_not_rounded(num_slots, gap):
 @pytest.mark.parametrize("discounts", [[1e308, 1.0], [1.0, 1.0]])
 def test_overflowing_welfare_bound_flagged(discounts):
     # every number is finite, but an edge value or the welfare is not
-    inst = Instance(2, [TypeSpec("t", [1e308, 1e308], discounts)])
-    assert any("welfare bound" in e for e in validate_instance(inst).errors)
+    with pytest.raises(ValidationError, match="welfare bound"):
+        Instance(2, [TypeSpec("t", [1e308, 1e308], discounts)])
 
 
 def test_padding_and_truncation():
@@ -177,6 +171,17 @@ def test_with_bid_rank_shifts():
     assert tie.types[0].values == (9.0, 5.0, 5.0)
 
 
+def test_with_bid_keeps_padding_ads_padding():
+    # one ad per type on three slots: each type's other two ads are padding,
+    # and stay so when a real ad's bid changes
+    inst = Instance(3, [TypeSpec("a", [5.0], [1.0, 0.5, 0.25]),
+                        TypeSpec("b", [4.0], [1.0, 0.5, 0.25])])
+    probe, ref, _ = with_bid(inst, AdRef(0, 0), 3.0)
+    assert probe.real_counts == (1, 1)
+    assert probe.types[0].values == (3.0, 0.0, 0.0)
+    assert probe.real_ads() == [ref, AdRef(1, 0)]
+
+
 @st.composite
 def small_instances(draw):
     n = draw(st.integers(1, 6))
@@ -223,3 +228,32 @@ def test_defaulted_parameter_count_ratchet():
                 name = getattr(node, "name", "<lambda>")
                 found += [f"{path.name}:{name}({a.arg})" for a in named]
     assert len(found) <= 8, "\n".join(found)
+
+
+def test_validation_happens_only_in_the_instance_constructor():
+    # an Instance is valid by construction, so no module validates one again:
+    # no ensure_valid helper, and one validate_instance call in all, in
+    # Instance.__init__
+    src = Path(__file__).resolve().parent.parent / "src" / "adtypes"
+
+    def calls(tree):
+        return [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Call)
+                and getattr(node.func, "id", getattr(node.func, "attr", None))
+                == "validate_instance"]
+
+    named, called, init = [], {}, None
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if "ensure_valid" in (getattr(node, "id", None),
+                                  getattr(node, "attr", None),
+                                  getattr(node, "name", None)):
+                named.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.ClassDef) and node.name == "Instance":
+                init = next(f for f in node.body
+                            if getattr(f, "name", None) == "__init__")
+        if calls(tree):
+            called[path.name] = calls(tree)
+    assert named == [], named
+    assert called == {"core.py": calls(init)} and len(calls(init)) == 1, called

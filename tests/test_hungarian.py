@@ -232,9 +232,8 @@ def test_certify_memory_is_linear_in_the_slots():
 def test_overflowing_instance_refused(discounts):
     # [1e308, 1.0] overflows an edge value (NaN duals); [1.0, 1.0] keeps the
     # edges finite but overflows the welfare; either once passed certify
-    inst = Instance(2, [TypeSpec("t", [1e308, 1e308], discounts)])
     with pytest.raises(ValidationError, match="welfare bound"):
-        solve_adtypes(inst)
+        solve_adtypes(Instance(2, [TypeSpec("t", [1e308, 1e308], discounts)]))
 
 
 def test_certify_accepts_generic_solver_output():

@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 
 import numpy as np
@@ -346,6 +347,25 @@ def test_myerson_greedy_refuses_a_sweep_over_the_guard(monkeypatch):
     assert len(runs) == 1
 
 
+def test_myerson_greedy_refuses_a_long_sweep_before_building_it():
+    # 402211 candidate bids in the first winner's window; one own discount
+    # alone puts over 4096 inside it, so the refusal builds none of the
+    # O(kn^3) set: no time or memory that grows as n^3
+    inst = gen_random(GenConfig(60, 4, 0, "uniform-real", "geometric"))
+    start = time.perf_counter()
+    with pytest.raises(GuardError, match="at least 14342 probes"):
+        myerson_greedy_outcome(inst, None)
+    assert time.perf_counter() - start < 0.1
+    tracemalloc.start()
+    try:
+        with pytest.raises(GuardError):
+            myerson_greedy_outcome(inst, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000, peak
+
+
 def test_myerson_scan_prices_a_fitting_window_exactly():
     # the full candidate set is over the guard, the window (0, value) is
     # not: the sweep probes every window candidate, none is skipped
@@ -444,6 +464,27 @@ def test_non_monotone_allocator_detected():
     with pytest.raises(NonMonotoneAllocationError) as info:
         myerson_changepoint_prices(inst, perverse, AdRef(0, 0), 0.0)
     assert len(info.value.counterexample) == 4
+
+
+def test_outcomes_after_a_bid_change_price_real_ads_only(monkeypatch):
+    # one ad per type on three slots: after the type-0 ad's bid changes,
+    # its type's padding ads are still padding, so neither mechanism lists
+    # one as a winner, charges it, or prices it by a shortest-path pass
+    inst = Instance(3, [TypeSpec("a", [5.0], [1.0, 0.5, 0.25]),
+                        TypeSpec("b", [4.0], [1.0, 0.5, 0.25])])
+    probe, _, _ = with_bid(inst, AdRef(0, 0), 3.0)
+    passes = []
+    lowered = pricing._SlotPaths.lowered_welfare
+
+    def counted(self, s_i, r):
+        passes.append(s_i)
+        return lowered(self, s_i, r)
+
+    monkeypatch.setattr(pricing._SlotPaths, "lowered_welfare", counted)
+    for out in (vcg_outcome(probe), price_with_reserves(probe, None)):
+        assert out.matching.pairs == ((0, AdRef(1, 0)), (1, AdRef(0, 0)))
+        assert sorted(out.payments) == [AdRef(0, 0), AdRef(1, 0)]
+    assert passes == [0, 1]
 
 
 def test_ic_no_profitable_deviation_vcg_example1(example1):
