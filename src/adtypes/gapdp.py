@@ -20,6 +20,25 @@ stored across all layers, so it refuses by the size of the work, not by
 ``n``; when a lower bound on that count is already over, it refuses before
 the work.
 
+The DP is bound-pruned, branch-and-bound style (Morin and Marsten 1976).
+The incumbent is the welfare of a gap-feasible greedy: slot by slot, place
+the next ad with the largest edge that the gap rules allow.  With ``top``
+the largest ad value and ``tail[s] = sum_{j >= s} max_t alpha_{t,j}``, a
+placement at slot ``j`` adds at most ``top * max_t alpha_{t,j}``, so ``v +
+top * tail[s]`` never grows along a transition, where ``v`` is the value of
+a state entering slot ``s``.  An offer into that layer is stored only when
+its value exceeds ``cut_s = incumbent - tol_for(incumbent) - top *
+tail[s]``; the margin absorbs rounding.  Exactness: every state on an
+optimal path has a bound of at least OPT, which is at least the incumbent,
+so it is never cut, and a state that is cut cannot supply the best value
+of a stored one.  The welfare is exact; the matching can differ from the
+unpruned DP's only between optima of equal welfare, because cutting
+changes the order in which a layer's states are first reached, and that
+order breaks ties.  The cut is the default an offer must beat in the
+"better than the stored value" compare, so pruning costs no work per
+state, and the states "stored" are those above it: a subset of the
+unpruned layers, whose size :func:`_min_states` bounds from below.
+
 Also here: the sparse DP over (ads per type, last slot per type) that the
 capped DP replaced, kept as a cross-check oracle; the k=2 gap-free dynamic
 program; the independent-set reduction used for hardness-style instances;
@@ -38,6 +57,7 @@ from .core import (
     TypeSpec,
     ValidationError,
     has_gap_rules,
+    tol_for,
 )
 
 BOTTOM = None  # "no ad of this type placed yet"
@@ -96,9 +116,14 @@ def solve_gap_dp(inst: Instance) -> Matching:
 
     Within a type, ads are placed in rank order (same-type swaps never
     change gap feasibility and sorted values make rank order optimal).  Of
-    two ways into a state the first strictly better one is kept.  Refuses,
-    with :class:`GuardError`, an instance whose layers together store more
-    than :data:`MAX_STATES` states.
+    two ways into a state the first strictly better one is kept.  An offer
+    is stored only when it exceeds its layer's cut (module docstring), with
+    :func:`_greedy_welfare` as the incumbent.  Refuses, with
+    :class:`GuardError`, an instance whose layers together store more than
+    :data:`MAX_STATES` states.  Since the layers stored are subsets of the
+    unpruned ones, and the up-front refusal is by :func:`_min_states`, a
+    lower bound on the unpruned count, every instance the unpruned DP
+    finishes is still solved.
     """
     from array import array  # here, so commands without the DP never load it
 
@@ -136,6 +161,12 @@ def solve_gap_dp(inst: Instance) -> Matching:
 
     vals = [spec.values for spec in inst.types]
     disc = [spec.discounts for spec in inst.types]
+    incumbent = _greedy_welfare(inst)
+    top = max(v[0] for v in vals)
+    # tail[s] = sum over slots j >= s of max_t alpha_{t,j}
+    peaks = (max(d[j] for d in disc) for j in range(n - 1, -1, -1))
+    tail = list(accumulate(peaks, initial=0.0))[::-1]
+    bar = incumbent - tol_for(incumbent)
     moves: dict[int, tuple] = {}
     cur = {0: 0.0}
     stored = 1
@@ -146,6 +177,7 @@ def solve_gap_dp(inst: Instance) -> Matching:
     k1 = k + 1
     for s in range(n):
         here = [d[s] for d in disc]
+        floor = bar - top * tail[s + 1]  # cut_{s+1}, for the layer built
         nxt: dict[int, float] = {}
         par: dict[int, int] = {}
         for i, (key, v) in enumerate(cur.items()):
@@ -155,9 +187,8 @@ def solve_gap_dp(inst: Instance) -> Matching:
                 mv = moves[code] = moves_from(code)
             empty, places = mv
             p = i * k1
-            # values are non-negative, so a state's first offer always lands
             nk = key + empty
-            if v > nxt.get(nk, -1.0):
+            if v > nxt.get(nk, floor):
                 nxt[nk] = v
                 par[nk] = p
             for t, st, rad, cap, delta in places:
@@ -165,7 +196,7 @@ def solve_gap_dp(inst: Instance) -> Matching:
                 if c < cap:
                     w = v + vals[t][c] * here[t]
                     nk = key + delta
-                    if w > nxt.get(nk, -1.0):
+                    if w > nxt.get(nk, floor):
                         nxt[nk] = w
                         par[nk] = p + t + 1
         stored += len(nxt)
@@ -189,6 +220,30 @@ def solve_gap_dp(inst: Instance) -> Matching:
         assignment[s] = AdRef(t, per_type[t])
         per_type[t] += 1
     return Matching(assignment)
+
+
+def _greedy_welfare(inst: Instance) -> float:
+    """The welfare of a gap-feasible greedy, :func:`solve_gap_dp`'s
+    incumbent: slot by slot, place the next ad of the type with the largest
+    edge that :func:`_append_ok` allows, or leave the slot empty.  O(k^2 n).
+    """
+    gap = _gap(inst)
+    caps = inst.real_counts
+    counts = [0] * inst.num_types
+    lasts: list[int | None] = [BOTTOM] * inst.num_types
+    total = 0.0
+    for s in range(inst.num_slots):
+        best, pick = -1.0, None
+        for t, spec in enumerate(inst.types):
+            if counts[t] < caps[t] and _append_ok(gap, lasts, t, s):
+                edge = spec.values[counts[t]] * spec.discounts[s]
+                if edge > best:
+                    best, pick = edge, t
+        if pick is not None:
+            counts[pick] += 1
+            lasts[pick] = s
+            total += best
+    return total
 
 
 def _sparse_gap_dp(inst: Instance) -> Matching:

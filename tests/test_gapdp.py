@@ -151,16 +151,44 @@ def _gap_instance(rng, n: int, k: int, max_cross: int) -> Instance:
     return Instance(n, types, gap)
 
 
+def _equal_values_instance(rng) -> Instance:
+    # all values equal on flat discounts, one self-gap for every type: the
+    # greedy incumbent is optimal, so pruning is at its strongest
+    n, k, g = (int(rng.integers(7, 13)), int(rng.integers(1, 4)),
+               int(rng.integers(1, 4)))
+    types = [TypeSpec(f"t{t}", [1.0] * n, [1.0] * n) for t in range(k)]
+    return Instance(n, types, [[g * (i == j) for j in range(k)]
+                               for i in range(k)])
+
+
+def _greedy_trap_instance(rng) -> Instance:
+    # type 0 bids a little more but blocks every type for two slots: the
+    # greedy incumbent reaches under half of the optimum, so pruning does
+    # almost nothing
+    n, k = int(rng.integers(7, 13)), int(rng.integers(2, 4))
+    types = [TypeSpec(f"t{t}", sorted(rng.uniform(1.0, 1.2, n)
+                                      + 0.2 * (t == 0), reverse=True),
+                      [1.0] * n)
+             for t in range(k)]
+    return Instance(n, types, [[2 * (i == 0) for _ in range(k)]
+                               for i in range(k)])
+
+
 def test_capped_dp_matches_sparse_oracle():
     # the sizes brute force (n <= 6) cannot reach
+    cases = []
     for seed in range(120):
         rng = np.random.default_rng(seed + 7000)
-        inst = _gap_instance(rng, int(rng.integers(7, 13)),
-                             int(rng.integers(1, 4)), 3)
+        cases.append(_gap_instance(rng, int(rng.integers(7, 13)),
+                                   int(rng.integers(1, 4)), 3))
+    for seed in range(20):
+        cases.append(_equal_values_instance(np.random.default_rng(seed + 7200)))
+        cases.append(_greedy_trap_instance(np.random.default_rng(seed + 7300)))
+    for i, inst in enumerate(cases):
         dp = solve_gap_dp(inst)
-        assert check_gap_feasible(inst, dp), f"seed {seed}"
+        assert check_gap_feasible(inst, dp), f"case {i}"
         assert welfare(inst, dp) == welfare(inst, _sparse_gap_dp(inst)), \
-            f"seed {seed}"
+            f"case {i}"
 
 
 @pytest.mark.parametrize("n,k", [(30, 2), (15, 3)])
@@ -189,9 +217,11 @@ def test_capped_dp_guard_names_the_state_count(monkeypatch):
 
 def test_min_states_never_exceeds_the_states_stored(monkeypatch):
     # with the up-front check off, a budget one below the bound must still
-    # be exceeded while running
+    # be exceeded while running; a zero incumbent turns pruning off, so the
+    # bound is checked against the unpruned DP the up-front guard relies on
     bound = gapdp._min_states
     monkeypatch.setattr(gapdp, "_min_states", lambda *args: 0)
+    monkeypatch.setattr(gapdp, "_greedy_welfare", lambda inst: 0.0)
     for seed in range(80):
         rng = np.random.default_rng(seed + 9000)
         inst = _gap_instance(rng, int(rng.integers(1, 11)),
@@ -201,3 +231,24 @@ def test_min_states_never_exceeds_the_states_stored(monkeypatch):
         monkeypatch.setattr(gapdp, "MAX_STATES", least - 1)
         with pytest.raises(GuardError, match="stored"):
             solve_gap_dp(inst)
+
+
+def test_pruning_finishes_what_the_unpruned_dp_refuses(monkeypatch):
+    # one-slot self-gaps at k=4, n=24: the unpruned DP stores about 366k
+    # states, the bound-pruned one a few thousand
+    rng = np.random.default_rng(2024)
+    types = [TypeSpec(f"t{t}", sorted(rng.uniform(10.0, 100.0, 24),
+                                      reverse=True),
+                      [q ** j for j in range(24)])
+             for t, q in enumerate(rng.uniform(0.75, 0.95, 4))]
+    inst = Instance(24, types, [[int(i == j) for j in range(4)]
+                                for i in range(4)])
+    budget = gapdp.MAX_STATES
+    monkeypatch.setattr(gapdp, "MAX_STATES", 100_000)
+    pruned = solve_gap_dp(inst)
+    assert check_gap_feasible(inst, pruned)
+    monkeypatch.setattr(gapdp, "_greedy_welfare", lambda inst: 0.0)
+    with pytest.raises(GuardError, match="stored"):
+        solve_gap_dp(inst)
+    monkeypatch.setattr(gapdp, "MAX_STATES", budget)
+    assert welfare(inst, pruned) == welfare(inst, solve_gap_dp(inst))
