@@ -5,9 +5,8 @@ instance/solution/priced-outcome schemas and the bench CSV.  Exit codes:
 0 success, 1 validation failure, 2 size-guard refusal, 64 usage error.
 
 Each handler imports the modules it runs, so a call loads only what its
-command needs: ``solve`` (any ``--algo``) and ``verify`` of a solution
-without duals never import numpy; ``price``, ``gen``, ``bench`` and
-``verify`` with duals do.
+command needs; only ``gen`` and ``bench`` load numpy, for their seeded
+draws.
 """
 from __future__ import annotations
 
@@ -15,7 +14,6 @@ import argparse
 import json
 import math
 import sys
-from operator import index
 
 from . import hungarian
 from .core import (
@@ -25,6 +23,7 @@ from .core import (
     Matching,
     ValidationError,
     has_gap_rules,
+    as_integer,
     as_number,
     instance_to_dict,
     load_instance,
@@ -122,7 +121,8 @@ def _load_reserves(path) -> dict[AdRef, float]:
     if not isinstance(entries, list):
         raise ValidationError(f"reserves must be a list of {bad}")
     try:
-        pairs = [(AdRef(index(e["type"]), index(e["rank"])),
+        pairs = [(AdRef(as_integer(e["type"], "type"),
+                        as_integer(e["rank"], "rank")),
                   as_number(e["reserve"], "reserve")) for e in entries]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"reserves must be a list of {bad} ({exc!r})") \
@@ -134,7 +134,7 @@ def _load_reserves(path) -> dict[AdRef, float]:
 
 
 def _cmd_price(args) -> int:
-    from . import pricing  # here, so other commands never load numpy
+    from . import pricing  # here, so other commands never load it
 
     if args.reserves is not None and args.mechanism == "vcg":
         raise _UsageError("--mechanism vcg charges no reserves; "

@@ -54,7 +54,7 @@ def as_number(x, what: str) -> float:
     raise ValidationError(f"{what}: {x!r} is not a number")
 
 
-def _integer(x, what: str) -> int:
+def as_integer(x, what: str) -> int:
     """``x`` as an int; anything else, bools included, is refused rather
     than rounded."""
     if not isinstance(x, bool):
@@ -105,7 +105,7 @@ class Instance:
     real_counts: tuple[int, ...] = field(default=(), compare=False)
 
     def __init__(self, num_slots, types, gap=None):
-        n = _integer(num_slots, "num_slots")
+        n = as_integer(num_slots, "num_slots")
         object.__setattr__(self, "num_slots", n)
         norm, real = [], []
         for spec in types:
@@ -120,7 +120,7 @@ class Instance:
         object.__setattr__(self, "types", tuple(norm))
         object.__setattr__(self, "real_counts", tuple(real))
         if gap is not None:
-            gap = tuple(tuple(_integer(g, "gap entry") for g in row)
+            gap = tuple(tuple(as_integer(g, "gap entry") for g in row)
                         for row in gap)
         object.__setattr__(self, "gap", gap)
         rep = validate_instance(self)
@@ -368,7 +368,7 @@ def matching_from_list(entries: Iterable[Mapping]) -> Matching:
     for e in entries:
         if not isinstance(e, Mapping):
             raise ValidationError(f"assignment entry {e!r} is not an object")
-        pairs.append((_integer(e.get("slot"), "slot"),
-                      AdRef(_integer(e.get("type"), "type"),
-                            _integer(e.get("rank"), "rank"))))
+        pairs.append((as_integer(e.get("slot"), "slot"),
+                      AdRef(as_integer(e.get("type"), "type"),
+                            as_integer(e.get("rank"), "rank"))))
     return Matching(pairs)

@@ -13,11 +13,14 @@ the witness to be strictly worse in value and strictly better in discount
 (or vice versa).  With strictly decreasing values and discounts the witness
 always exists and the scan touches at most three ads per type (unmatched
 head, one matched below, one matched above); ties widen the scan just enough
-to stay safe.
+to stay safe.  The argument needs only feasible duals with tight matched
+edges, so it outlives the solve: :func:`slot_movers` runs the same scan on
+the final matching for the pricing passes of :mod:`adtypes.pricing`.
 
 The duals certify optimality: feasible (u_i + p_j >= v_ij everywhere),
 non-negative, tight on every matched edge, and zero on unmatched ads;
-:func:`certify` checks them one slot at a time, in O(kn) memory.
+:func:`certify` checks them in O(kn) time and memory, reading feasibility
+off one lower envelope per type (:func:`_least_slack`).
 
 One function, :func:`_phase`, runs a phase over local variables: offer the
 candidates :func:`_scan` finds for the slot that just joined the tree, pop
@@ -219,6 +222,27 @@ def _scan(frontiers: list[tuple], val: list[float], slot: int) -> list[int]:
     return cands
 
 
+def slot_movers(inst: Instance, matching: Matching
+                ) -> tuple[list[AdRef], list[list[int]]]:
+    """The moves :func:`_scan` keeps on a final ``matching``: each type's
+    lowest-rank unmatched ad, and for each slot x the slots whose ad the
+    scan lists for x.  With certified duals the crossing argument behind
+    the scan still holds, so these are the only moves a shortest path over
+    the slots needs (the proof is in :class:`adtypes.pricing._SlotPaths`)."""
+    tables = _Tables(inst)
+    n = tables.n
+    slot_ad = [-1] * n
+    ad_slot = [-1] * (tables.k * n)
+    for s, ad in matching.pairs:
+        slot_ad[s] = a = ad.ad_type * n + ad.rank
+        ad_slot[a] = s
+    frontiers = _frontiers(tables, slot_ad, ad_slot)
+    losers = [AdRef(*divmod(f[0], n)) for f in frontiers if f[0] is not None]
+    movers = [[ad_slot[a] for a in _scan(frontiers, tables.val, x)
+               if ad_slot[a] >= 0] for x in range(n)]
+    return losers, movers
+
+
 def _phase(tables: _Tables, slot_ad: list[int], ad_slot: list[int],
            u: list[float], p: list[float], root: int,
            stats: SolveStats) -> None:
@@ -350,69 +374,104 @@ class CertificateReport:
         return self.passed
 
 
-def certify(inst: Instance, sol: OptimalSolution) -> CertificateReport:
-    """Check the dual certificate: finite duals, slacks and welfare,
-    feasibility on every edge, non-negative duals, tightness of matched
-    edges, zero utility on unmatched ads, zero price on empty slots, and
-    welfare against the dual value on the matched subgraph, in O(kn)
-    memory.  The per-edge checks allow :func:`~adtypes.core.scaled_tol`,
-    the welfare checks :func:`~adtypes.core.tol_for` the welfare.  Every
-    check is written so that a NaN fails it."""
-    import numpy as np  # here, so a solve alone never loads it
+def _least_slack(values, utils, disc, p) -> float:
+    """The least ``utils[r] + p[s] - values[r] * disc[s]`` of one type, over
+    every rank r and slot s, in O(n).
 
+    Slot s's least slack is ``p[s] + g(disc[s])``, where ``g(x) = min_r
+    (utils[r] - values[r] * x)`` is the lower envelope of n lines.  Values
+    are non-increasing in the rank, so the lines come sorted by slope, and
+    discounts are non-increasing in the slot, so the queries come sorted
+    too: one monotone hull and one pointer walk answer every slot.  The
+    slack is then formed at the envelope's line as the sum above, the one
+    an edge-by-edge check would form."""
+    # lines by increasing value: the envelope's order from x = -inf to +inf
+    hull: list[int] = []
+    for r in range(len(values) - 1, -1, -1):
+        v, b = values[r], utils[r]
+        if hull and values[hull[-1]] == v:
+            if utils[hull[-1]] <= b:
+                continue  # of two equal slopes, the lower intercept wins
+            hull.pop()
+        # the last line is never lowest once the new one overtakes it no
+        # later than it overtook the line before it
+        while len(hull) >= 2:
+            r1, r2 = hull[-2], hull[-1]
+            if (b - utils[r2]) / (v - values[r2]) > \
+                    (utils[r2] - utils[r1]) / (values[r2] - values[r1]):
+                break
+            hull.pop()
+        hull.append(r)
+    least = math.inf
+    i = 0
+    for s in range(len(disc) - 1, -1, -1):  # increasing discount
+        x, r = disc[s], hull[i]
+        while i + 1 < len(hull) and (utils[hull[i + 1]] - values[hull[i + 1]]
+                                     * x <= utils[r] - values[r] * x):
+            i += 1
+            r = hull[i]
+        least = min(least, utils[r] + p[s] - values[r] * x)
+    return least
+
+
+def certify(inst: Instance, sol: OptimalSolution) -> CertificateReport:
+    """Check the dual certificate: k rows of n utilities and n prices, all
+    finite, finite slacks and welfare, feasibility on every edge,
+    non-negative duals, tightness of matched edges, zero utility on
+    unmatched ads, zero price on empty slots, and welfare against the dual
+    value on the matched subgraph, in O(kn) time and memory: feasibility
+    is read off one lower envelope per type (:func:`_least_slack`).  The
+    per-edge checks allow :func:`~adtypes.core.scaled_tol`, the welfare
+    checks :func:`~adtypes.core.tol_for` the welfare.  Every check is
+    written so that a NaN fails it."""
     msgs: list[str] = []
     edge_tol = scaled_tol(inst)
     worst = 0.0
-    u = np.asarray(sol.duals.u)
-    p = np.asarray(sol.duals.p)
     k, n = inst.num_types, inst.num_slots
-    if u.shape != (k, n) or p.shape != (n,):
+    rows, p = sol.duals.u, sol.duals.p
+    if len(rows) != k or len(p) != n or any(len(row) != n for row in rows):
         return CertificateReport(False, float("inf"), ["dual dimensions wrong"])
-    if not (np.isfinite(u).all() and np.isfinite(p).all()):
+    u = [x for row in rows for x in row]  # u[t*n + r], as the solver has it
+    if not (all(map(math.isfinite, u)) and all(map(math.isfinite, p))):
         return CertificateReport(False, float("inf"),
                                  ["non-finite dual variable"])
 
-    neg = min(float(u.min()), float(p.min()))
+    neg = min(min(u), min(p))
     if not neg >= -edge_tol:
         worst = max(worst, -neg)
         msgs.append(f"negative dual variable ({neg:g})")
 
-    # one slot's k×n slack column at a time; numpy's min and max keep a NaN
-    vals = np.array([spec.values for spec in inst.types])
-    disc = np.array([spec.discounts for spec in inst.types])
-    col_min, col_max = np.empty(n), np.empty(n)
-    for s in range(n):
-        col = u + p[s] - vals * disc[:, s, None]
-        col_min[s], col_max[s] = col.min(), col.max()
-    min_slack = float(col_min.min())
-    if not (math.isfinite(min_slack) and math.isfinite(float(col_max.max()))):
+    # edge values are finite and non-negative, so every slack is finite
+    # when the least one and the largest u plus the largest p are
+    min_slack = min(_least_slack(spec.values, rows[t], spec.discounts, p)
+                    for t, spec in enumerate(inst.types))
+    if not (math.isfinite(min_slack) and math.isfinite(max(u) + max(p))):
         return CertificateReport(False, float("inf"), ["non-finite edge slack"])
     if not min_slack >= -edge_tol:
         worst = max(worst, -min_slack)
         msgs.append(f"dual infeasible: worst edge slack {min_slack:g}")
 
     dual_on_matched = 0.0
-    matched_mask = np.zeros((k, n), dtype=bool)
-    filled = np.zeros(n, dtype=bool)
+    loser_u, empty_p = list(u), list(p)  # matched ads and filled slots: 0
     for slot, ad in sol.matching.pairs:
         if not (0 <= slot < n and 0 <= ad.ad_type < k and 0 <= ad.rank < n):
             return CertificateReport(False, float("inf"),
                                      [f"matched pair out of range: {slot}, {ad}"])
         t, r = ad.ad_type, ad.rank
-        matched_mask[t, r] = True
-        filled[slot] = True
-        resid = abs(float(u[t, r] + p[slot] - vals[t, r] * disc[t, slot]))
+        loser_u[t * n + r] = empty_p[slot] = 0.0
+        resid = abs(rows[t][r] + p[slot]
+                    - inst.types[t].values[r] * inst.types[t].discounts[slot])
         if not resid <= edge_tol:
             worst = max(worst, resid)
             msgs.append(f"matched edge slot {slot} not tight (residual {resid:g})")
-        dual_on_matched += u[t, r] + p[slot]
+        dual_on_matched += rows[t][r] + p[slot]
 
     # complementary slackness: losers carry no utility, empty slots no price
-    loose = float(u[~matched_mask].max(initial=0.0))
+    loose = max(loser_u)
     if not loose <= edge_tol:
         worst = max(worst, loose)
         msgs.append(f"unmatched ad has positive utility ({loose:g})")
-    idle = float(p[~filled].max(initial=0.0))
+    idle = max(empty_p)
     if not idle <= edge_tol:
         worst = max(worst, idle)
         msgs.append(f"empty slot has positive price ({idle:g})")
@@ -438,22 +497,16 @@ def crossing_violations(inst: Instance, duals: DualSolution) -> list[tuple]:
     (i',j) tight, within :func:`~adtypes.core.scaled_tol`.  Feasible duals
     admit none; equal-value or equal-discount pairs are exempt since either
     order is then interchangeable."""
-    import numpy as np  # here, so a solve alone never loads it
-
     out = []
     tol = scaled_tol(inst)
-    u = np.asarray(duals.u)
-    p = np.asarray(duals.p)
+    p = duals.p
     for t, spec in enumerate(inst.types):
-        tight = np.argwhere(np.abs(u[t][:, None] + p[None, :]
-                                   - np.outer(spec.values, spec.discounts))
-                            <= tol)
-        for a in range(len(tight)):
-            r1, s1 = tight[a]
-            for b in range(len(tight)):
-                r2, s2 = tight[b]
-                if r1 < r2 and s2 < s1:
-                    if spec.values[r1] > spec.values[r2] and \
-                            spec.discounts[s2] > spec.discounts[s1]:
-                        out.append((t, int(r1), int(s1), int(r2), int(s2)))
+        vals, disc, u = spec.values, spec.discounts, duals.u[t]
+        tight = [(r, s) for r, v in enumerate(vals) for s, a in enumerate(disc)
+                 if abs(u[r] + p[s] - v * a) <= tol]
+        for r1, s1 in tight:
+            for r2, s2 in tight:
+                if r1 < r2 and s2 < s1 and vals[r1] > vals[r2] \
+                        and disc[s2] > disc[s1]:
+                    out.append((t, r1, s1, r2, s2))
     return out

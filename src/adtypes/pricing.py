@@ -17,6 +17,11 @@ Four pricing routes:
   :func:`~adtypes.baseline.bid_sweep` when it returns a bare :class:`Matching`;
   exact, or refused with :class:`~adtypes.core.GuardError` when too long.
 
+The shortest-path passes are heap Dijkstras over the moves the solver's own
+candidate scan keeps on the final matching
+(:func:`~adtypes.hungarian.slot_movers`): O(kn) of them, read from the
+solver's lists.
+
 Tolerances come from :mod:`adtypes.core`: certificates and utilities are
 compared within ``scaled_tol`` (relative to the largest edge value), welfare
 tangents within ``tol_for`` the welfare.  The bid-sweep oracle compares
@@ -27,9 +32,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 from typing import Callable, Mapping
-
-import numpy as np
 
 from .core import (
     AdRef,
@@ -44,7 +48,7 @@ from .core import (
     tol_for,
     with_bid,
 )
-from .hungarian import OptimalSolution, certify, solve_adtypes
+from .hungarian import OptimalSolution, certify, slot_movers, solve_adtypes
 from .baseline import (bid_sweep, candidate_bids, check_sweep, check_window,
                        received_discount, solve_greedy)
 
@@ -96,23 +100,28 @@ class ReserveVector:
 # ---------------------------------------------------------------------------
 # Shortest paths over the slots of a certified solution
 
-def _dijkstra(start: np.ndarray, via: Callable) -> np.ndarray:
-    """Distances over the slots from the start distances ``start``: settle
-    the nearest unsettled slot x, lower each unsettled slot's distance to
-    ``via(x, dist[x])`` where that is smaller, repeat.  The lengths are
-    reduced costs, never negative, so each slot settles once.  A slot that
-    starts and stays infinite is never settled."""
-    work = start.copy()
-    dist = np.full_like(start, np.inf)
-    settled = np.zeros_like(start)  # inf once settled, so no via lowers it
-    for _ in range(len(start)):
-        x = int(work.argmin())
-        d = float(work[x])
-        if d == np.inf:
-            break
-        dist[x] = d
-        settled[x] = work[x] = np.inf
-        np.minimum(work, via(x, d) + settled, out=work)
+def _dijkstra(dist: list[float], moves: list[list[int]],
+              length: Callable) -> list[float]:
+    """Distances over the slots from the start distances ``dist``, in
+    place: settle the nearest unsettled slot x, lower each unsettled slot y
+    in ``moves[x]`` to ``dist[x] + length(x, y)`` where that is smaller,
+    repeat.  The lengths are reduced costs, never negative, so each slot
+    settles once.  A slot that starts and stays infinite is never
+    settled."""
+    settled = [False] * len(dist)
+    heap = [(d, x) for x, d in enumerate(dist) if d < math.inf]
+    heapify(heap)
+    while heap:
+        d, x = heappop(heap)
+        if settled[x]:
+            continue
+        settled[x] = True
+        for y in moves[x]:
+            if not settled[y]:
+                dy = d + length(x, y)
+                if dy < dist[y]:
+                    dist[y] = dy
+                    heappush(heap, (dy, y))
     return dist
 
 
@@ -167,9 +176,23 @@ class _SlotPaths:
     least cost over the pairs ``room`` prices is the least over matchings.
     ``W_{-i}`` is the one-deficiency case: the vacancy at ``s_i`` alone.
 
-    Each pass settles n slots and reads one row or column of the k x n
-    discount table per settle: O(n(k + n)) time and O(kn) memory.  A
-    solution that fails :func:`certify` is refused with ValidationError.
+    Why the solver's scan pruning is exact here.  Both passes move an ad
+    a into a slot x only when :func:`~adtypes.hungarian.slot_movers` lists
+    a for x.  Let a and w be ads of one type, w matched at ``y_w``; with
+    feasible duals and tight matched edges, ``slack(a, x) - slack(w, x) -
+    slack(a, y_w) = (v_a - v_w) * (alpha_{y_w} - alpha_x)``.  The scan
+    drops a from x only when a listed witness w makes that non-negative,
+    so the move "a into x" costs at least the two moves "w into x, then a
+    into ``y_w``", which end with the same slots filled.  The scan never
+    lists, and never takes as a witness, the ad at x itself, so in the
+    ``vacate`` pass w is never the ad that left.  In a winner's pass w may
+    be the winner itself, at ``s_i``; then ``room[s_i] = 0`` makes "a into
+    ``s_i``" cost no more than the dropped move.  Losers move only as each
+    type's lowest-rank loser, the scan's head.
+
+    Each pass settles n slots through O(kn) moves (more where values or
+    discounts tie) on a heap: O(kn log n) time, O(kn) memory.  A solution
+    that fails :func:`certify` is refused with ValidationError.
     """
 
     def __init__(self, inst: Instance, sol: OptimalSolution):
@@ -178,47 +201,56 @@ class _SlotPaths:
             raise ValidationError(["solution fails certification: "
                                    + "; ".join(report.messages)])
         n = inst.num_slots
-        u = np.asarray(sol.duals.u, dtype=float)
-        self.p = p = np.asarray(sol.duals.p, dtype=float)
-        self.disc = disc = np.array([spec.discounts for spec in inst.types])
-        self.slot_disc = disc.T.copy()  # slot_disc[x][t] == disc[t][x]
+        self.p = p = sol.duals.p
         self.welfare = sol.welfare
-        # per slot: its ad's type, value and utility; an empty slot has no
-        # ad to move, so nothing leaves it (utility inf)
-        self.t_at = t_at = np.zeros(n, dtype=int)
-        self.v_at = v_at = np.zeros(n)
-        self.u_at = u_at = np.full(n, np.inf)
-        matched = np.zeros(u.shape, dtype=bool)
+        u = sol.duals.u
+        losers, self.movers = slot_movers(inst, sol.matching)
+        # per slot: its ad's discounts, value and utility; an empty slot has
+        # no ad to move, so nothing leaves it (utility inf)
+        self.d_at = [None] * n
+        self.v_at = [0.0] * n
+        self.u_at = [math.inf] * n
         for slot, ad in sol.matching.pairs:
-            t_at[slot], v_at[slot] = ad.ad_type, inst.value_of(ad)
-            u_at[slot] = u[ad.ad_type, ad.rank]
-            matched[ad.ad_type, ad.rank] = True
-        self.filled = np.isfinite(u_at)
-        start = p.copy()
-        for t, spec in enumerate(inst.types):
-            free = np.flatnonzero(~matched[t])
-            if free.size:
-                r = free[0]
-                np.minimum(start, u[t, r] + p - spec.values[r] * disc[t],
-                           out=start)
-        start[~self.filled] = np.inf
-        # the ad at s moves into each other slot
-        self.vacate = _dijkstra(start, lambda s, d: d + u_at[s] + p
-                                - v_at[s] * disc[t_at[s]])
+            self.d_at[slot] = inst.types[ad.ad_type].discounts
+            self.v_at[slot] = inst.value_of(ad)
+            self.u_at[slot] = u[ad.ad_type][ad.rank]
+        self.filled = filled = [row is not None for row in self.d_at]
+        # a vacancy is left open (p) or filled by a type's lowest-rank loser
+        start = list(p)
+        for ad in losers:
+            u_a, v_a = u[ad.ad_type][ad.rank], inst.value_of(ad)
+            row = inst.types[ad.ad_type].discounts
+            start = [min(d, u_a + p_y - v_a * a)
+                     for d, p_y, a in zip(start, p, row)]
+        start = [d if f else math.inf for d, f in zip(start, filled)]
+        # vacate follows the moves backwards, from the slot an ad leaves to
+        # the filled slot it repairs
+        into: list[list[int]] = [[] for _ in range(n)]
+        for y, slots in enumerate(self.movers):
+            if filled[y]:
+                for s in slots:
+                    into[s].append(y)
+        u_at, v_at, d_at = self.u_at, self.v_at, self.d_at
+        # the ad at s moves into y
+        self.vacate = _dijkstra(start, into, lambda s, y: (
+            u_at[s] + p[y] - v_at[s] * d_at[s][y]))
 
     def lowered_welfare(self, s_i: int, r: float) -> float:
         """The welfare with the ad at slot ``s_i`` bidding ``r``."""
-        p, t_at, v_at, slot_disc = self.p, self.t_at, self.v_at, self.slot_disc
-        u_at = self.u_at.copy()
-        u_at[s_i] = np.inf  # the ad at s_i is gone: nothing moves out
-        room = np.where(self.filled, self.u_at, 0.0) + self.vacate[s_i]
+        p, v_at, d_at = self.p, self.v_at, self.d_at
+        repair = self.vacate[s_i]
+        room = [u + repair if filled else repair
+                for u, filled in zip(self.u_at, self.filled)]
         room[s_i] = 0.0
-        # the ad at each other slot moves into x
-        room = _dijkstra(room, lambda x, d: u_at - v_at * slot_disc[x][t_at]
-                         + (d + p[x]))
+        u_at = list(self.u_at)
+        u_at[s_i] = math.inf  # the ad at s_i is gone: nothing moves out
+        # the ad at each other slot j moves into x
+        room = _dijkstra(room, self.movers, lambda x, j: (
+            u_at[j] + p[x] - v_at[j] * d_at[j][x]))
         others = self.welfare - self.u_at[s_i]
-        placed = r * self.disc[t_at[s_i]] + others - p - room
-        return max(others - self.vacate[s_i], float(placed.max()))
+        placed = max(r * a + others - p_j - room_j
+                     for a, p_j, room_j in zip(d_at[s_i], p, room))
+        return max(others - repair, placed)
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +267,7 @@ def vcg_prices_fast(inst: Instance, sol: OptimalSolution) -> tuple[float, ...]:
     ``p_j - d_j``.  A slot with no ad keeps its price.
     """
     paths = _SlotPaths(inst, sol)
-    return tuple(max(0.0, float(p - d)) if filled else float(p)
+    return tuple(max(0.0, p - d) if filled else p
                  for p, d, filled in zip(paths.p, paths.vacate, paths.filled))
 
 
@@ -310,8 +342,9 @@ def price_with_reserves(inst: Instance, reserves: ReserveVector | Mapping | None
     Each ``W(b -> r)`` then comes from those duals, not from a re-solve: one
     shortest-path pass over the slots per winner with positive quantity
     (:meth:`_SlotPaths.lowered_welfare`, where the proof is, the two-chain
-    case included).  That is O(n(k + n)) time per winner on top of the one
-    solve, in O(kn) memory.
+    case included, and why the solver's scan pruning is exact).  That is
+    O(kn log n) time per winner on top of the one solve (more where values
+    or discounts tie), in O(kn) memory.
     """
     reserves = ReserveVector(reserves)
     filtered, keep_map = filter_by_reserves(inst, reserves)

@@ -96,6 +96,22 @@ def test_verify_rejects_corrupted_solution(fixtures_dir, tmp_path, capsys):
     assert "violation" in capsys.readouterr().out
 
 
+def test_verify_reports_ragged_duals(fixtures_dir, tmp_path, capsys):
+    # utility rows of unequal length fail the certificate; they once
+    # escaped as an array error and printed "invalid:"
+    inst = str(fixtures_dir / "example1.json")
+    out = tmp_path / "sol.json"
+    run(["solve", "--in", inst, "--out", str(out)])
+    sol = _read(out)
+    sol["duals"]["u"][0].append(0.0)
+    out.write_text(json.dumps(sol))
+    assert run(["verify", "--in", inst, "--sol", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "violation: certificate failed: dual dimensions wrong" \
+        in captured.out
+    assert "invalid:" not in captured.err
+
+
 def test_price_vcg_two_bidders(fixtures_dir, tmp_path):
     out = tmp_path / "priced.json"
     code = run(["price", "--in", str(fixtures_dir / "two_bidders.json"),
@@ -136,6 +152,8 @@ def test_price_with_reserves_file(fixtures_dir, tmp_path):
     [{"type": 0, "rank": 0, "reserve": 10 ** 400}],
     [{"type": 0, "rank": 0, "reserve": "4.0"}],
     {"reserves": [{"type": 0, "rank": 0, "reserve": 1.0}]},
+    [{"type": True, "rank": 0, "reserve": 1.0}],
+    [{"type": 0, "rank": False, "reserve": 1.0}],
 ])
 def test_bad_reserves_file_exit_code(fixtures_dir, tmp_path, capsys, reserves):
     # malformed entries and NaN reserves are refused, not a traceback and

@@ -1,3 +1,4 @@
+import math
 import os
 import re
 import subprocess
@@ -38,6 +39,7 @@ from adtypes.hungarian import (
     _Tables,
     certify,
     crossing_violations,
+    slot_movers,
     solve_adtypes,
 )
 from adtypes.pricing import vcg_prices_fast
@@ -125,6 +127,18 @@ def test_scan_candidates_matched_above_and_below():
         {AdRef(0, 2), AdRef(0, 0), AdRef(0, 1)}
 
 
+def test_slot_movers_stop_at_the_first_protecting_ad():
+    # the tie (6, 6) sends the scan down its careful path: each side stops
+    # once a listed ad protects the rest (smaller value at a better
+    # discount), and the tied ad at slot 2 protects nothing for slot 0
+    inst = Instance(5, [TypeSpec("t", [8.0, 6.0, 6.0, 4.0, 2.0],
+                                 [1.0, 0.5, 0.25, 0.125, 0.0625])])
+    losers, movers = slot_movers(inst, Matching({s: AdRef(0, s)
+                                                 for s in range(4)}))
+    assert losers == [AdRef(0, 4)]
+    assert movers == [[1, 2], [0, 2], [1, 3], [2, 1], [3]]
+
+
 def test_scan_all_unmatched_one_candidate_per_type():
     types = [TypeSpec(f"t{i}", [3.0, 1.0], [1.0, 0.5]) for i in range(3)]
     inst = Instance(2, types)
@@ -188,12 +202,23 @@ def _dense_slack_findings(inst: Instance, sol: OptimalSolution):
 
 
 @pytest.mark.parametrize("c", [1.0, 1e7, 1e12])
-def test_certify_matches_a_dense_slack_reference(c):
-    # certify forms one slot's k×n slack column at a time; on the solvers'
-    # duals and on corrupted ones it must find what the dense array shows
-    for seed in range(40):
-        inst = _scaled(gen_exact_random(seed), c)
-        rng = np.random.default_rng(seed)
+def test_certify_matches_a_dense_slack_reference(c, tie_heavy):
+    # certify reads feasibility off one lower envelope per type; on the
+    # solvers' duals and on corrupted ones it must find what the dense
+    # array shows, ties and equal slopes included.  Where several ads tie
+    # exactly in a slot, the envelope may form the least slack from another
+    # of them than the dense minimum does, and the two roundings can differ
+    # in the last place: the worst violation may fall short by a few ulps
+    equal_slopes = Instance(4, [TypeSpec("t", [6.0, 6.0, 6.0, 0.0],
+                                         [1.0, 0.5, 0.5, 0.0]),
+                                TypeSpec("s", [0.0, 0.0],
+                                         [1.0, 1.0, 0.25, 0.25])])
+    cases = ([gen_exact_random(seed) for seed in range(40)]
+             + [tie_heavy(seed) for seed in range(40)] + [equal_slopes])
+    for i, base in enumerate(cases):
+        inst = _scaled(base, c)
+        top = max(s.values[0] * s.discounts[0] for s in inst.types)
+        rng = np.random.default_rng(i)
         for solver in (solve_adtypes, solve_generic_hungarian):
             sol = solver(inst)
             u, p = np.array(sol.duals.u), np.array(sol.duals.p)
@@ -209,9 +234,25 @@ def test_certify_matches_a_dense_slack_reference(c):
                 msgs, worst = _dense_slack_findings(inst, case)
                 found = [m for m in report.messages
                          if m.startswith(("dual infeasible", "matched edge"))]
-                assert found == msgs, (seed, solver.__name__)
-                assert report.worst_violation >= worst
+                assert found == msgs, (i, solver.__name__)
+                ulps = 4 * math.ulp(np.abs(uu).max() + np.abs(pp).max() + top)
+                assert report.worst_violation >= worst - ulps
                 assert report.passed == (uu is u and pp is p)
+
+
+def test_certify_reports_ragged_duals():
+    # a utility row of the wrong length is a failed certificate, not an
+    # exception out of certify
+    inst = Instance(2, [TypeSpec("a", [3.0, 1.0], [1.0, 0.5]),
+                        TypeSpec("b", [2.0, 1.0], [1.0, 0.5])])
+    sol = solve_adtypes(inst)
+    for u in (((0.0, 0.0), (0.0,)), ((0.0, 0.0, 0.0), (0.0, 0.0)),
+              ((0.0, 0.0),)):
+        report = certify(inst, OptimalSolution(sol.matching,
+                                               DualSolution(u, sol.duals.p),
+                                               sol.welfare))
+        assert not report.passed
+        assert report.messages == ["dual dimensions wrong"]
 
 
 def test_certify_memory_is_linear_in_the_slots():

@@ -1,6 +1,7 @@
-"""What a command imports: cheap commands stay free of numpy, the package
+"""What a command imports: only the generators load numpy, the package
 still exports every name it did before its imports were deferred, and the
 benchmark's tracing still reaches every call it wraps."""
+import ast
 import importlib
 import importlib.util
 import json
@@ -59,11 +60,61 @@ def test_verify_without_duals_loads_no_numpy(tmp_path):
     assert not HEAVY & loaded
 
 
-def test_price_loads_numpy(tmp_path):
-    # the control: the probe does see numpy when a command needs it
+def test_verify_with_duals_loads_no_numpy(tmp_path):
+    inst, sol = str(FIXTURES / "example1.json"), str(tmp_path / "sol.json")
+    loaded = _modules_after([
+        ["solve", "--in", inst, "--out", sol],
+        ["verify", "--in", inst, "--sol", sol]])
+    assert json.loads(Path(sol).read_text())["duals"] is not None
+    assert not HEAVY & loaded
+
+
+@pytest.mark.parametrize("mechanism", ["vcg", "reserve", "myerson-greedy"])
+def test_price_loads_no_numpy(tmp_path, mechanism):
     argv = ["price", "--in", str(FIXTURES / "two_bidders.json"),
-            "--mechanism", "vcg", "--out", str(tmp_path / "priced.json")]
-    assert {"numpy", "adtypes.pricing"} <= _modules_after([argv])
+            "--mechanism", mechanism, "--out", str(tmp_path / "priced.json")]
+    loaded = _modules_after([argv])
+    assert "adtypes.pricing" in loaded
+    assert not {"numpy", "adtypes.bench"} & loaded
+
+
+def test_gen_loads_numpy(tmp_path):
+    # the control: the probe does see numpy when a command needs it
+    argv = ["gen", "--family", "random", "--out", str(tmp_path / "inst.json")]
+    assert {"numpy", "adtypes.bench"} <= _modules_after([argv])
+
+
+def _numpy_imports(path: Path) -> set[tuple[str, str | None]]:
+    """``(file name, enclosing function or None)`` of each import of numpy
+    in the source file ``path``."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom):
+                names = [child.module or ""]
+            else:
+                names = []
+            if any(name.split(".")[0] == "numpy" for name in names):
+                found.add((path.name, scope))
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+            else:
+                visit(child, scope)
+
+    visit(ast.parse(path.read_text()), None)
+    return found
+
+
+def test_numpy_is_imported_only_by_the_generators():
+    # the seeded draws that fix the tests' and the benchmark's instances
+    # are numpy's; nothing else in the package may load it
+    found = set()
+    for path in sorted((ROOT / "src" / "adtypes").glob("*.py")):
+        found |= _numpy_imports(path)
+    assert found == {("bench.py", None), ("cli.py", "_cmd_gen")}
 
 
 def test_import_package_loads_no_submodule():

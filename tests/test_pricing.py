@@ -110,15 +110,17 @@ def test_fast_equals_naive_on_random_instances():
                 f"seed {seed} {solver.__name__}"
 
 
-def test_fast_equals_naive_exactly_on_dyadic_instances():
+def test_fast_equals_naive_exactly_on_dyadic_instances(tie_heavy):
     # dyadic values and discounts make every slack exact, so the
-    # shortest-path pass must reproduce the re-solves bit for bit
-    for seed in range(100):
-        inst = gen_exact_random(seed)
+    # shortest-path pass must reproduce the re-solves bit for bit, ties,
+    # equal values and zero values included
+    cases = ([gen_exact_random(seed) for seed in range(100)]
+             + [tie_heavy(seed) for seed in range(100)])
+    for i, inst in enumerate(cases):
         naive = vcg_prices_naive(inst)
         for solver in (solve_adtypes, solve_generic_hungarian):
             assert vcg_prices_fast(inst, solver(inst)) == naive, \
-                f"seed {seed} {solver.__name__}"
+                f"case {i} {solver.__name__}"
 
 
 def test_pointwise_minimality_literal():
@@ -215,26 +217,33 @@ def _resolved_payments(inst, reserves):
     return payments
 
 
-def test_lowered_welfares_match_the_resolve_oracle():
-    # every value and discount family; n <= 15 and k <= 4, so padding ads
-    # and zero-discount (step) slots occur
+def test_lowered_welfares_match_the_resolve_oracle(tie_heavy):
+    # every value and discount family, then the tie-heavy one; n <= 15 and
+    # k <= 4, so padding ads and zero-discount (step) slots occur; each
+    # from both solvers' duals
     checked = 0
-    for seed in range(180):
+    for seed in range(280):
         rng = np.random.default_rng(seed + 7000)
-        dist = ("uniform-int", "uniform-real", "pareto")[seed % 3]
-        fam = ("geometric", "linear", "step")[seed // 3 % 3]
-        inst = gen_random(GenConfig(int(rng.integers(1, 16)),
-                                    int(rng.integers(1, 5)), seed, dist, fam))
-        sol = solve_adtypes(inst)
-        paths = pricing._SlotPaths(inst, sol)
-        for slot, ad in sol.matching.pairs:
-            value = inst.value_of(ad)
-            for r in (0.0, value, float(rng.uniform(0.0, value))):
-                got = paths.lowered_welfare(slot, r)
-                want = solve_adtypes(with_bid(inst, ad, r)[0]).welfare
-                assert abs(got - want) <= tol_for(want), (seed, slot, r)
-                checked += 1
-    assert checked > 3000
+        if seed < 180:
+            dist = ("uniform-int", "uniform-real", "pareto")[seed % 3]
+            fam = ("geometric", "linear", "step")[seed // 3 % 3]
+            inst = gen_random(GenConfig(int(rng.integers(1, 16)),
+                                        int(rng.integers(1, 5)), seed, dist,
+                                        fam))
+        else:
+            inst = tie_heavy(seed)
+        for solver in (solve_adtypes, solve_generic_hungarian):
+            sol = solver(inst)
+            paths = pricing._SlotPaths(inst, sol)
+            for slot, ad in sol.matching.pairs:
+                value = inst.value_of(ad)
+                for r in (0.0, value, float(rng.uniform(0.0, value))):
+                    got = paths.lowered_welfare(slot, r)
+                    want = solve_adtypes(with_bid(inst, ad, r)[0]).welfare
+                    assert abs(got - want) <= tol_for(want), \
+                        (seed, solver.__name__, slot, r)
+                    checked += 1
+    assert checked > 12000
 
 
 def test_reserve_payments_equal_resolving_bit_for_bit_on_exact_instances():
