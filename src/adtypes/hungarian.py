@@ -32,8 +32,13 @@ best-key table, the heap entries, the per-type frontier index
 (:func:`_frontiers`), the utilities ``u`` and the matching (``slot_ad`` and
 ``ad_slot``, with -1 for unmatched) are lists and dicts keyed by that int,
 and an edge value is read as ``disc[t][slot] * val[a]`` from tables built
-once per solve.  :class:`AdRef` and :class:`Matching` appear only at the
-edges: :func:`solve_adtypes` reads the instance on the way in and
+once per solve.  Tree membership lives in the best-key table: a popped
+ad's entry becomes the sentinel ``_IN_TREE``, whose key no offer undercuts,
+so the offer loop needs no membership test.  The frontiers are carried from
+phase to phase: a type's frontier reads only that type's ads, so after each
+augmentation :func:`solve_adtypes` rebuilds only the frontiers of the types
+whose ads the path moved.  :class:`AdRef` and :class:`Matching` appear only
+at the edges: :func:`solve_adtypes` reads the instance on the way in and
 builds the final matching (and the per-phase ones, when
 ``collect_phase_matchings`` asks) on the way out.  A solve can be followed
 phase by phase through :attr:`SolveStats.phases` (printed by
@@ -42,7 +47,8 @@ phase by phase through :attr:`SolveStats.phases` (printed by
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, insort
+from collections.abc import Collection
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import accumulate
@@ -84,10 +90,16 @@ class DualSolution:
 @dataclass
 class SolveStats:
     """Instrumentation collected during a solve.  ``phases`` holds one
-    ``(root slot, pops, dual shift, path length)`` per phase."""
+    ``(root slot, pops, dual shift, path length)`` per phase.  Every heap
+    push is popped live (a pop), popped stale (superseded by a lower key
+    for the same ad, or the ad already in the tree) or left queued when its
+    phase ends; ``heap_pushes`` counts all of them, ``stale_pops`` the
+    second kind."""
 
     max_queue_occupancy: int = 0
     max_scan_candidates: int = 0
+    heap_pushes: int = 0
+    stale_pops: int = 0
     phases: list[tuple[int, int, float, int]] = field(default_factory=list)
     phase_matchings: list[Matching] | None = None
 
@@ -115,7 +127,8 @@ class OptimalSolution:
 class _Tables:
     """An instance's numbers as the phase loop reads them, built once per
     solve: ``val[a]`` for ``a = t*n + r``, ``disc[t][slot]``, whether each
-    type's discount curve is strictly decreasing, and the tolerance."""
+    type's discount curve is strictly decreasing, whether its values are
+    too (``distinct``), and the tolerance."""
 
     def __init__(self, inst: Instance):
         self.n, self.k = inst.num_slots, inst.num_types
@@ -123,6 +136,9 @@ class _Tables:
         self.disc = [spec.discounts for spec in inst.types]
         self.strict = [all(d[j] > d[j + 1] for j in range(self.n - 1))
                        for d in self.disc]
+        self.distinct = [all(x > y for x, y in zip(spec.values,
+                                                   spec.values[1:]))
+                         for spec in inst.types]
         self.tol = scaled_tol(inst)
 
     def initial_duals(self) -> tuple[list[float], list[float]]:
@@ -138,29 +154,41 @@ class _Tables:
                          for s, a in enumerate(slot_ad) if a >= 0])
 
 
-def _frontiers(tables: _Tables, slot_ad: list[int],
-               ad_slot: list[int]) -> list[tuple]:
-    """Per type: matched ads sorted by rank and by slot (with the largest
-    ``a`` over each slot prefix and the smallest over each slot suffix), the
-    lowest unmatched ad, and whether the type is tie-free.  The matching is
-    fixed for the whole phase, so this is built once per phase."""
+def _frontiers(tables: _Tables, slot_ad: list[int], ad_slot: list[int],
+               types: Collection[int]) -> list[tuple]:
+    """The frontier of each type in ``types``, in that order: the lowest
+    unmatched ad, whether the type is tie-free, its matched slots in order
+    (with the largest ``a`` over each slot prefix and the smallest over
+    each slot suffix), its matched ads sorted by rank (``None`` when
+    tie-free), and its discount curve.
+
+    A frontier reads only its own type's ads, so an augmentation changes
+    only the frontiers of the types whose ads its path moved:
+    :func:`solve_adtypes` keeps all k between phases and rebuilds just
+    those, and a full build is every type."""
     n, val = tables.n, tables.val
-    by_slot: list[list[tuple[int, int]]] = [[] for _ in range(tables.k)]
+    by_slot: dict[int, list[tuple[int, int]]] = {t: [] for t in types}
     for s, a in enumerate(slot_ad):
         if a >= 0:
-            by_slot[a // n].append((s, a))
+            pairs = by_slot.get(a // n)
+            if pairs is not None:
+                pairs.append((s, a))
     frontiers = []
-    for t, pairs in enumerate(by_slot):
-        by_rank = sorted((a, s) for s, a in pairs)
+    for t, pairs in by_slot.items():
         ads = [a for _, a in pairs]
         head, end = t * n, t * n + n
         while head < end and ad_slot[head] >= 0:
             head += 1
-        # values are non-increasing in rank, so distinct means strictly
-        # decreasing along by_rank
-        ranked = [val[a] for a, _ in by_rank]
-        tie_free = tables.strict[t] and all(x > y for x, y in
-                                            zip(ranked, ranked[1:]))
+        if tables.strict[t] and tables.distinct[t]:
+            # all the type's values differ, so its matched ones do
+            tie_free, by_rank = True, None
+        else:
+            # values are non-increasing in rank, so distinct means strictly
+            # decreasing along by_rank
+            by_rank = sorted((a, s) for s, a in pairs)
+            ranked = [val[a] for a, _ in by_rank]
+            tie_free = tables.strict[t] and all(x > y for x, y in
+                                                zip(ranked, ranked[1:]))
         frontiers.append((
             head if head < end else None,
             tie_free,
@@ -192,7 +220,8 @@ def _scan(frontiers: list[tuple], val: list[float], slot: int) -> list[int]:
             lo = bisect_left(slots, slot)
             if lo > 0:
                 cands.append(prefix_max[lo - 1])
-            hi = bisect_right(slots, slot)
+            # skip the slot itself, which at most one type has matched
+            hi = lo + 1 if lo < len(slots) and slots[lo] == slot else lo
             if hi < len(slots):
                 cands.append(suffix_min[hi])
             continue
@@ -236,57 +265,67 @@ def slot_movers(inst: Instance, matching: Matching
     for s, ad in matching.pairs:
         slot_ad[s] = a = ad.ad_type * n + ad.rank
         ad_slot[a] = s
-    frontiers = _frontiers(tables, slot_ad, ad_slot)
+    frontiers = _frontiers(tables, slot_ad, ad_slot, range(tables.k))
     losers = [AdRef(*divmod(f[0], n)) for f in frontiers if f[0] is not None]
     movers = [[ad_slot[a] for a in _scan(frontiers, tables.val, x)
                if ad_slot[a] >= 0] for x in range(n)]
     return losers, movers
 
 
-def _phase(tables: _Tables, slot_ad: list[int], ad_slot: list[int],
-           u: list[float], p: list[float], root: int,
-           stats: SolveStats) -> None:
+# the best-key entry of an ad in the tree: no key is below it, so every
+# later offer to that ad is skipped by the same test that drops a worse key
+_IN_TREE = (-math.inf,)
+
+
+def _phase(tables: _Tables, frontiers: list[tuple], slot_ad: list[int],
+           ad_slot: list[int], u: list[float], p: list[float], root: int,
+           stats: SolveStats) -> set[int]:
     """Phase ``root``: grow an alternating tree from slot ``root`` until it
     reaches an unmatched ad, flip that augmenting path into ``slot_ad`` and
     ``ad_slot``, and write the accumulated dual shift back into ``u`` and
     ``p``, all in place.  Appends ``(root, pops, shift, path length)`` to
-    ``stats.phases`` and raises the running maxima in ``stats``.
+    ``stats.phases``, adds to its heap counts and raises its running
+    maxima.  Returns the types of the ads the path moved, the only ones
+    whose entries in ``frontiers`` the flip made stale.
 
     The queue keys each candidate ad by the accumulated shift at which its
     best edge into the tree goes tight, so a pop is a dual update and a tree
     extension in one step.  Tree ads and slots record the shift at which
-    they joined; the duals are written back once, at the end.
+    they joined; the duals are written back once, at the end.  A popped ad's
+    best-key entry becomes ``_IN_TREE``, which no later offer replaces.
     """
     n, val, disc, tol = tables.n, tables.val, tables.disc, tables.tol
-    frontiers = _frontiers(tables, slot_ad, ad_slot)
     tree_ads: dict[int, float] = {}
     tree_slots: dict[int, float] = {root: 0.0}
     parent_slot: dict[int, int] = {}
     queue: list[tuple[float, float, int, int]] = []
-    best: dict[int, tuple[float, float, int, int]] = {}
+    best: dict[int, tuple] = {}
+    best_get = best.get
+    max_queue, max_scan = stats.max_queue_occupancy, stats.max_scan_candidates
     delta = 0.0
-    pops = 0
+    pops = stale = 0
     slot = root
     while True:
         # offer the candidate edges into the slot that just joined the tree,
         # lowering a candidate's key when this edge goes tight sooner than
-        # its current best; ads already in the tree are skipped
+        # its current best
         cands = _scan(frontiers, val, slot)
-        stats.max_scan_candidates = max(stats.max_scan_candidates, len(cands))
+        if len(cands) > max_scan:
+            max_scan = len(cands)
         potential = p[slot] + tree_slots[slot]
         for a in cands:
-            if a in tree_ads:
-                continue
             value = disc[a // n][slot] * val[a]
             key = u[a] + potential - value
-            cur = best.get(a)
+            cur = best_get(a)
             if cur is None or key < cur[0]:
                 # equal keys resolve in the global edge order: higher value,
                 # then lower slot, lower type, lower rank
                 entry = (key, -value, slot, a)
                 best[a] = entry
                 heappush(queue, entry)
-        stats.max_queue_occupancy = max(stats.max_queue_occupancy, len(best))
+        live = len(best) - len(tree_ads)
+        if live > max_queue:
+            max_queue = live
         # pop the live entry with minimal key and advance the shift to its
         # tightness point (the step can be zero)
         while True:
@@ -297,12 +336,13 @@ def _phase(tables: _Tables, slot_ad: list[int], ad_slot: list[int],
                                           "type is padded)")
             entry = heappop(queue)
             key, _, via, a = entry
-            if best.get(a) is entry:
-                break  # else superseded by a lower key, or already popped
+            if best_get(a) is entry:
+                break
+            stale += 1  # superseded by a lower key, or already in the tree
         if key < delta - tol:
             raise PhaseInvariantError(root, key, delta, "queue key regressed")
         delta = max(delta, key)
-        del best[a]
+        best[a] = _IN_TREE
         pops += 1
         # grow the tree by the popped ad, or stop at an unmatched one
         parent_slot[a] = via
@@ -313,12 +353,14 @@ def _phase(tables: _Tables, slot_ad: list[int], ad_slot: list[int],
         tree_slots[slot] = delta
 
     # flip the path from the free ad back to the root
+    moved = set()
     hops = 0
     while True:
         s = parent_slot[a]
         displaced = slot_ad[s]
         slot_ad[s] = a
         ad_slot[a] = s
+        moved.add(a // n)
         hops += 1
         if s == root:
             break
@@ -330,6 +372,11 @@ def _phase(tables: _Tables, slot_ad: list[int], ad_slot: list[int],
     for s, entry_shift in tree_slots.items():
         p[s] -= delta - entry_shift
     stats.phases.append((root, pops, delta, hops))
+    stats.max_queue_occupancy, stats.max_scan_candidates = max_queue, max_scan
+    # every push was popped (live or stale) or is still queued
+    stats.heap_pushes += pops + stale + len(queue)
+    stats.stale_pops += stale
+    return moved
 
 
 def solve_adtypes(inst: Instance, *,
@@ -349,9 +396,13 @@ def solve_adtypes(inst: Instance, *,
     slot_ad = [-1] * n
     ad_slot = [-1] * (k * n)
     stats = SolveStats(phase_matchings=[] if collect_phase_matchings else None)
+    frontiers = _frontiers(tables, slot_ad, ad_slot, range(k))
 
     for j in range(n):
-        _phase(tables, slot_ad, ad_slot, u, p, j, stats)
+        moved = _phase(tables, frontiers, slot_ad, ad_slot, u, p, j, stats)
+        for t, frontier in zip(moved, _frontiers(tables, slot_ad, ad_slot,
+                                                 moved)):
+            frontiers[t] = frontier
         if stats.phase_matchings is not None:
             stats.phase_matchings.append(tables.matching(slot_ad))
 
@@ -494,19 +545,49 @@ def certify(inst: Instance, sol: OptimalSolution) -> CertificateReport:
 def crossing_violations(inst: Instance, duals: DualSolution) -> list[tuple]:
     """Same-type tight-edge pairs that cross: ads i<i' (strictly ordered by
     value) and slots j<j' (strictly ordered by discount) with both (i,j') and
-    (i',j) tight, within :func:`~adtypes.core.scaled_tol`.  Feasible duals
-    admit none; equal-value or equal-discount pairs are exempt since either
-    order is then interchangeable."""
+    (i',j) tight, within :func:`~adtypes.core.scaled_tol`, as sorted
+    ``(type, i, j', i', j)`` tuples.  Feasible duals admit none;
+    equal-value or equal-discount pairs are exempt since either order is
+    then interchangeable.
+
+    Per type, finding the T tight edges takes O(n^2), and pairing them
+    O(n^2 + T log T + P log P) for the P pairs reported.  A tight edge
+    (i, j') pairs with the tight edges of the ranks past i's value class
+    whose slots come before j''s discount class.  The edges are swept by
+    that slot bound, and a rank joins the sorted active ranks once its
+    first tight slot falls below the bound, so every active rank past i's
+    class yields a pair."""
     out = []
     tol = scaled_tol(inst)
     p = duals.p
     for t, spec in enumerate(inst.types):
         vals, disc, u = spec.values, spec.discounts, duals.u[t]
-        tight = [(r, s) for r, v in enumerate(vals) for s, a in enumerate(disc)
-                 if abs(u[r] + p[s] - v * a) <= tol]
-        for r1, s1 in tight:
-            for r2, s2 in tight:
-                if r1 < r2 and s2 < s1 and vals[r1] > vals[r2] \
-                        and disc[s2] > disc[s1]:
+        tight = [[s for s, a in enumerate(disc)
+                  if abs(u[r] + p[s] - v * a) <= tol]
+                 for r, v in enumerate(vals)]
+        # past[r]: the first rank of smaller value; first[s]: the first
+        # slot of equal discount (values and discounts are non-increasing)
+        past = list(range(1, len(vals) + 1))
+        for r in range(len(vals) - 2, -1, -1):
+            if vals[r + 1] == vals[r]:
+                past[r] = past[r + 1]
+        first = list(range(len(disc)))
+        for s in range(1, len(disc)):
+            if disc[s] == disc[s - 1]:
+                first[s] = first[s - 1]
+        edges = sorted((first[s], past[r], r, s)
+                       for r, slots in enumerate(tight) for s in slots)
+        joining = sorted((slots[0], r) for r, slots in enumerate(tight) if slots)
+        active: list[int] = []
+        joined = 0
+        for bound, start, r1, s1 in edges:
+            while joined < len(joining) and joining[joined][0] < bound:
+                insort(active, joining[joined][1])
+                joined += 1
+            for r2 in active[bisect_left(active, start):]:
+                for s2 in tight[r2]:
+                    if s2 >= bound:
+                        break
                     out.append((t, r1, s1, r2, s2))
+    out.sort()
     return out

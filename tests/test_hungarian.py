@@ -30,6 +30,7 @@ from adtypes.core import (
     tol_for,
     welfare,
 )
+from adtypes import hungarian
 from adtypes.hungarian import (
     DualSolution,
     OptimalSolution,
@@ -98,17 +99,24 @@ def test_instrumentation_budgets():
         assert stats.max_queue_occupancy <= inst.num_slots + inst.num_types
 
 
-def _scan_refs(inst: Instance, m: Matching, slot: int) -> list[AdRef]:
-    """The solver's candidate scan for ``slot`` under matching ``m``, with
-    ads converted between ``AdRef`` and the solver's ``a = t*n + r``."""
-    tables = _Tables(inst)
+def _solver_state(tables: _Tables, m: Matching) -> tuple[list[int], list[int]]:
+    """``slot_ad`` and ``ad_slot`` of matching ``m``, as the solver keeps
+    them."""
     n = tables.n
     slot_ad, ad_slot = [-1] * n, [-1] * (tables.k * n)
     for s, ad in m.pairs:
         a = ad.ad_type * n + ad.rank
         slot_ad[s], ad_slot[a] = a, s
-    frontiers = _frontiers(tables, slot_ad, ad_slot)
-    return [AdRef(*divmod(a, n)) for a in _scan(frontiers, tables.val, slot)]
+    return slot_ad, ad_slot
+
+
+def _scan_refs(inst: Instance, m: Matching, slot: int) -> list[AdRef]:
+    """The solver's candidate scan for ``slot`` under matching ``m``, with
+    ads converted between ``AdRef`` and the solver's ``a = t*n + r``."""
+    tables = _Tables(inst)
+    frontiers = _frontiers(tables, *_solver_state(tables, m), range(tables.k))
+    return [AdRef(*divmod(a, tables.n))
+            for a in _scan(frontiers, tables.val, slot)]
 
 
 def test_scan_candidates_three_cases():
@@ -137,6 +145,61 @@ def test_slot_movers_stop_at_the_first_protecting_ad():
                                                  for s in range(4)}))
     assert losers == [AdRef(0, 4)]
     assert movers == [[1, 2], [0, 2], [1, 3], [2, 1], [3]]
+
+
+def test_carried_frontiers_equal_a_full_rebuild(monkeypatch, tie_heavy):
+    # solve_adtypes keeps the frontiers between phases and rebuilds only
+    # the types whose ads the augmenting path moved; at the start of every
+    # phase the carried list must equal one built from scratch on the
+    # previous phase's matching
+    phase = hungarian._phase
+    checked = 0
+
+    def checking_phase(tables, frontiers, slot_ad, ad_slot, u, p, root,
+                       stats):
+        nonlocal checked
+        if root:
+            previous = stats.phase_matchings[-1]
+            assert (slot_ad, ad_slot) == _solver_state(tables, previous)
+        assert frontiers == _frontiers(tables, slot_ad, ad_slot,
+                                       range(tables.k)), root
+        checked += 1
+        return phase(tables, frontiers, slot_ad, ad_slot, u, p, root, stats)
+
+    monkeypatch.setattr(hungarian, "_phase", checking_phase)
+    cases = ([gen_exact_random(seed, max_n=12, max_k=4) for seed in range(60)]
+             + [tie_heavy(seed) for seed in range(60)]
+             + [gen_scaling_instance(40, 4, 0)])
+    for inst in cases:
+        solve_adtypes(inst, collect_phase_matchings=True)
+    assert checked == sum(inst.num_slots for inst in cases)
+
+
+def test_tie_free_scan_lists_what_the_protected_walk_lists():
+    # a tie-free type's scan skips the walk, since its first listed ad on
+    # either side protects the rest; the walk run on the same frontier with
+    # tie_free forced off must list the same ads for every slot
+    cases = ([gen_strict_random(seed) for seed in range(40)]
+             + [gen_exact_random(seed, max_n=12, max_k=4) for seed in range(40)]
+             + [gen_scaling_instance(30, 4, 0)])
+    checked = 0
+    for inst in cases:
+        tables = _Tables(inst)
+        sol = solve_adtypes(inst, collect_phase_matchings=True)
+        for m in sol.stats.phase_matchings:
+            slot_ad, ad_slot = _solver_state(tables, m)
+            for f in _frontiers(tables, slot_ad, ad_slot, range(tables.k)):
+                head, tie_free, slots, prefix_max, suffix_min, _, disc = f
+                if not tie_free:
+                    continue
+                by_rank = sorted((slot_ad[s], s) for s in slots)
+                walked = (head, False, slots, prefix_max, suffix_min,
+                          by_rank, disc)
+                for x in range(tables.n):
+                    assert _scan([f], tables.val, x) == \
+                        _scan([walked], tables.val, x), (m, x)
+                    checked += 1
+    assert checked > 8000, checked
 
 
 def test_scan_all_unmatched_one_candidate_per_type():
@@ -291,6 +354,51 @@ def test_no_crossing_tight_edges():
         assert crossing_violations(inst, sol.duals) == [], f"seed {seed}"
 
 
+def _crossing_pairs_pairwise(inst: Instance, duals: DualSolution):
+    """The crossing check by pairing every tight edge of a type with every
+    other, in O(T^2) for T tight edges: the oracle of
+    :func:`crossing_violations`."""
+    out = []
+    tol = scaled_tol(inst)
+    p = duals.p
+    for t, spec in enumerate(inst.types):
+        vals, disc, u = spec.values, spec.discounts, duals.u[t]
+        tight = [(r, s) for r, v in enumerate(vals) for s, a in enumerate(disc)
+                 if abs(u[r] + p[s] - v * a) <= tol]
+        for r1, s1 in tight:
+            for r2, s2 in tight:
+                if r1 < r2 and s2 < s1 and vals[r1] > vals[r2] \
+                        and disc[s2] > disc[s1]:
+                    out.append((t, r1, s1, r2, s2))
+    return out
+
+
+def test_crossing_violations_match_the_pairwise_oracle(tie_heavy):
+    # on the solver's duals both find nothing; zero duals make every edge
+    # of a zero value or a zero discount tight, and duals planted to make
+    # each ad tight at a random slot are mostly infeasible, so both cross
+    # often; one type of equal values and discounts makes every edge tight
+    # and crosses nowhere
+    cases = ([gen_exact_random(seed, max_n=12, max_k=4) for seed in range(60)]
+             + [tie_heavy(seed) for seed in range(200)]
+             + [Instance(30, [TypeSpec("flat", [4.0] * 30, [0.5] * 30)])])
+    found = 0
+    for i, inst in enumerate(cases):
+        n, k = inst.num_slots, inst.num_types
+        rng = np.random.default_rng(i)
+        p = tuple(float(x) for x in rng.choice([0.0, 0.5, 1.0, 2.0], n))
+        planted = DualSolution(
+            tuple(tuple(spec.values[r] * spec.discounts[s] - p[s]
+                        for r, s in enumerate(rng.integers(0, n, n)))
+                  for spec in inst.types), p)
+        zero = DualSolution(((0.0,) * n,) * k, (0.0,) * n)
+        for duals in (solve_adtypes(inst).duals, zero, planted):
+            expected = _crossing_pairs_pairwise(inst, duals)
+            assert crossing_violations(inst, duals) == expected, i
+            found += len(expected)
+    assert found > 10000, found
+
+
 def test_crossing_violations_scale_with_the_values():
     # near 1e12 one unit in the last place is about 1e-4, so edges tight up
     # to rounding miss an absolute 1e-9 test; the planted crossing (ad 0 in
@@ -356,6 +464,10 @@ def test_counters_pinned_on_scaling_instance():
     assert stats.max_queue_occupancy == 8
     assert stats.max_scan_candidates == 9
     assert sum(hops for _, _, _, hops in stats.phases) == 1996
+    # pushes are counted from the pops, the stale pops and what each phase
+    # leaves queued, with no counter in the offer loop
+    assert stats.heap_pushes == 19750
+    assert stats.stale_pops == 7
 
 
 _SCALED_PARETO = """
