@@ -142,34 +142,22 @@ def solve_bruteforce(inst: Instance) -> Matching:
 
 
 def solve_greedy(inst: Instance) -> Matching:
-    """Repeatedly take the highest-value compatible edge (ties broken by the
-    global edge order).  With sorted values and discounts this fills slots in
-    descending discount order using one frontier per type, O(kn) inspections.
+    """Repeatedly take the highest-value compatible edge, ties to the lower
+    type.  With sorted values and discounts this fills slots in descending
+    discount order using one frontier per type, O(kn) inspections; every
+    type holds ``n`` ads after padding, so each frontier lasts all n slots.
     """
     if has_gap_rules(inst):
         raise ValidationError("instance has gap rules: greedy handles none")
-    return _greedy_with_type_order(inst, range(inst.num_types))
-
-def _greedy_with_type_order(inst: Instance, type_order) -> Matching:
-    # Candidate inspection order must not matter: the comparator is total.
-    n = inst.num_slots
     vals = [spec.values for spec in inst.types]
     disc = [spec.discounts for spec in inst.types]
     next_rank = [0] * inst.num_types
     assignment: dict[int, AdRef] = {}
-    for slot in range(n):
-        best_key, best_type = None, None
-        for t in type_order:
-            r = next_rank[t]
-            if r >= n:
-                continue
-            key = (-vals[t][r] * disc[t][slot], slot, t, r)
-            if best_key is None or key < best_key:
-                best_key, best_type = key, t
-        if best_type is None:
-            break
-        assignment[slot] = AdRef(best_type, next_rank[best_type])
-        next_rank[best_type] += 1
+    for slot in range(inst.num_slots):
+        t = min(range(inst.num_types),
+                key=lambda t: (-vals[t][next_rank[t]] * disc[t][slot], t))
+        assignment[slot] = AdRef(t, next_rank[t])
+        next_rank[t] += 1
     return Matching(assignment)
 
 

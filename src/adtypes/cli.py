@@ -20,7 +20,6 @@ from .core import (
     AdRef,
     GuardError,
     Instance,
-    Matching,
     ValidationError,
     has_gap_rules,
     as_integer,
@@ -49,6 +48,11 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
 
+    def _get_formatter(self):
+        # argparse's width when there is no terminal: asking the terminal
+        # for its size at each add_argument was most of build_parser's time
+        return self.formatter_class(prog=self.prog, width=78)
+
 
 def _write_text(text: str, path) -> None:
     """Write ``text`` to the file ``path``, or to stdout for None or "-"."""
@@ -65,22 +69,24 @@ def _write_json(obj, path) -> None:
     _write_text(json.dumps(obj, indent=2, allow_nan=False) + "\n", path)
 
 
-def _solution_dict(algo: str, inst: Instance, matching: Matching,
-                   duals) -> dict:
-    """The solution document.  Its assignment lists real ads only: a slot
-    a solver filled with a zero-value padding ad is written as empty, which
-    changes neither the welfare nor, since such an edge is tight at zero,
-    what the duals certify."""
-    matching = real_pairs(inst, matching)
-    out = {
+def _solution_dict(algo: str, inst: Instance, out) -> dict:
+    """The solution document of ``out``, a matching or an optimal solution
+    with duals.  Its assignment lists real ads only: a slot a solver filled
+    with a zero-value padding ad is written as empty, which changes neither
+    the welfare nor, since such an edge is tight at zero, what the duals
+    certify."""
+    solved = isinstance(out, hungarian.OptimalSolution)
+    matching = real_pairs(inst, out.matching if solved else out)
+    doc = {
         "algo": algo,
         "welfare": welfare(inst, matching),
         "assignment": matching_to_list(matching),
         "duals": None,
     }
-    if duals is not None:
-        out["duals"] = {"u": [list(row) for row in duals.u], "p": list(duals.p)}
-    return out
+    if solved:
+        doc["duals"] = {"u": [list(row) for row in out.duals.u],
+                        "p": list(out.duals.p)}
+    return doc
 
 
 def _cmd_solve(args) -> int:
@@ -88,28 +94,24 @@ def _cmd_solve(args) -> int:
     if args.trace and algo != "adtypes":
         raise _UsageError(f"--trace traces --algo adtypes only, not {algo}")
     inst = load_instance(args.infile)
+    # solvers are looked up at call time: perfbench wraps module attributes
     if algo == "adtypes":
-        sol = hungarian.solve_adtypes(inst)
+        out = hungarian.solve_adtypes(inst)
         if args.trace:
-            print(*sol.stats.trace_lines(), sep="\n", file=sys.stderr)
-        out = _solution_dict(algo, inst, sol.matching, sol.duals)
+            print(*out.stats.trace_lines(), sep="\n", file=sys.stderr)
     elif algo in ("gapdp", "two-type"):
         from . import gapdp  # here, so the other solvers never load it
         dp = gapdp.solve_gap_dp if algo == "gapdp" else gapdp.solve_two_type_dp
-        out = _solution_dict(algo, inst, dp(inst), None)
+        out = dp(inst)
     else:
         from . import baseline  # here, so the other solvers never load it
         if algo == "generic":
-            sol = baseline.solve_generic_hungarian(inst)
-            out = _solution_dict(algo, inst, sol.matching, sol.duals)
+            out = baseline.solve_generic_hungarian(inst)
         elif algo == "greedy":
-            out = _solution_dict(algo, inst, baseline.solve_greedy(inst), None)
-        elif algo == "brute":
-            out = _solution_dict(algo, inst, baseline.solve_bruteforce(inst),
-                                 None)
-        else:  # pragma: no cover - argparse restricts choices
-            raise _UsageError(f"unknown algorithm {algo}")
-    _write_json(out, args.out)
+            out = baseline.solve_greedy(inst)
+        else:
+            out = baseline.solve_bruteforce(inst)
+    _write_json(_solution_dict(algo, inst, out), args.out)
     return EXIT_OK
 
 
@@ -145,10 +147,8 @@ def _cmd_price(args) -> int:
         outcome = pricing.vcg_outcome(inst)
     elif args.mechanism == "reserve":
         outcome = pricing.price_with_reserves(inst, reserves)
-    elif args.mechanism == "myerson-greedy":
+    else:
         outcome = pricing.myerson_greedy_outcome(inst, reserves)
-    else:  # pragma: no cover
-        raise _UsageError(f"unknown mechanism {args.mechanism}")
     _write_json(pricing.priced_outcome_to_dict(outcome), args.out)
     return EXIT_OK
 
@@ -168,14 +168,12 @@ def _cmd_gen(args) -> int:
         with open(args.graph) as fh:
             g = gapdp.parse_graph_text(fh.read())
         inst = gapdp.mis_to_adtypes(g)
-    elif args.family == "assignment":
+    else:
         import numpy as np
         rng = np.random.default_rng(args.seed)
         weights = rng.integers(1, 100, size=(args.n, args.n)).astype(float)
         inst, offset = bench.assignment_to_adtypes(weights)
         print(f"offset={offset!r}", file=sys.stderr)
-    else:  # pragma: no cover
-        raise _UsageError(f"unknown family {args.family}")
     _write_json(instance_to_dict(inst), args.out)
     return EXIT_OK
 

@@ -274,10 +274,9 @@ def with_bid(inst: Instance, ad: AdRef, bid: float):
     The probed type's real values are re-sorted (the probed ad is placed
     ahead of equal values); ``real_counts`` is kept for a real probed ad.
     Returns ``(new_instance, new_ref, rank_map)`` where ``rank_map`` sends
-    old ranks of the probed type to new ranks.
+    old ranks of the probed type to new ranks.  A negative or NaN bid makes
+    the rebuilt instance invalid, so it raises :class:`ValidationError`.
     """
-    if bid < 0:
-        raise ValueError("bids must be non-negative")
     t = ad.ad_type
     spec = inst.types[t]
     rest = [v for r, v in enumerate(spec.values[:inst.real_counts[t]])

@@ -39,10 +39,10 @@ order breaks ties.  The cut is the default an offer must beat in the
 state, and the states "stored" are those above it: a subset of the
 unpruned layers, whose size :func:`_min_states` bounds from below.
 
-Also here: the sparse DP over (ads per type, last slot per type) that the
-capped DP replaced, kept as a cross-check oracle; the k=2 gap-free dynamic
-program; the independent-set reduction used for hardness-style instances;
-and an exhaustive oracle.
+Also here: the unpruned sparse DP over (ads per type, last slot per type),
+the cross-check oracle for :func:`solve_gap_dp`, guarded to n <= 12; the
+k=2 gap-free dynamic program; the independent-set reduction used for
+hardness-style instances; and an exhaustive oracle.
 """
 from __future__ import annotations
 

@@ -4,7 +4,6 @@ import pytest
 from adtypes.baseline import (
     MAX_SWEEP_PROBES,
     AllocationCurve,
-    _greedy_with_type_order,
     candidate_bids,
     check_sweep,
     check_window,
@@ -15,7 +14,16 @@ from adtypes.baseline import (
     solve_greedy,
 )
 from adtypes.bench import GenConfig, gen_exact_random, gen_greedy_tight, gen_random
-from adtypes.core import AdRef, GuardError, Instance, TypeSpec, welfare, with_bid
+from adtypes.core import (
+    AdRef,
+    GuardError,
+    Instance,
+    Matching,
+    TypeSpec,
+    edge_value,
+    welfare,
+    with_bid,
+)
 from adtypes.hungarian import certify, solve_adtypes
 
 
@@ -77,13 +85,42 @@ def test_greedy_two_approximation():
         assert g >= opt / 2, f"seed {seed}: greedy {g} < half of {opt}"
 
 
-def test_greedy_deterministic_across_inspection_orders():
-    for seed in range(40):
-        inst = gen_exact_random(seed)
-        forward = solve_greedy(inst)
-        backward = _greedy_with_type_order(inst, range(inst.num_types - 1, -1, -1))
-        assert forward == backward
-        assert solve_greedy(inst) == forward
+def test_greedy_ties_go_to_the_lower_type():
+    # 4 x 1 == 8 x 1/2: slot 0's two edges are equal whichever type is
+    # listed first, and the first listed takes it
+    a = TypeSpec("a", [4.0], [1.0, 1.0])
+    b = TypeSpec("b", [8.0], [0.5, 0.5])
+    for types in ([a, b], [b, a]):
+        assert solve_greedy(Instance(2, types)).as_dict() == {
+            0: AdRef(0, 0), 1: AdRef(1, 0)}
+
+
+def _edge_greedy(inst):
+    """Greedy over every edge: take the largest edge between a free slot
+    and an unused ad, ties to the lower slot, type, then rank."""
+    n, k = inst.num_slots, inst.num_types
+    edges = sorted((-edge_value(inst, AdRef(t, r), s), s, t, r)
+                   for s in range(n) for t in range(k) for r in range(n))
+    assignment, used = {}, set()
+    for _, s, t, r in edges:
+        if s not in assignment and (t, r) not in used:
+            assignment[s] = AdRef(t, r)
+            used.add((t, r))
+    return Matching(assignment)
+
+
+def test_greedy_fills_every_slot_of_padded_instances(tie_heavy):
+    # fewer real ads than slots, zero values and zero discounts: the padding
+    # ads keep every type's frontier alive to the last slot
+    short = Instance(3, [TypeSpec("a", [2.0], [1.0, 0.0, 0.0]),
+                         TypeSpec("b", [1.0], [0.5, 0.5, 0.5])])
+    assert solve_greedy(short).as_dict() == {
+        0: AdRef(0, 0), 1: AdRef(1, 0), 2: AdRef(0, 1)}
+    for inst in ([tie_heavy(seed) for seed in range(200)]
+                 + [gen_exact_random(seed) for seed in range(100)]):
+        m = solve_greedy(inst)
+        assert len(m) == inst.num_slots
+        assert m == _edge_greedy(inst)
 
 
 def test_allocation_curve_sole_bidder():

@@ -381,6 +381,32 @@ def test_unknown_flag_exit_code(capsys):
     assert "usage" in capsys.readouterr().err.lower()
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--in", "x.json", "--algo", "simplex"],
+    ["price", "--in", "x.json", "--mechanism", "gsp"],
+    ["gen", "--family", "zipf"],
+])
+def test_unknown_choice_exit_code(argv, capsys):
+    assert run(argv) == 64
+    err = capsys.readouterr().err
+    assert "usage error:" in err and "invalid choice" in err
+
+
+def test_help_width_ignores_the_terminal(monkeypatch, capsys):
+    # help wraps at argparse's no-terminal width, whatever COLUMNS says
+    pages = []
+    for columns in ("200", None):
+        if columns is None:
+            monkeypatch.delenv("COLUMNS", raising=False)
+        else:
+            monkeypatch.setenv("COLUMNS", columns)
+        with pytest.raises(SystemExit):
+            run(["price", "--help"])
+        pages.append(capsys.readouterr().out)
+    assert pages[0] == pages[1]
+    assert max(map(len, pages[0].splitlines())) <= 78
+
+
 def test_bench_csv(tmp_path):
     out = tmp_path / "report.csv"
     assert run(["bench", "--sizes", "10:2,20:2", "--reps", "1",

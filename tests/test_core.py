@@ -171,6 +171,15 @@ def test_with_bid_rank_shifts():
     assert tie.types[0].values == (9.0, 5.0, 5.0)
 
 
+@pytest.mark.parametrize("bid, error", [(-1.0, "negative value"),
+                                        (float("nan"), "non-finite value")])
+def test_with_bid_refuses_a_negative_or_nan_bid(bid, error):
+    # the rebuilt instance is refused by its constructor, the one gate
+    inst = Instance(2, [TypeSpec("t", [9.0, 5.0], [1.0, 0.5])])
+    with pytest.raises(ValidationError, match=error):
+        with_bid(inst, AdRef(0, 1), bid)
+
+
 def test_with_bid_keeps_padding_ads_padding():
     # one ad per type on three slots: each type's other two ads are padding,
     # and stay so when a real ad's bid changes

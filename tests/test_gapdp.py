@@ -234,8 +234,8 @@ def test_min_states_never_exceeds_the_states_stored(monkeypatch):
 
 
 def test_pruning_finishes_what_the_unpruned_dp_refuses(monkeypatch):
-    # one-slot self-gaps at k=4, n=24: the unpruned DP stores about 366k
-    # states, the bound-pruned one a few thousand
+    # one-slot self-gaps at k=4, n=24: the unpruned DP stores 365,821
+    # states, the bound-pruned one 35,803
     rng = np.random.default_rng(2024)
     types = [TypeSpec(f"t{t}", sorted(rng.uniform(10.0, 100.0, 24),
                                       reverse=True),
