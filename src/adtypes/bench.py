@@ -138,6 +138,8 @@ def assignment_to_adtypes(weights) -> tuple[Instance, float]:
     w = np.asarray(weights, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError("weights must be a square matrix")
+    if w.size == 0:
+        raise ValueError("weights must not be an empty matrix")
     if (w <= 0).any():
         raise ValueError("weights must be positive")
     n = w.shape[0]

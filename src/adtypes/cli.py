@@ -6,7 +6,11 @@ instance/solution/priced-outcome schemas and the bench CSV.  Exit codes:
 
 Each handler imports the modules it runs, so a call loads only what its
 command needs; only ``gen`` and ``bench`` load numpy, for their seeded
-draws.
+draws.  Likewise a call that names its command builds only that command's
+parser: ``build_parser()``, the top-level parser with all five
+subparsers, runs only for top-level help, an empty argv or an unknown
+command.  Both parsers come from one table of commands, so each
+command's help and parse are the same either way.
 """
 from __future__ import annotations
 
@@ -50,7 +54,7 @@ class _Parser(argparse.ArgumentParser):
 
     def _get_formatter(self):
         # argparse's width when there is no terminal: asking the terminal
-        # for its size at each add_argument was most of build_parser's time
+        # for its size at each add_argument was most of a parser's build time
         return self.formatter_class(prog=self.prog, width=78)
 
 
@@ -169,6 +173,8 @@ def _cmd_gen(args) -> int:
             g = gapdp.parse_graph_text(fh.read())
         inst = gapdp.mis_to_adtypes(g)
     else:
+        if args.n < 1:
+            raise ValueError(f"n must be >= 1, not {args.n}")
         import numpy as np
         rng = np.random.default_rng(args.seed)
         weights = rng.integers(1, 100, size=(args.n, args.n)).astype(float)
@@ -263,14 +269,7 @@ def _cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="adtypes",
-                     description="Typed ad-to-slot allocation: solvers, "
-                                 "pricing, generators, benchmarks.")
-    sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=_Parser)
-
-    p = sub.add_parser("solve", help="solve an instance")
+def _solve_arguments(p: _Parser) -> None:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--algo", default="adtypes",
                    choices=["adtypes", "generic", "greedy", "gapdp",
@@ -279,9 +278,9 @@ def build_parser() -> _Parser:
     p.add_argument("--trace", action="store_true",
                    help="per-phase trace on stderr, after the solve "
                         "(--algo adtypes only)")
-    p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("price", help="compute incentive-compatible payments")
+
+def _price_arguments(p: _Parser) -> None:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--mechanism", required=True,
                    choices=["vcg", "reserve", "myerson-greedy"])
@@ -289,9 +288,9 @@ def build_parser() -> _Parser:
                    help='JSON file: [{"type": t, "rank": r, "reserve": x}] '
                         '(reserve and myerson-greedy only)')
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_price)
 
-    p = sub.add_parser("gen", help="generate an instance")
+
+def _gen_arguments(p: _Parser) -> None:
     p.add_argument("--family", required=True,
                    choices=["random", "greedy-tight", "mis", "assignment"])
     p.add_argument("--seed", type=int, default=0)
@@ -305,27 +304,66 @@ def build_parser() -> _Parser:
     p.add_argument("--graph", default=None,
                    help='edge-list file: "n m" header then "u v" lines')
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("bench", help="timing comparison of the two solvers")
+
+def _bench_arguments(p: _Parser) -> None:
     p.add_argument("--sizes", required=True, help='e.g. "100:4,200:4,400:4"')
     p.add_argument("--reps", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_bench)
 
-    p = sub.add_parser("verify", help="check a solution file")
+
+def _verify_arguments(p: _Parser) -> None:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--sol", required=True)
-    p.set_defaults(func=_cmd_verify)
 
+
+# name -> (one-line help, handler, argument adder), in help order
+_COMMANDS = {
+    "solve": ("solve an instance", _cmd_solve, _solve_arguments),
+    "price": ("compute incentive-compatible payments", _cmd_price,
+              _price_arguments),
+    "gen": ("generate an instance", _cmd_gen, _gen_arguments),
+    "bench": ("timing comparison of the two solvers", _cmd_bench,
+              _bench_arguments),
+    "verify": ("check a solution file", _cmd_verify, _verify_arguments),
+}
+
+
+def _add_command(p: _Parser, name: str) -> _Parser:
+    """Give ``p`` the arguments of command ``name``; a parse by ``p`` then
+    names the command and its handler."""
+    _, handler, add_arguments = _COMMANDS[name]
+    add_arguments(p)
+    p.set_defaults(command=name, func=handler)
+    return p
+
+
+def _command_parser(name: str) -> _Parser:
+    """The parser of command ``name`` alone, with the help, usage and
+    namespace of ``build_parser()``'s subparser of that name."""
+    return _add_command(_Parser(prog=f"adtypes {name}"), name)
+
+
+def build_parser() -> _Parser:
+    """The top-level parser, with a subparser for every command."""
+    parser = _Parser(prog="adtypes",
+                     description="Typed ad-to-slot allocation: solvers, "
+                                 "pricing, generators, benchmarks.")
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_Parser)
+    for name, (help_line, _, _) in _COMMANDS.items():
+        _add_command(sub.add_parser(name, help=help_line), name)
     return parser
 
 
 def run(argv) -> int:
-    parser = build_parser()
+    # a call that names its command builds that command's parser alone; the
+    # top-level parser is built only for help, no command or an unknown one
+    named = bool(argv) and argv[0] in _COMMANDS
+    parser = _command_parser(argv[0]) if named else build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(argv[1:] if named else argv)
         return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

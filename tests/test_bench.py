@@ -84,6 +84,12 @@ def test_assignment_reduction_rejects_nonpositive():
         assignment_to_adtypes([[1.0, 0.0], [1.0, 1.0]])
 
 
+def test_assignment_reduction_rejects_an_empty_matrix():
+    # numpy's max of an empty array once raised its own zero-size error
+    with pytest.raises(ValueError, match="empty matrix"):
+        assignment_to_adtypes(np.zeros((0, 0)))
+
+
 def test_scaling_instance_shape():
     inst = gen_scaling_instance(30, 4, 0)
     assert validate_instance(inst).ok

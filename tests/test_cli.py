@@ -1,5 +1,9 @@
+import contextlib
+import io
 import json
+import os
 import re
+import shutil
 import tempfile
 import time
 from pathlib import Path
@@ -8,10 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adtypes import cli
 from adtypes.bench import GenConfig, gen_random
 from adtypes.cli import run
 from adtypes.core import instance_to_dict, load_instance
 from adtypes.hungarian import solve_adtypes
+
+_FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def _read(path):
@@ -307,6 +314,16 @@ def test_gen_assignment_family_stdout_is_the_instance(capsys):
     assert "offset=" in captured.err
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_gen_assignment_refuses_n_below_one(n, capsys):
+    # numpy's own errors once came out: a zero-size maximum for 0 and
+    # negative dimensions for -1
+    assert run(["gen", "--family", "assignment", "--n", n]) == 1
+    captured = capsys.readouterr()
+    assert f"invalid: n must be >= 1, not {n}" in captured.err
+    assert captured.out == ""
+
+
 def test_guard_refusal_exit_code(tmp_path):
     inst = tmp_path / "big.json"
     assert run(["gen", "--family", "random", "--n", "12", "--k", "2",
@@ -405,6 +422,165 @@ def test_help_width_ignores_the_terminal(monkeypatch, capsys):
         pages.append(capsys.readouterr().out)
     assert pages[0] == pages[1]
     assert max(map(len, pages[0].splitlines())) <= 78
+
+
+@pytest.mark.parametrize("name", ["solve", "price", "gen", "bench", "verify"])
+def test_a_named_command_builds_only_its_parser(name, fixtures_dir, tmp_path,
+                                                monkeypatch):
+    # building the top parser and all five subparsers cost more per call
+    # than a gap-rules solve
+    example1 = str(fixtures_dir / "example1.json")
+    sol = str(tmp_path / "sol.json")
+    assert run(["solve", "--in", example1, "--out", sol]) == 0
+    argv = {
+        "solve": ["--in", example1, "--out", sol],
+        "price": ["--in", str(fixtures_dir / "two_bidders.json"),
+                  "--mechanism", "vcg", "--out", str(tmp_path / "p.json")],
+        "gen": ["--family", "greedy-tight", "--out", str(tmp_path / "g.json")],
+        "bench": ["--sizes", "6:2", "--reps", "1",
+                  "--out", str(tmp_path / "b.csv")],
+        "verify": ["--in", example1, "--sol", sol],
+    }[name]
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    assert run([name, *argv]) == 0
+    assert built == [f"adtypes {name}"]
+
+
+def _outcome(parse):
+    """What ``parse()`` did: ("help", page) when it printed help and exited
+    0; ("refused", message) when it raised a usage error, or ("refused",
+    stderr) when it returned the usage exit code; else ("returned", value)."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            value = parse()
+    except SystemExit as stop:
+        assert stop.code == 0, "only help may exit"
+        return "help", out.getvalue()
+    except cli._UsageError as exc:
+        return "refused", str(exc)
+    if value == cli.EXIT_USAGE:
+        return "refused", err.getvalue()
+    return "returned", value
+
+
+@pytest.mark.parametrize("name", ["solve", "price", "gen", "bench", "verify"])
+def test_command_parser_help_is_the_subparser_help(name):
+    standalone = _outcome(lambda: cli._command_parser(name).parse_args(["-h"]))
+    sub = _outcome(lambda: cli.build_parser().parse_args([name, "-h"]))
+    assert standalone == sub
+    assert standalone[0] == "help"
+    assert standalone[1].startswith(f"usage: adtypes {name} [-h]")
+
+
+def test_top_level_help_lists_every_command():
+    kind, page = _outcome(lambda: run(["--help"]))
+    assert kind == "help"
+    assert page.startswith("usage: adtypes [-h] {solve,price,gen,bench,verify}")
+    for name, line in [("solve", "solve an instance"),
+                       ("price", "compute incentive-compatible payments"),
+                       ("gen", "generate an instance"),
+                       ("bench", "timing comparison of the two solvers"),
+                       ("verify", "check a solution file")]:
+        assert re.search(rf"^    {name} +{line}$", page, re.M), name
+
+
+# argv for the parser property: each command's real flags with values it
+# accepts or refuses, junk tokens, unknown commands, "--" and an empty argv
+_PAIRS = {
+    "solve": [["--in", "inst.json"], ["--in", "missing.json"],
+              ["--out", "out.json"], ["--out", "-"], ["--algo", "adtypes"],
+              ["--algo", "gapdp"], ["--algo", "brute"], ["--algo", "simplex"],
+              ["--trace"]],
+    "price": [["--in", "inst.json"], ["--mechanism", "vcg"],
+              ["--mechanism", "reserve"], ["--mechanism", "myerson-greedy"],
+              ["--mechanism", "gsp"], ["--reserves", "inst.json"],
+              ["--reserves", "missing.json"], ["--out", "out.json"]],
+    "gen": [["--family", "random"], ["--family", "greedy-tight"],
+            ["--family", "mis"], ["--family", "assignment"],
+            ["--family", "zipf"], ["--n", "3"], ["--n", "0"], ["--n", "-1"],
+            ["--k", "2"], ["--k", "x"], ["--seed", "-1"],
+            ["--values", "pareto"], ["--discounts", "step"],
+            ["--epsilon", "0.5"], ["--epsilon", "2"], ["--graph", "tri.graph"],
+            ["--graph", "inst.json"], ["--out", "out.json"]],
+    "bench": [["--sizes", "6:2"], ["--sizes", "4:2,6:1"], ["--sizes", "a:b"],
+              ["--reps", "1"], ["--reps", "0"], ["--seed", "3"],
+              ["--out", "out.csv"]],
+    "verify": [["--in", "inst.json"], ["--sol", "sol.json"],
+               ["--sol", "inst.json"], ["--sol", "missing.json"]],
+}
+_REQUIRED = {"solve": ["--in", "inst.json"],
+             "price": ["--in", "inst.json", "--mechanism", "vcg"],
+             "gen": ["--family", "random"], "bench": ["--sizes", "6:2"],
+             "verify": ["--in", "inst.json", "--sol", "sol.json"]}
+_JUNK = st.sampled_from(["--", "-h", "--help", "--he", "--frobnicate", "-x",
+                         "--in", "--out=-", "solve", "gen", "0", "-1"]) \
+    | st.text(max_size=4)
+
+
+@st.composite
+def _argvs(draw):
+    shape = draw(st.sampled_from(["command"] * 4 + ["junk", "empty"]))
+    if shape == "empty":
+        return []
+    if shape == "junk":
+        head = draw(st.sampled_from(["help", "solver", "", "--", "-h"]) | _JUNK)
+        return [head] + draw(st.lists(_JUNK, max_size=6))
+    name = draw(st.sampled_from(sorted(_PAIRS)))
+    pairs = draw(st.lists(st.sampled_from(_PAIRS[name]), max_size=4))
+    if draw(st.integers(0, 3)):
+        pairs.insert(0, _REQUIRED[name])
+    argv = [name] + [token for pair in pairs for token in pair]
+    for _ in range(max(0, draw(st.integers(-2, 2)))):
+        argv.insert(draw(st.integers(1, len(argv))), draw(_JUNK))
+    return argv
+
+
+@given(argv=_argvs())
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_run_parses_as_the_full_parser_does(argv):
+    # with every handler recording its namespace, run() parses each argv as
+    # build_parser() does: the same namespace, help page or refusal
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name, (help_line, _, add_arguments) in cli._COMMANDS.items():
+            mp.setitem(cli._COMMANDS, name,
+                       (help_line, lambda args: seen.append(args) or 0,
+                        add_arguments))
+        expected = _outcome(lambda: cli.build_parser().parse_args(argv))
+        got = _outcome(lambda: run(argv))
+    assert got[0] == expected[0]
+    if expected[0] == "returned":
+        assert got[1] == 0 and seen == [expected[1]]
+    elif expected[0] == "refused":
+        assert got[1].startswith(f"usage error: {expected[1]}\n")
+        return
+    else:
+        assert got == expected
+    # the real handlers, in a scratch directory that holds every path named
+    with tempfile.TemporaryDirectory() as tmp:
+        shutil.copy(_FIXTURES / "example1.json", Path(tmp) / "inst.json")
+        shutil.copy(_FIXTURES / "triangle.graph", Path(tmp) / "tri.graph")
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            assert _outcome(lambda: run(["solve", "--in", "inst.json",
+                                         "--out", "sol.json"])) \
+                == ("returned", 0)
+            kind, code = _outcome(lambda: run(argv))
+        finally:
+            os.chdir(cwd)
+    if expected[0] == "help":
+        assert kind == "help"
+    elif kind == "returned":
+        assert code in (0, 1, 2)
 
 
 def test_bench_csv(tmp_path):
