@@ -197,16 +197,11 @@ class AllocationCurve:
 MAX_SWEEP_PROBES = 4096
 
 
-def check_sweep(ad: AdRef, probes: int) -> None:
-    if probes > MAX_SWEEP_PROBES:
-        raise GuardError(f"bid sweep of a type-{ad.ad_type} ad needs {probes} "
-                         f"probes (guard: at most {MAX_SWEEP_PROBES})")
-
-
-def _rival_values(inst: Instance, ad: AdRef) -> set[float]:
-    return {v * d for t, spec in enumerate(inst.types)
+def _rival_edges(inst: Instance, ad: AdRef):
+    """Every other ad's edge values, repeats included, as a generator."""
+    return (v * d for t, spec in enumerate(inst.types)
             for r, v in enumerate(spec.values)
-            if (t, r) != (ad.ad_type, ad.rank) for d in spec.discounts}
+            if (t, r) != (ad.ad_type, ad.rank) for d in spec.discounts)
 
 
 def candidate_bids(inst: Instance, ad: AdRef) -> list[float]:
@@ -215,23 +210,32 @@ def candidate_bids(inst: Instance, ad: AdRef) -> list[float]:
     and the ad's own value, sorted."""
     own_discounts = [d for d in inst.types[ad.ad_type].discounts if d > 0]
     return sorted({0.0, inst.value_of(ad)}
-                  | {e / d for e in _rival_values(inst, ad)
+                  | {e / d for e in set(_rival_edges(inst, ad))
                      for d in own_discounts})
 
 
-def check_window(inst: Instance, ad: AdRef, lo: float, hi: float) -> None:
-    """Refuse a sweep over the window ``lo`` to ``hi`` before its candidate
-    set, O(kn^3) floats, is built: the candidates that the largest own
-    discount alone puts inside the window, O(kn^2) of them, and both ends
-    are already a lower bound on its probes."""
+def sweep_bids(inst: Instance, ad: AdRef, lo: float, hi: float) -> list[float]:
+    """The cuts of a bid sweep over the window ``lo`` to ``hi``: both ends
+    and every :func:`candidate_bids` entry strictly between them, sorted.
+    A window of more than :data:`MAX_SWEEP_PROBES` cuts is refused, first
+    from the candidates the largest own discount alone puts inside it,
+    O(kn^2) of them and a lower bound on the probes, before the full
+    candidate set, O(kn^3) floats, is built."""
     d = inst.types[ad.ad_type].discounts[0]
     if d > 0:
-        least = len({lo, hi} | {e / d for e in _rival_values(inst, ad)
+        least = len({lo, hi} | {e / d for e in _rival_edges(inst, ad)
                                 if lo < e / d < hi})
         if least > MAX_SWEEP_PROBES:
             raise GuardError(f"bid sweep of a type-{ad.ad_type} ad needs at "
                              f"least {least} probes (guard: at most "
                              f"{MAX_SWEEP_PROBES})")
+    cuts = sorted({lo, hi} | {c for c in candidate_bids(inst, ad)
+                              if lo < c < hi})
+    if len(cuts) > MAX_SWEEP_PROBES:
+        raise GuardError(f"bid sweep of a type-{ad.ad_type} ad needs "
+                         f"{len(cuts)} probes (guard: at most "
+                         f"{MAX_SWEEP_PROBES})")
+    return cuts
 
 
 def received_discount(inst: Instance, out, ad: AdRef) -> float:
@@ -244,9 +248,8 @@ def received_discount(inst: Instance, out, ad: AdRef) -> float:
 def bid_sweep(inst: Instance, ad: AdRef, allocator, cuts: list[float],
               top: float) -> list[tuple[float, float]]:
     """``(bid, quantity)`` of the probed ad under ``allocator`` at the
-    midpoint of each pair of consecutive ``cuts``, then at ``top``; refused
-    past :data:`MAX_SWEEP_PROBES` probes."""
-    check_sweep(ad, len(cuts))
+    midpoint of each pair of consecutive ``cuts`` (from :func:`sweep_bids`),
+    then at ``top``."""
     sweep = []
     for bid in [(a + b) / 2 for a, b in zip(cuts, cuts[1:])] + [top]:
         probe, ref, _ = with_bid(inst, ad, bid)
@@ -257,11 +260,16 @@ def bid_sweep(inst: Instance, ad: AdRef, allocator, cuts: list[float],
 def greedy_allocation_curve(inst: Instance, ad: AdRef) -> AllocationCurve:
     """Greedy's curve for the probed ad: :func:`bid_sweep` over every
     candidate bid (greedy is constant between consecutive candidates, so
-    the midpoints determine the curve exactly), then one past the last."""
+    the midpoints determine the curve exactly), then one past the last.
+    The largest candidate is the value or the largest rival edge over the
+    least positive own discount: division rounds monotonically."""
     if has_gap_rules(inst):
         raise ValidationError("allocation curves are defined without gap rules")
-    check_window(inst, ad, 0.0, inst.value_of(ad))
-    cands = candidate_bids(inst, ad)
+    top = inst.value_of(ad)
+    own = [d for d in inst.types[ad.ad_type].discounts if d > 0]
+    if own:
+        top = max(top, max(_rival_edges(inst, ad), default=0.0) / min(own))
+    cands = sweep_bids(inst, ad, 0.0, top)
     sweep = bid_sweep(inst, ad, solve_greedy, cands, cands[-1] + 1.0)
     points: list[tuple[float, float]] = []
     prev_q = 0.0

@@ -160,6 +160,8 @@ def _cmd_price(args) -> int:
 def _cmd_gen(args) -> int:
     from . import bench  # here, so other commands never load numpy
 
+    if args.family in ("random", "assignment") and args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, not {args.seed}")
     if args.family == "random":
         inst = bench.gen_random(bench.GenConfig(
             args.n, args.k, args.seed, args.values, args.discounts))
@@ -200,6 +202,8 @@ def _cmd_bench(args) -> int:
 
     if args.reps < 1:
         raise _UsageError(f"--reps must be at least 1, not {args.reps}")
+    if args.seed < 0:
+        raise _UsageError(f"--seed must be at least 0, not {args.seed}")
     report = bench.bench_scaling(_parse_sizes(args.sizes), args.reps,
                                  seed=args.seed)
     _write_text(report.to_csv(), args.out)

@@ -43,14 +43,12 @@ from .core import (
     ValidationError,
     edge_value,
     matching_to_list,
-    real_pairs,
     scaled_tol,
     tol_for,
     with_bid,
 )
 from .hungarian import OptimalSolution, certify, slot_movers, solve_adtypes
-from .baseline import (bid_sweep, candidate_bids, check_sweep, check_window,
-                       received_discount, solve_greedy)
+from .baseline import bid_sweep, received_discount, solve_greedy, sweep_bids
 
 
 class NonMonotoneAllocationError(RuntimeError):
@@ -73,6 +71,18 @@ class PricedOutcome:
     payments: dict[AdRef, float]
     mechanism: str
     min_raw_payment: float = 0.0
+
+
+def _priced_outcome(inst: Instance, matching: Matching,
+                    real: Mapping[AdRef, AdRef], raw: Mapping[AdRef, float],
+                    mechanism: str) -> PricedOutcome:
+    """``matching`` with its ads mapped to ``inst``'s by ``real`` (padding
+    drops out); each ad charged in ``raw`` pays its charge clamped at 0, and
+    every other real ad of ``inst`` pays 0."""
+    payments = dict.fromkeys(inst.real_ads(), 0.0)
+    payments.update((real[ad], max(0.0, charge)) for ad, charge in raw.items())
+    m = Matching([(s, real[ad]) for s, ad in matching.pairs if ad in real])
+    return PricedOutcome(m, payments, mechanism, min([0.0, *raw.values()]))
 
 
 @dataclass(frozen=True)
@@ -106,10 +116,9 @@ def _dijkstra(dist: list[float], moves: list[list[int]],
     place: settle the nearest unsettled slot x, lower each unsettled slot y
     in ``moves[x]`` to ``dist[x] + length(x, y)`` where that is smaller,
     repeat.  The lengths are reduced costs, never negative, so each slot
-    settles once.  A slot that starts and stays infinite is never
-    settled."""
+    settles once."""
     settled = [False] * len(dist)
-    heap = [(d, x) for x, d in enumerate(dist) if d < math.inf]
+    heap = [(d, x) for x, d in enumerate(dist)]
     heapify(heap)
     while heap:
         d, x = heappop(heap)
@@ -155,8 +164,9 @@ class _SlotPaths:
       the vacancy at ``s_i`` is repaired apart (``vacate[s_i]``); or it
       takes another slot x, displacing x's ad in turn (``room[x] +
       slack(ad at j, x)``); or it takes ``s_i`` itself, which closes the
-      chain at no further cost (``room[s_i] = 0``).  An empty slot is
-      room at ``vacate[s_i]``, and nothing moves out of one.
+      chain at no further cost (``room[s_i] = 0``).  An empty slot holds
+      an ad of value and utility 0 that no scan lists as a mover: room
+      there costs ``vacate[s_i]``, and nothing moves out of it.
 
     Why one pass per winner is exact.  With i left out and slot j taken,
     the others' best is ``W - u_i - p_j`` less the least shortfall, counted
@@ -205,16 +215,15 @@ class _SlotPaths:
         self.welfare = sol.welfare
         u = sol.duals.u
         losers, self.movers = slot_movers(inst, sol.matching)
-        # per slot: its ad's discounts, value and utility; an empty slot has
-        # no ad to move, so nothing leaves it (utility inf)
+        # per slot: its ad's discounts, value and utility; an empty slot
+        # holds an ad of value and utility 0 that never moves
         self.d_at = [None] * n
         self.v_at = [0.0] * n
-        self.u_at = [math.inf] * n
+        self.u_at = [0.0] * n
         for slot, ad in sol.matching.pairs:
             self.d_at[slot] = inst.types[ad.ad_type].discounts
             self.v_at[slot] = inst.value_of(ad)
             self.u_at[slot] = u[ad.ad_type][ad.rank]
-        self.filled = filled = [row is not None for row in self.d_at]
         # a vacancy is left open (p) or filled by a type's lowest-rank loser
         start = list(p)
         for ad in losers:
@@ -222,14 +231,12 @@ class _SlotPaths:
             row = inst.types[ad.ad_type].discounts
             start = [min(d, u_a + p_y - v_a * a)
                      for d, p_y, a in zip(start, p, row)]
-        start = [d if f else math.inf for d, f in zip(start, filled)]
         # vacate follows the moves backwards, from the slot an ad leaves to
-        # the filled slot it repairs
+        # the slot it repairs
         into: list[list[int]] = [[] for _ in range(n)]
         for y, slots in enumerate(self.movers):
-            if filled[y]:
-                for s in slots:
-                    into[s].append(y)
+            for s in slots:
+                into[s].append(y)
         u_at, v_at, d_at = self.u_at, self.v_at, self.d_at
         # the ad at s moves into y
         self.vacate = _dijkstra(start, into, lambda s, y: (
@@ -239,8 +246,7 @@ class _SlotPaths:
         """The welfare with the ad at slot ``s_i`` bidding ``r``."""
         p, v_at, d_at = self.p, self.v_at, self.d_at
         repair = self.vacate[s_i]
-        room = [u + repair if filled else repair
-                for u, filled in zip(self.u_at, self.filled)]
+        room = [u + repair for u in self.u_at]
         room[s_i] = 0.0
         u_at = list(self.u_at)
         u_at[s_i] = math.inf  # the ad at s_i is gone: nothing moves out
@@ -264,11 +270,11 @@ def vcg_prices_fast(inst: Instance, sol: OptimalSolution) -> tuple[float, ...]:
     Feasibility caps ``d_j`` by ``p_j``, by the slack of each loser in j and
     by ``d_s + slack(ad at s, j)`` for each slot s; the greatest such ``d``
     is the distance ``vacate`` of :class:`_SlotPaths`, and slot j's price is
-    ``p_j - d_j``.  A slot with no ad keeps its price.
+    ``p_j - d_j``.  An empty slot counts as holding an ad of value 0, so its
+    price too lies between 0 and ``p_j``.
     """
     paths = _SlotPaths(inst, sol)
-    return tuple(max(0.0, p - d) if filled else p
-                 for p, d, filled in zip(paths.p, paths.vacate, paths.filled))
+    return tuple(max(0.0, p - d) for p, d in zip(paths.p, paths.vacate))
 
 
 def vcg_prices_naive(inst: Instance) -> tuple[float, ...]:
@@ -291,10 +297,9 @@ def vcg_outcome(inst: Instance) -> PricedOutcome:
     ads only; slots the solver filled with zero-value padding are left out."""
     sol = solve_adtypes(inst)
     prices = vcg_prices_fast(inst, sol)
-    winners = real_pairs(inst, sol.matching)
-    payments = dict.fromkeys(inst.real_ads(), 0.0)
-    payments.update((ad, prices[slot]) for slot, ad in winners.pairs)
-    return PricedOutcome(winners, payments, "vcg")
+    real = {ad: ad for ad in inst.real_ads()}
+    raw = {ad: prices[slot] for slot, ad in sol.matching.pairs if ad in real}
+    return _priced_outcome(inst, sol.matching, real, raw, "vcg")
 
 
 # ---------------------------------------------------------------------------
@@ -354,20 +359,16 @@ def price_with_reserves(inst: Instance, reserves: ReserveVector | Mapping | None
                                "with duals; inexact allocators are rejected"])
     total = sol.welfare
     paths = _SlotPaths(filtered, sol)
-    payments = dict.fromkeys(inst.real_ads(), 0.0)
-    min_raw = 0.0
     inv = {kept: orig for orig, kept in keep_map.items()}
+    raw = {}
     for slot, kept in sol.matching.pairs:
         orig = inv.get(kept)
         x_now = filtered.types[kept.ad_type].discounts[slot]
         if orig is None or x_now == 0.0:
             continue  # padding, or individual rationality caps it at 0
         lowered = paths.lowered_welfare(slot, reserves.get(orig))
-        raw = lowered - (total - x_now * inst.value_of(orig))
-        min_raw = min(min_raw, raw)
-        payments[orig] = max(0.0, raw)
-    m = Matching({slot: inv[ad] for slot, ad in sol.matching.pairs if ad in inv})
-    return PricedOutcome(m, payments, "reserve", min_raw)
+        raw[kept] = lowered - (total - x_now * inst.value_of(orig))
+    return _priced_outcome(inst, sol.matching, inv, raw, "reserve")
 
 
 def reserve_mechanism(reserves: ReserveVector | Mapping | None) -> Callable:
@@ -420,7 +421,7 @@ def myerson_changepoint_prices(inst: Instance, allocator, ad: AdRef,
 
     if run(bid)[0] is not None:  # only an OptimalSolution carries a welfare
         return _envelope_payment(run, r, bid)
-    return _scan_payment(inst, ad, allocator, _sweep_cuts(inst, ad, r))
+    return _scan_payment(inst, ad, allocator, sweep_bids(inst, ad, r, bid))
 
 
 def _envelope_payment(f, lo: float, hi: float) -> float:
@@ -456,19 +457,10 @@ def _envelope_payment(f, lo: float, hi: float) -> float:
     return payment
 
 
-def _sweep_cuts(inst: Instance, probe: AdRef, lo: float) -> list[float]:
-    """The candidate bids of the probed ad's sweep window from ``lo`` up to
-    its value ``hi``, both ends included."""
-    hi = inst.value_of(probe)
-    check_window(inst, probe, lo, hi)
-    return sorted({lo, hi} | {c for c in candidate_bids(inst, probe)
-                              if lo < c < hi})
-
-
 def _scan_payment(inst: Instance, probe: AdRef, allocator,
                   cuts: list[float]) -> float:
     """``hi * x(hi)`` less the area under the allocation curve over the
-    window ``cuts`` (``[lo, ..., hi]``), read off one :func:`bid_sweep`."""
+    window ``cuts`` of :func:`sweep_bids`, read off one :func:`bid_sweep`."""
     sweep = bid_sweep(inst, probe, allocator, cuts, cuts[-1])
     for (b_lo, q_lo), (b_hi, q_hi) in zip(sweep, sweep[1:]):
         if q_hi < q_lo - 1e-12:
@@ -489,19 +481,12 @@ def myerson_greedy_outcome(inst: Instance,
     filtered, keep_map = filter_by_reserves(inst, reserves)
     m = solve_greedy(filtered)
     inv = {kept: orig for orig, kept in keep_map.items()}
-    windows = []
-    for kept in sorted(ad for _, ad in m.pairs if ad in inv):
-        cuts = _sweep_cuts(filtered, kept, reserves.get(inv[kept]))
-        check_sweep(kept, len(cuts))
-        windows.append((kept, cuts))
-    payments = dict.fromkeys(inst.real_ads(), 0.0)
-    min_raw = 0.0
-    for kept, cuts in windows:
-        raw = _scan_payment(filtered, kept, solve_greedy, cuts)
-        min_raw = min(min_raw, raw)
-        payments[inv[kept]] = max(0.0, raw)
-    matching = Matching({s: inv[ad] for s, ad in m.pairs if ad in inv})
-    return PricedOutcome(matching, payments, "myerson-greedy", min_raw)
+    windows = [(kept, sweep_bids(filtered, kept, reserves.get(inv[kept]),
+                                 filtered.value_of(kept)))
+               for kept in sorted(ad for _, ad in m.pairs if ad in inv)]
+    raw = {kept: _scan_payment(filtered, kept, solve_greedy, cuts)
+           for kept, cuts in windows}
+    return _priced_outcome(inst, m, inv, raw, "myerson-greedy")
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,20 @@
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from adtypes import baseline
 from adtypes.baseline import (
     MAX_SWEEP_PROBES,
     AllocationCurve,
     candidate_bids,
-    check_sweep,
-    check_window,
     greedy_allocation_curve,
     received_discount,
     solve_bruteforce,
     solve_generic_hungarian,
     solve_greedy,
+    sweep_bids,
 )
 from adtypes.bench import GenConfig, gen_exact_random, gen_greedy_tight, gen_random
 from adtypes.core import (
@@ -141,7 +144,16 @@ def test_allocation_curve_tight_instance_probe():
     assert curve.quantity_at(2.0) == 1.0
 
 
-def test_allocation_curve_monotone_on_random_probes():
+def test_allocation_curve_monotone_on_random_probes(monkeypatch):
+    # the curve sweeps exactly the candidate bids: its window's top is the
+    # largest candidate
+    windows, bid_sweep = [], baseline.bid_sweep
+
+    def recorded(inst, ad, allocator, cuts, top):
+        windows.append(cuts)
+        return bid_sweep(inst, ad, allocator, cuts, top)
+
+    monkeypatch.setattr(baseline, "bid_sweep", recorded)
     rng = np.random.default_rng(2024)
     checked = 0
     while checked < 300:
@@ -151,6 +163,7 @@ def test_allocation_curve_monotone_on_random_probes():
             for r in range(inst.real_counts[t]):
                 curve = greedy_allocation_curve(inst, AdRef(t, r))
                 assert curve.is_monotone(), (inst, t, r)
+                assert windows.pop() == candidate_bids(inst, AdRef(t, r))
                 checked += 1
 
 
@@ -161,11 +174,34 @@ def test_allocation_curve_over_the_guard_refused():
         greedy_allocation_curve(inst, AdRef(3, 0))
 
 
+def test_allocation_curve_refuses_a_long_sweep_before_building_it():
+    # a low-value probe among three rival types at n=90: 1.33M candidate
+    # bids, of which the largest own discount alone puts over 4096 inside
+    # the curve's window, so the refusal builds none of the O(kn^3) set
+    n = 90
+    disc = [1 - j / (n + 1) for j in range(n)]
+    rivals = [TypeSpec(f"r{t}", [100 - 50 * i / n - t for i in range(n)], disc)
+              for t in range(3)]
+    inst = Instance(n, rivals + [TypeSpec("p", [1e-3], disc)])
+    start = time.perf_counter()
+    with pytest.raises(GuardError, match="at least"):
+        greedy_allocation_curve(inst, AdRef(3, 0))
+    assert time.perf_counter() - start < 0.1
+    tracemalloc.start()
+    try:
+        with pytest.raises(GuardError):
+            greedy_allocation_curve(inst, AdRef(3, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000, peak
+
+
 @pytest.mark.parametrize("inside", [MAX_SWEEP_PROBES - 2, MAX_SWEEP_PROBES - 1])
 def test_window_check_refuses_exactly_what_the_sweep_guard_does(inside):
     # the probed type has one positive discount, so that discount's
     # candidates are all of them: the check before the candidate set is
-    # built meets the guard exactly, refusing 4097 probes and not 4096
+    # built meets the guard exactly, returning 4096 cuts and refusing 4097
     rival = TypeSpec("r", [float(100 - i) for i in range(70)],
                      [1 / (1 + j / 997) for j in range(70)])
     edges = sorted({v * d for v in rival.values for d in rival.discounts})
@@ -176,13 +212,10 @@ def test_window_check_refuses_exactly_what_the_sweep_guard_does(inside):
         + [value]
     assert len(cuts) == inside + 2
     if len(cuts) > MAX_SWEEP_PROBES:
-        with pytest.raises(GuardError, match=f"{len(cuts)} probes"):
-            check_sweep(ad, len(cuts))
         with pytest.raises(GuardError, match=f"at least {len(cuts)} probes"):
-            check_window(inst, ad, 0.0, value)
+            sweep_bids(inst, ad, 0.0, value)
     else:
-        check_sweep(ad, len(cuts))
-        check_window(inst, ad, 0.0, value)
+        assert sweep_bids(inst, ad, 0.0, value) == cuts
 
 
 def test_candidate_bids_include_own_value_and_zero():

@@ -324,6 +324,31 @@ def test_gen_assignment_refuses_n_below_one(n, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("family", ["random", "assignment"])
+def test_gen_refuses_a_negative_seed(family, capsys):
+    # numpy's bare "expected non-negative integer" once came out
+    assert run(["gen", "--family", family, "--n", "3", "--seed", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert "invalid: --seed must be >= 0, not -1" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("family", [["greedy-tight"],
+                                    ["mis", "--graph", "triangle.graph"]])
+def test_gen_families_without_a_seed_ignore_a_negative_one(
+        family, fixtures_dir, monkeypatch, capsys):
+    monkeypatch.chdir(fixtures_dir)
+    assert run(["gen", "--family", *family, "--seed", "-1"]) == 0
+    assert json.loads(capsys.readouterr().out)["types"]
+
+
+def test_bench_refuses_a_negative_seed(capsys):
+    assert run(["bench", "--sizes", "6:2", "--seed", "-1"]) == 64
+    captured = capsys.readouterr()
+    assert "usage error: --seed must be at least 0, not -1" in captured.err
+    assert captured.out == ""
+
+
 def test_guard_refusal_exit_code(tmp_path):
     inst = tmp_path / "big.json"
     assert run(["gen", "--family", "random", "--n", "12", "--k", "2",
@@ -755,9 +780,16 @@ def test_cli_never_raises(doc, data):
         inst, out = Path(tmp) / "inst.json", Path(tmp) / "out.json"
         inst.write_text(json.dumps(doc))
         solved = None
-        for cmd in (["solve", "--algo", "adtypes"], ["solve", "--algo", "gapdp"],
-                    ["price", "--mechanism", "vcg"],
-                    ["price", "--mechanism", "reserve"]):
+        reserves = Path(tmp) / "reserves.json"
+        reserves.write_text(json.dumps([{"type": 0, "rank": 0,
+                                         "reserve": 2.0}]))
+        for cmd in ([["solve", "--algo", algo] for algo in
+                     ("adtypes", "gapdp", "generic", "greedy", "brute",
+                      "two-type")]
+                    + [["price", "--mechanism", "vcg"],
+                       ["price", "--mechanism", "reserve"],
+                       ["price", "--mechanism", "myerson-greedy",
+                        "--reserves", str(reserves)]]):
             out.unlink(missing_ok=True)
             code = run(cmd + ["--in", str(inst), "--out", str(out)])
             assert code in (0, 1, 2), cmd

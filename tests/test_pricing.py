@@ -10,6 +10,7 @@ from adtypes.baseline import (
     candidate_bids,
     solve_generic_hungarian,
     solve_greedy,
+    sweep_bids,
 )
 from adtypes.bench import (
     GenConfig,
@@ -25,6 +26,7 @@ from adtypes.core import (
     Matching,
     TypeSpec,
     ValidationError,
+    real_pairs,
     tol_for,
     with_bid,
 )
@@ -95,6 +97,26 @@ def test_reserve_pricing_rejects_uncertified_duals(two_bidders):
                             lambda inst: _uncertified(solve_adtypes(inst)))
 
 
+def _short_instance(seed: int) -> Instance:
+    """Fewer real ads than slots, so every solver fills some slots with
+    zero-value padding; every value and discount family."""
+    rng = np.random.default_rng(seed + 9000)
+    n, k = int(rng.integers(2, 13)), int(rng.integers(1, 4))
+    dist = ("uniform-int", "uniform-real", "pareto")[seed % 3]
+    fam = ("geometric", "linear", "step")[seed // 3 % 3]
+    full = gen_random(GenConfig(n, k, seed, dist, fam))
+    counts = rng.integers(0, (n - 1) // k + 1, k)
+    return Instance(n, [TypeSpec(spec.name, spec.values[:c], spec.discounts)
+                        for spec, c in zip(full.types, counts)])
+
+
+def _trimmed(inst, sol):
+    """``sol`` less its padding, duals kept: a certified solution that
+    leaves some slots empty."""
+    return OptimalSolution(real_pairs(inst, sol.matching), sol.duals,
+                           sol.welfare)
+
+
 def test_fast_equals_naive_on_random_instances():
     for seed in range(150):
         rng = np.random.default_rng(seed)
@@ -108,6 +130,17 @@ def test_fast_equals_naive_on_random_instances():
             fast = np.asarray(vcg_prices_fast(inst, solver(inst)))
             assert np.abs(fast - naive).max() <= 1e-9, \
                 f"seed {seed} {solver.__name__}"
+    # an empty slot's price is that of a zero-value ad in it: never below 0
+    for seed in range(200):
+        inst = _short_instance(seed)
+        naive = vcg_prices_naive(inst)
+        for solver in (solve_adtypes, solve_generic_hungarian):
+            sol = _trimmed(inst, solver(inst))
+            assert len(sol.matching) < inst.num_slots
+            fast = vcg_prices_fast(inst, sol)
+            assert all(price >= 0.0 and abs(price - want) <= tol_for(want)
+                       for price, want in zip(fast, naive)), \
+                (seed, solver.__name__, fast, naive)
 
 
 def test_fast_equals_naive_exactly_on_dyadic_instances(tie_heavy):
@@ -219,10 +252,11 @@ def _resolved_payments(inst, reserves):
 
 def test_lowered_welfares_match_the_resolve_oracle(tie_heavy):
     # every value and discount family, then the tie-heavy one; n <= 15 and
-    # k <= 4, so padding ads and zero-discount (step) slots occur; each
-    # from both solvers' duals
+    # k <= 4, so padding ads and zero-discount (step) slots occur; then
+    # solutions with their padding dropped, so slots are empty; each from
+    # both solvers' duals
     checked = 0
-    for seed in range(280):
+    for seed in range(360):
         rng = np.random.default_rng(seed + 7000)
         if seed < 180:
             dist = ("uniform-int", "uniform-real", "pareto")[seed % 3]
@@ -230,10 +264,12 @@ def test_lowered_welfares_match_the_resolve_oracle(tie_heavy):
             inst = gen_random(GenConfig(int(rng.integers(1, 16)),
                                         int(rng.integers(1, 5)), seed, dist,
                                         fam))
-        else:
+        elif seed < 280:
             inst = tie_heavy(seed)
+        else:
+            inst = _short_instance(seed)
         for solver in (solve_adtypes, solve_generic_hungarian):
-            sol = solver(inst)
+            sol = solver(inst) if seed < 280 else _trimmed(inst, solver(inst))
             paths = pricing._SlotPaths(inst, sol)
             for slot, ad in sol.matching.pairs:
                 value = inst.value_of(ad)
@@ -400,11 +436,11 @@ def test_myerson_scan_prices_a_fitting_window_exactly():
 def test_myerson_greedy_computes_each_window_once(monkeypatch):
     calls = []
 
-    def counted(inst, ad):
+    def counted(inst, ad, lo, hi):
         calls.append(ad)
-        return candidate_bids(inst, ad)
+        return sweep_bids(inst, ad, lo, hi)
 
-    monkeypatch.setattr(pricing, "candidate_bids", counted)
+    monkeypatch.setattr(pricing, "sweep_bids", counted)
     inst = gen_exact_random(3, max_n=6, max_k=3)
     out = myerson_greedy_outcome(inst, None)
     winners = sorted(ad for _, ad in out.matching.pairs)
