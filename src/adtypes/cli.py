@@ -68,9 +68,10 @@ def _write_text(text: str, path) -> None:
 
 
 def _write_json(obj, path) -> None:
-    """Write ``obj`` as strict JSON: a NaN or infinity raises ValueError
-    before anything is written."""
-    _write_text(json.dumps(obj, indent=2, allow_nan=False) + "\n", path)
+    """Write ``obj`` as strict JSON on one line: a NaN or infinity raises
+    ValueError before anything is written.  No ``indent``, so ``json``
+    encodes in C rather than in Python."""
+    _write_text(json.dumps(obj, allow_nan=False) + "\n", path)
 
 
 def _solution_dict(algo: str, inst: Instance, out) -> dict:

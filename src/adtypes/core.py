@@ -16,7 +16,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 TOL = 1e-9
 
@@ -65,9 +65,10 @@ def as_integer(x, what: str) -> int:
     raise ValidationError(f"{what} must be an integer, got {x!r}")
 
 
-@dataclass(frozen=True, order=True)
-class AdRef:
-    """Ad ``rank`` within its type's descending value order."""
+class AdRef(NamedTuple):
+    """Ad ``rank`` within its type's descending value order.  A named
+    tuple, so it hashes, compares and sorts by ``(ad_type, rank)`` in C
+    wherever it is a key."""
 
     ad_type: int
     rank: int

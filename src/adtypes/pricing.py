@@ -9,8 +9,9 @@ Four pricing routes:
   the externality;
 * reserve pricing without changepoint computation: each winner pays the
   welfare with its bid lowered to its reserve less the others' welfare now,
-  that welfare read off the same certified duals by one more shortest-path
-  pass over the slots per winner, so the allocator runs once;
+  that welfare read off the same certified duals by one shortest-path pass
+  over the slots that every winner shares and a local pass per winner, so
+  the allocator runs once and the winners together cost about one solve;
 * a bid-sweep oracle that prices any monotone allocation rule by summing
   bid x allocation-jump over its changepoints, found where welfare tangents
   cross when the allocator returns an :class:`OptimalSolution`, and by
@@ -33,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .core import (
     AdRef,
@@ -110,28 +111,32 @@ class ReserveVector:
 # ---------------------------------------------------------------------------
 # Shortest paths over the slots of a certified solution
 
-def _dijkstra(dist: list[float], moves: list[list[int]],
-              length: Callable) -> list[float]:
-    """Distances over the slots from the start distances ``dist``, in
-    place: settle the nearest unsettled slot x, lower each unsettled slot y
-    in ``moves[x]`` to ``dist[x] + length(x, y)`` where that is smaller,
-    repeat.  The lengths are reduced costs, never negative, so each slot
-    settles once."""
+def _dijkstra(dist: list[float], sources: Iterable[int],
+              moves: list[list[int]], length: Callable) -> list[int]:
+    """Distances over the slots from the start distances ``dist`` of the
+    ``sources``, in place: settle the nearest unsettled slot x, lower each
+    unsettled slot y in ``moves[x]`` to ``dist[x] + length(x, y)`` where
+    that is smaller, repeat.  A slot that is not a source enters only once
+    lowered below its start distance, which thus bounds the search.  The
+    lengths are reduced costs, never negative, so each slot settles once.
+    Returns the settled slots in order."""
     settled = [False] * len(dist)
-    heap = [(d, x) for x, d in enumerate(dist)]
+    order = []
+    heap = [(dist[x], x) for x in sources]
     heapify(heap)
     while heap:
         d, x = heappop(heap)
         if settled[x]:
             continue
         settled[x] = True
+        order.append(x)
         for y in moves[x]:
             if not settled[y]:
                 dy = d + length(x, y)
                 if dy < dist[y]:
                     dist[y] = dy
                     heappush(heap, (dy, y))
-    return dist
+    return order
 
 
 class _SlotPaths:
@@ -156,17 +161,38 @@ class _SlotPaths:
       (``vacate[s] + slack(ad at s, y)``).  Slot y's VCG price is
       ``p_y - vacate[y]``, and without the winner i at slot ``s_i`` the
       others' best welfare is ``W_{-i} = W - u_i - vacate[s_i]``.
-    * :meth:`lowered_welfare`, one more pass per winner: the welfare with i
-      bidding r.  Either i is left out (``W_{-i}``), or it takes a slot j
+    * ``D0[y]``, the second pass: the least cost of making room at slot y
+      when a displaced ad may be dropped.  The ad at y is dropped (``u``),
+      or it takes another slot x, displacing x's ad in turn (``D0[x] +
+      slack(ad at y, x)``).  An empty slot holds an ad of value and
+      utility 0 that no scan lists as a mover: room there costs 0, and
+      nothing moves out of it.
+    * :meth:`lowered_welfare`, one local pass per winner: the welfare with
+      i bidding r.  Either i is left out (``W_{-i}``), or it takes a slot j
       and earns ``r * alpha_{t_i, j}``, the others keeping ``W - u_i - p_j``
       less ``room[j]``, the least cost of making room at j once i has
-      left ``s_i``.  The ad at j is displaced: it is dropped (``u``) and
-      the vacancy at ``s_i`` is repaired apart (``vacate[s_i]``); or it
-      takes another slot x, displacing x's ad in turn (``room[x] +
-      slack(ad at j, x)``); or it takes ``s_i`` itself, which closes the
-      chain at no further cost (``room[s_i] = 0``).  An empty slot holds
-      an ad of value and utility 0 that no scan lists as a mover: room
-      there costs ``vacate[s_i]``, and nothing moves out of it.
+      left ``s_i``.  The ad at j is displaced, and so is each ad it
+      displaces in turn.  Either the chain ends in a dropped ad and the
+      vacancy at ``s_i`` is repaired apart (``vacate[s_i] + D0[j]``), or
+      it ends in ``s_i`` itself, which closes it at no further cost:
+      ``d_i(j)``, a Dijkstra from ``d_i(s_i) = 0`` over the same moves.
+      So ``room[j] = min(vacate[s_i] + D0[j], d_i(j))``, and the welfare
+      is the largest of ``W_{-i}``; the far term ``W - u_i - vacate[s_i]
+      + max_j (r * alpha_{t_i, j} - p_j - D0[j])``; and the placed term
+      ``max_j (r * alpha_{t_i, j} + W - u_i - p_j - d_i(j))`` over the
+      slots the local pass settles.
+
+    Why ``D0`` can be shared by every winner.  ``D0`` is computed with the
+    ad at ``s_i`` in place, and that ad is gone once i bids r, so ``D0``
+    may route through ``s_i``.  Any such path costs at least its part from
+    ``s_i`` on, which is a path of ``d_i``, and ``vacate[s_i] >= 0``; so
+    wherever such a path is the shortest, ``d_i(j)`` is no larger and the
+    min is still exact.  The local pass pushes y only while ``d_i(y) <
+    vacate[s_i] + D0[y]``, and that is exact too.  ``D0`` obeys the same
+    moves, ``D0[y] <= D0[x] + slack(ad at y, x)``, so a slot x that fails
+    the test on a shortest path of ``d_i`` makes every later slot y on it
+    fail as well.  Every slot where ``d_i`` beats the far term is thus
+    reached along its shortest path, and the far term covers the rest.
 
     Why one pass per winner is exact.  With i left out and slot j taken,
     the others' best is ``W - u_i - p_j`` less the least shortfall, counted
@@ -195,14 +221,20 @@ class _SlotPaths:
     so the move "a into x" costs at least the two moves "w into x, then a
     into ``y_w``", which end with the same slots filled.  The scan never
     lists, and never takes as a witness, the ad at x itself, so in the
-    ``vacate`` pass w is never the ad that left.  In a winner's pass w may
-    be the winner itself, at ``s_i``; then ``room[s_i] = 0`` makes "a into
-    ``s_i``" cost no more than the dropped move.  Losers move only as each
-    type's lowest-rank loser, the scan's head.
+    ``vacate`` pass w is never the ad that left, and in the ``D0`` pass
+    every ad is in place.  In a winner's pass w may be the winner itself,
+    at ``s_i``; then ``d_i(s_i) = 0`` makes "a into ``s_i``" cost no more
+    than the dropped move.  Losers move only as each type's lowest-rank
+    loser, the scan's head.
 
-    Each pass settles n slots through O(kn) moves (more where values or
-    discounts tie) on a heap: O(kn log n) time, O(kn) memory.  A solution
-    that fails :func:`certify` is refused with ValidationError.
+    The ``vacate`` and ``D0`` passes settle n slots each through O(kn)
+    moves (more where values or discounts tie) on a heap: O(kn log n)
+    time.  A winner's pass settles only the slots where a chain into
+    ``s_i`` beats ``vacate[s_i] + D0``, about half of them on
+    :func:`~adtypes.bench.gen_scaling_instance` at n=400, plus O(n) for
+    the far term; ``settled`` counts the slots all passes settle.  Memory
+    is O(kn).  A solution that fails :func:`certify` is refused with
+    ValidationError.
     """
 
     def __init__(self, inst: Instance, sol: OptimalSolution):
@@ -238,25 +270,33 @@ class _SlotPaths:
             for s in slots:
                 into[s].append(y)
         u_at, v_at, d_at = self.u_at, self.v_at, self.d_at
+        self.vacate = start
         # the ad at s moves into y
-        self.vacate = _dijkstra(start, into, lambda s, y: (
-            u_at[s] + p[y] - v_at[s] * d_at[s][y]))
+        self.settled = len(_dijkstra(start, range(n), into, lambda s, y: (
+            u_at[s] + p[y] - v_at[s] * d_at[s][y])))
+        # room at y with a displaced ad dropped (D0): the ad at y is dropped
+        # or moves into x, displacing x's ad in turn
+        self._move = lambda x, y: u_at[y] + p[x] - v_at[y] * d_at[y][x]
+        self.d0 = list(u_at)
+        self.settled += len(_dijkstra(self.d0, range(n), self.movers,
+                                      self._move))
+        self._p_d0 = [p_y + d for p_y, d in zip(p, self.d0)]
 
     def lowered_welfare(self, s_i: int, r: float) -> float:
         """The welfare with the ad at slot ``s_i`` bidding ``r``."""
-        p, v_at, d_at = self.p, self.v_at, self.d_at
         repair = self.vacate[s_i]
-        room = [u + repair for u in self.u_at]
-        room[s_i] = 0.0
-        u_at = list(self.u_at)
-        u_at[s_i] = math.inf  # the ad at s_i is gone: nothing moves out
-        # the ad at each other slot j moves into x
-        room = _dijkstra(room, self.movers, lambda x, j: (
-            u_at[j] + p[x] - v_at[j] * d_at[j][x]))
         others = self.welfare - self.u_at[s_i]
-        placed = max(r * a + others - p_j - room_j
-                     for a, p_j, room_j in zip(d_at[s_i], p, room))
-        return max(others - repair, placed)
+        alpha = self.d_at[s_i]
+        far = max(r * a - q for a, q in zip(alpha, self._p_d0))
+        # the chains into s_i, searched only where they beat repair + D0;
+        # s_i settles first, so nothing moves into it: its ad is gone
+        room = [repair + d for d in self.d0]
+        room[s_i] = 0.0
+        near = _dijkstra(room, (s_i,), self.movers, self._move)
+        self.settled += len(near)
+        p = self.p
+        placed = max(r * alpha[j] + others - p[j] - room[j] for j in near)
+        return max(others - repair, others - repair + far, placed)
 
 
 # ---------------------------------------------------------------------------
@@ -344,12 +384,15 @@ def price_with_reserves(inst: Instance, reserves: ReserveVector | Mapping | None
 
     ``allocator`` runs once, and its result is certified and rejected if the
     certificate fails, so it must be an exact welfare maximizer with duals.
-    Each ``W(b -> r)`` then comes from those duals, not from a re-solve: one
-    shortest-path pass over the slots per winner with positive quantity
+    Each ``W(b -> r)`` then comes from those duals, not from a re-solve
     (:meth:`_SlotPaths.lowered_welfare`, where the proof is, the two-chain
-    case included, and why the solver's scan pruning is exact).  That is
-    O(kn log n) time per winner on top of the one solve (more where values
-    or discounts tie), in O(kn) memory.
+    case and the shared ``D0`` pass included, and why the solver's scan
+    pruning is exact).  Two passes over all the slots serve every winner;
+    then each winner with positive quantity gets a local pass that settles
+    only the slots where a chain into its own slot beats the shared pass,
+    plus O(n) for the far term.  So a winner costs O(n) plus O(k log n)
+    per slot it settles, at most O(kn log n), on top of the one solve
+    (more where values or discounts tie), in O(kn) memory.
     """
     reserves = ReserveVector(reserves)
     filtered, keep_map = filter_by_reserves(inst, reserves)

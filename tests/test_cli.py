@@ -363,6 +363,19 @@ def test_validation_failure_exit_code(fixtures_dir, tmp_path):
                 "--algo", "adtypes", "--out", str(tmp_path / "x.json")]) == 1
 
 
+def test_output_json_is_one_strict_line(fixtures_dir, tmp_path):
+    out = tmp_path / "priced.json"
+    assert run(["price", "--in", str(fixtures_dir / "two_bidders.json"),
+                "--mechanism", "vcg", "--out", str(out)]) == 0
+    text = out.read_text()
+    assert text.endswith("}\n") and text.count("\n") == 1
+    assert _strict_json(text)["mechanism"] == "vcg"
+    nan = tmp_path / "nan.json"
+    with pytest.raises(ValueError):
+        cli._write_json({"pay": float("nan")}, str(nan))
+    assert not nan.exists()
+
+
 @pytest.mark.parametrize("values", [[float("nan"), 1.0], [float("inf")], 5])
 def test_bad_numbers_exit_code(tmp_path, capsys, values):
     # NaN, inf and a bare number are refused by the handler, not a traceback

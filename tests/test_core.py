@@ -146,6 +146,19 @@ def test_matching_rejects_duplicate_ad():
         Matching({0: AdRef(0, 0), 1: AdRef(0, 0)})
 
 
+def test_adref_is_a_named_pair():
+    # hashed and sorted in C as a tuple, with the fields, order and repr of
+    # the frozen record it replaced
+    ad = AdRef(0, 1)
+    assert repr(ad) == "AdRef(ad_type=0, rank=1)"
+    assert (ad.ad_type, ad.rank) == (0, 1)
+    assert sorted([AdRef(1, 0), AdRef(0, 2), ad]) == \
+        [ad, AdRef(0, 2), AdRef(1, 0)]
+    assert {ad: "x"}[AdRef(0, 1)] == "x"
+    with pytest.raises(AttributeError):
+        ad.rank = 2
+
+
 def test_welfare_iteration_order_invariant(example1):
     a = Matching({0: AdRef(1, 0), 1: AdRef(0, 0)})
     b = Matching([(1, AdRef(0, 0)), (0, AdRef(1, 0))])
@@ -287,3 +300,21 @@ def test_only_sweep_bids_applies_the_sweep_guard():
                     getattr(node, "ctx", None), ast.Store):
                 readers.add(f"{path.stem}.{owner.get(id(node), '<module>')}")
     assert readers == {"baseline.sweep_bids"}, readers
+
+
+def test_no_json_writer_indents():
+    # an indent sends json.dump and json.dumps to the pure-Python encoder,
+    # so every writer leaves it out and stays on the C one
+    src = Path(__file__).resolve().parent.parent / "src" / "adtypes"
+    writers, indented = [], []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("dump", "dumps")
+                    and getattr(node.func.value, "id", None) == "json"):
+                writers.append(f"{path.name}:{node.lineno}")
+                if any(kw.arg == "indent" for kw in node.keywords):
+                    indented.append(writers[-1])
+    assert writers, "no json.dump or json.dumps call found"
+    assert indented == [], indented

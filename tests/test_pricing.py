@@ -254,7 +254,8 @@ def test_lowered_welfares_match_the_resolve_oracle(tie_heavy):
     # every value and discount family, then the tie-heavy one; n <= 15 and
     # k <= 4, so padding ads and zero-discount (step) slots occur; then
     # solutions with their padding dropped, so slots are empty; each from
-    # both solvers' duals
+    # both solvers' duals; the bids run from 0 to twice the ad's value,
+    # since the split into D0 and a local pass must hold above it too
     checked = 0
     for seed in range(360):
         rng = np.random.default_rng(seed + 7000)
@@ -273,13 +274,14 @@ def test_lowered_welfares_match_the_resolve_oracle(tie_heavy):
             paths = pricing._SlotPaths(inst, sol)
             for slot, ad in sol.matching.pairs:
                 value = inst.value_of(ad)
-                for r in (0.0, value, float(rng.uniform(0.0, value))):
+                for r in (0.0, value, float(rng.uniform(0.0, value)),
+                          2.0 * value):
                     got = paths.lowered_welfare(slot, r)
                     want = solve_adtypes(with_bid(inst, ad, r)[0]).welfare
                     assert abs(got - want) <= tol_for(want), \
                         (seed, solver.__name__, slot, r)
                     checked += 1
-    assert checked > 12000
+    assert checked > 16000
 
 
 def test_reserve_payments_equal_resolving_bit_for_bit_on_exact_instances():
@@ -311,6 +313,21 @@ def test_reserve_pricing_memory_is_linear_in_the_slots():
     finally:
         tracemalloc.stop()
     assert peak < 300 * 300 * 8 // 4, peak
+
+
+def test_winner_passes_settle_about_half_the_slots():
+    # each winner's pass searches only the chains into its own slot that
+    # beat vacating it and clearing the target slot by D0, so all n passes
+    # together settle well under the n * n slots of full passes
+    inst = gen_scaling_instance(400, 4, 0)
+    sol = solve_adtypes(inst)
+    paths = pricing._SlotPaths(inst, sol)
+    n = inst.num_slots
+    assert paths.settled == 2 * n  # vacate and D0 settle every slot
+    for slot, ad in sol.matching.pairs:
+        paths.lowered_welfare(slot, 0.5 * inst.value_of(ad))
+    assert len(sol.matching) == n
+    assert paths.settled - 2 * n <= 0.6 * n * n, paths.settled
 
 
 def test_lowered_welfare_two_chain_case():
