@@ -28,30 +28,35 @@ the next tight edge, grow the tree, and repeat until the pop reaches an
 unmatched ad; then flip the augmenting path and write the duals back.  Its
 counters go straight into :class:`SolveStats`.  Inside it an ad is the int
 ``a = t*n + r`` (type ``t``, rank ``r``, ``n`` slots).  The tree, the
-best-key table, the heap entries, the per-type frontier index
+best-key list, the heap entries, the per-type frontiers
 (:func:`_frontiers`), the utilities ``u`` and the matching (``slot_ad`` and
-``ad_slot``, with -1 for unmatched) are lists and dicts keyed by that int,
-and an edge value is read as ``disc[t][slot] * val[a]`` from tables built
-once per solve.  Tree membership lives in the best-key table: a popped
-ad's entry becomes the sentinel ``_IN_TREE``, whose key no offer undercuts,
-so the offer loop needs no membership test.  The frontiers are carried from
-phase to phase: a type's frontier reads only that type's ads, so after each
-augmentation :func:`solve_adtypes` rebuilds only the frontiers of the types
-whose ads the path moved.  :class:`AdRef` and :class:`Matching` appear only
-at the edges: :func:`solve_adtypes` reads the instance on the way in and
-builds the final matching (and the per-phase ones, when
-``collect_phase_matchings`` asks) on the way out.  A solve can be followed
-phase by phase through :attr:`SolveStats.phases` (printed by
-:meth:`SolveStats.trace_lines`) and ``collect_phase_matchings``.
+``ad_slot``, with -1 for unmatched) are lists and dicts keyed by that int.
+The frontier a pop reads changes only between phases, so a tie-free type's
+frontier is a table: for each slot, the tuple of ``(ad, value)`` pairs the
+scan lists there, built once per rebuild with one tuple per gap between
+the type's matched slots.  A type with ties keeps the protected walk.  The
+scan gives, per type, the discount at the slot and those pairs, so an offer
+is one multiplication and one key, ``u[a] + potential - value``, with the
+slot's potential set when it joins the tree.  Tree membership lives in the
+best-key list: a popped ad's entry becomes the sentinel ``_IN_TREE``,
+whose key no offer undercuts, so the offer loop needs no membership test.
+The frontiers are carried from phase to phase: a type's frontier reads only
+that type's ads, so after each augmentation :func:`solve_adtypes` rebuilds
+only the frontiers of the types whose ads the path moved.  :class:`AdRef`
+and :class:`Matching` appear only at the edges: :func:`solve_adtypes`
+reads the instance on the way in and builds the final matching (and the
+per-phase ones, when ``collect_phase_matchings`` asks) on the way out.  A
+solve can be followed phase by phase through :attr:`SolveStats.phases`
+(printed by :meth:`SolveStats.trace_lines`) and
+``collect_phase_matchings``.
 """
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, insort
-from collections.abc import Collection
+from collections.abc import Collection, Sequence
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from itertools import accumulate
 
 from .core import (
     AdRef,
@@ -126,13 +131,15 @@ class OptimalSolution:
 
 class _Tables:
     """An instance's numbers as the phase loop reads them, built once per
-    solve: ``val[a]`` for ``a = t*n + r``, ``disc[t][slot]``, whether each
-    type's discount curve is strictly decreasing, whether its values are
-    too (``distinct``), and the tolerance."""
+    solve: ``val[a]`` for ``a = t*n + r``, the candidate pair ``pair[a] =
+    (a, val[a])``, ``disc[t][slot]``, whether each type's discount curve
+    is strictly decreasing, whether its values are too (``distinct``), and
+    the tolerance."""
 
     def __init__(self, inst: Instance):
         self.n, self.k = inst.num_slots, inst.num_types
         self.val = [v for spec in inst.types for v in spec.values]
+        self.pair = list(enumerate(self.val))
         self.disc = [spec.discounts for spec in inst.types]
         self.strict = [all(d[j] > d[j + 1] for j in range(self.n - 1))
                        for d in self.disc]
@@ -156,17 +163,25 @@ class _Tables:
 
 def _frontiers(tables: _Tables, slot_ad: list[int], ad_slot: list[int],
                types: Collection[int]) -> list[tuple]:
-    """The frontier of each type in ``types``, in that order: the lowest
-    unmatched ad, whether the type is tie-free, its matched slots in order
-    (with the largest ``a`` over each slot prefix and the smallest over
-    each slot suffix), its matched ads sorted by rank (``None`` when
-    tie-free), and its discount curve.
+    """The frontier of each type in ``types``, in that order, as ``(head,
+    near, by_rank, disc)``: the type's lowest unmatched ad (``None`` when
+    all are matched), its candidate table or ``None``, its matched
+    ``(ad, slot)`` pairs sorted by rank or ``None``, and its discount curve.
+
+    A tie-free type (distinct matched values, strictly decreasing curve)
+    gets the table: ``near[x]`` is the tuple of ``(ad, value)`` pairs
+    :func:`_scan` lists for slot x, namely the head, the highest-rank ad
+    matched below x and the lowest-rank ad matched above x, never the ad at
+    x itself.  Those are the same for every slot between two of the type's
+    matched slots, so each gap's tuple is built once and repeated by list
+    multiplication.  Any other type keeps ``by_rank`` for the protected
+    walk.
 
     A frontier reads only its own type's ads, so an augmentation changes
     only the frontiers of the types whose ads its path moved:
     :func:`solve_adtypes` keeps all k between phases and rebuilds just
     those, and a full build is every type."""
-    n, val = tables.n, tables.val
+    n, val, pair = tables.n, tables.val, tables.pair
     by_slot: dict[int, list[tuple[int, int]]] = {t: [] for t in types}
     for s, a in enumerate(slot_ad):
         if a >= 0:
@@ -175,80 +190,100 @@ def _frontiers(tables: _Tables, slot_ad: list[int], ad_slot: list[int],
                 pairs.append((s, a))
     frontiers = []
     for t, pairs in by_slot.items():
-        ads = [a for _, a in pairs]
         head, end = t * n, t * n + n
         while head < end and ad_slot[head] >= 0:
             head += 1
+        head = head if head < end else None
         if tables.strict[t] and tables.distinct[t]:
             # all the type's values differ, so its matched ones do
-            tie_free, by_rank = True, None
+            by_rank = None
         else:
             # values are non-increasing in rank, so distinct means strictly
             # decreasing along by_rank
             by_rank = sorted((a, s) for s, a in pairs)
             ranked = [val[a] for a, _ in by_rank]
-            tie_free = tables.strict[t] and all(x > y for x, y in
-                                                zip(ranked, ranked[1:]))
-        frontiers.append((
-            head if head < end else None,
-            tie_free,
-            [s for s, _ in pairs],
-            list(accumulate(ads, max)),
-            list(accumulate(reversed(ads), min))[::-1],
-            by_rank,
-            tables.disc[t],
-        ))
+            if tables.strict[t] and all(x > y for x, y in
+                                        zip(ranked, ranked[1:])):
+                by_rank = None
+        if by_rank is not None:
+            frontiers.append((head, None, by_rank, tables.disc[t]))
+            continue
+        # ups[i]: the lowest-rank ad matched at the i-th matched slot or a
+        # later one, as a 1-tuple; past the last one, nothing
+        ups = []
+        low = end
+        for _, a in reversed(pairs):
+            if a < low:
+                low = a
+            ups.append((pair[low],))
+        ups.reverse()
+        ups.append(())
+        # down: the head and the highest rank matched below the slot
+        top = () if head is None else (pair[head],)
+        down, high = top, -1
+        near: list[tuple] = []
+        prev = -1
+        for (s, a), up, up_past in zip(pairs, ups, ups[1:]):
+            # the gap below s, then s itself, which skips its own ad
+            near += [down + up] * (s - prev - 1)
+            near.append(down + up_past)
+            if a > high:
+                down, high = top + (pair[a],), a
+            prev = s
+        near += [down] * (n - 1 - prev)
+        frontiers.append((head, near, None, tables.disc[t]))
     return frontiers
 
 
-def _scan(frontiers: list[tuple], val: list[float], slot: int) -> list[int]:
-    """The ads whose edge to ``slot`` might yet go tight this phase.
-
-    Per type: the lowest-rank unmatched ad; matched ads below the slot
-    from the highest rank down until one is strictly protected (an
-    already-listed ad with strictly smaller value at a strictly better
-    discount); matched ads above the slot from the lowest rank up,
-    symmetrically.  A tie-free type (distinct matched values, strictly
-    decreasing curve) is always protected by its first listed ad, so it
-    contributes at most one candidate per case."""
-    cands = []
-    for head, tie_free, slots, prefix_max, suffix_min, by_rank, disc \
-            in frontiers:
-        if head is not None:
-            cands.append(head)
-        if tie_free:
-            lo = bisect_left(slots, slot)
-            if lo > 0:
-                cands.append(prefix_max[lo - 1])
-            # skip the slot itself, which at most one type has matched
-            hi = lo + 1 if lo < len(slots) and slots[lo] == slot else lo
-            if hi < len(slots):
-                cands.append(suffix_min[hi])
+def _walk(head: int | None, by_rank: list[tuple[int, int]],
+          disc: list[float], val: list[float], slot: int
+          ) -> list[tuple[int, float]]:
+    """The protected walk of a type with ties: the ``(ad, value)`` pairs
+    of the head; of the matched ads below ``slot`` from the highest rank
+    down until one is strictly protected (an already-listed ad with
+    strictly smaller value at a strictly better discount); and of the
+    matched ads above it from the lowest rank up, symmetrically."""
+    cands = [] if head is None else [(head, val[head])]
+    a_scan = disc[slot]
+    # matched below the slot, descending rank (ascending value)
+    protect_v = None
+    for a, s in reversed(by_rank):
+        if s >= slot:
             continue
-        a_scan = disc[slot]
-        # matched below the slot, descending rank (ascending value)
-        protect_v = None
-        for a, s in reversed(by_rank):
-            if s >= slot:
-                continue
-            v = val[a]
-            if protect_v is not None and protect_v < v:
-                break
-            cands.append(a)
-            if disc[s] > a_scan and (protect_v is None or v < protect_v):
-                protect_v = v
-        # matched above the slot, ascending rank (descending value)
-        protect_v = None
-        for a, s in by_rank:
-            if s <= slot:
-                continue
-            v = val[a]
-            if protect_v is not None and protect_v > v:
-                break
-            cands.append(a)
-            if disc[s] < a_scan and (protect_v is None or v > protect_v):
-                protect_v = v
+        v = val[a]
+        if protect_v is not None and protect_v < v:
+            break
+        cands.append((a, v))
+        if disc[s] > a_scan and (protect_v is None or v < protect_v):
+            protect_v = v
+    # matched above the slot, ascending rank (descending value)
+    protect_v = None
+    for a, s in by_rank:
+        if s <= slot:
+            continue
+        v = val[a]
+        if protect_v is not None and protect_v > v:
+            break
+        cands.append((a, v))
+        if disc[s] < a_scan and (protect_v is None or v > protect_v):
+            protect_v = v
     return cands
+
+
+def _scan(frontiers: list[tuple], val: list[float], slot: int
+          ) -> list[tuple[float, Sequence[tuple[int, float]]]]:
+    """The ads whose edge to ``slot`` might yet go tight this phase, per
+    type in frontier order: the type's discount at ``slot`` and its
+    ``(ad, value)`` candidate pairs.
+
+    A tie-free type is always protected by its first listed ad on either
+    side, so its candidates are the head, the highest rank matched below
+    the slot and the lowest rank matched above it, read from its table
+    (:func:`_frontiers`).  A type with ties runs the protected walk
+    (:func:`_walk`), which lists the same pairs for a tie-free type."""
+    return [(disc[slot], near[slot] if near is not None
+             else _walk(head, by_rank, disc, val, slot))
+            for head, near, by_rank, disc in frontiers]
 
 
 def slot_movers(inst: Instance, matching: Matching
@@ -267,8 +302,8 @@ def slot_movers(inst: Instance, matching: Matching
         ad_slot[a] = s
     frontiers = _frontiers(tables, slot_ad, ad_slot, range(tables.k))
     losers = [AdRef(*divmod(f[0], n)) for f in frontiers if f[0] is not None]
-    movers = [[ad_slot[a] for a in _scan(frontiers, tables.val, x)
-               if ad_slot[a] >= 0] for x in range(n)]
+    movers = [[ad_slot[a] for _, cands in _scan(frontiers, tables.val, x)
+               for a, _ in cands if ad_slot[a] >= 0] for x in range(n)]
     return losers, movers
 
 
@@ -294,36 +329,42 @@ def _phase(tables: _Tables, frontiers: list[tuple], slot_ad: list[int],
     they joined; the duals are written back once, at the end.  A popped ad's
     best-key entry becomes ``_IN_TREE``, which no later offer replaces.
     """
-    n, val, disc, tol = tables.n, tables.val, tables.disc, tables.tol
+    n, val, tol = tables.n, tables.val, tables.tol
     tree_ads: dict[int, float] = {}
     tree_slots: dict[int, float] = {root: 0.0}
     parent_slot: dict[int, int] = {}
     queue: list[tuple[float, float, int, int]] = []
-    best: dict[int, tuple] = {}
-    best_get = best.get
+    best: list[tuple | None] = [None] * (tables.k * n)
     max_queue, max_scan = stats.max_queue_occupancy, stats.max_scan_candidates
     delta = 0.0
-    pops = stale = 0
+    pops = stale = offered = 0
     slot = root
+    potential = p[root]  # the root joins at shift 0
     while True:
         # offer the candidate edges into the slot that just joined the tree,
         # lowering a candidate's key when this edge goes tight sooner than
         # its current best
-        cands = _scan(frontiers, val, slot)
-        if len(cands) > max_scan:
-            max_scan = len(cands)
-        potential = p[slot] + tree_slots[slot]
-        for a in cands:
-            value = disc[a // n][slot] * val[a]
-            key = u[a] + potential - value
-            cur = best_get(a)
-            if cur is None or key < cur[0]:
+        scanned = 0
+        for ds, cands in _scan(frontiers, val, slot):
+            scanned += len(cands)
+            for a, va in cands:
+                value = ds * va
+                key = u[a] + potential - value
+                cur = best[a]
+                if cur is None:
+                    offered += 1
+                elif not key < cur[0]:
+                    continue
                 # equal keys resolve in the global edge order: higher value,
                 # then lower slot, lower type, lower rank
                 entry = (key, -value, slot, a)
                 best[a] = entry
                 heappush(queue, entry)
-        live = len(best) - len(tree_ads)
+        if scanned > max_scan:
+            max_scan = scanned
+        # the queued ads: every ad offered so far, less those popped into
+        # the tree
+        live = offered - pops
         if live > max_queue:
             max_queue = live
         # pop the live entry with minimal key and advance the shift to its
@@ -336,12 +377,13 @@ def _phase(tables: _Tables, frontiers: list[tuple], slot_ad: list[int],
                                           "type is padded)")
             entry = heappop(queue)
             key, _, via, a = entry
-            if best_get(a) is entry:
+            if best[a] is entry:
                 break
             stale += 1  # superseded by a lower key, or already in the tree
         if key < delta - tol:
             raise PhaseInvariantError(root, key, delta, "queue key regressed")
-        delta = max(delta, key)
+        if key > delta:
+            delta = key
         best[a] = _IN_TREE
         pops += 1
         # grow the tree by the popped ad, or stop at an unmatched one
@@ -351,6 +393,7 @@ def _phase(tables: _Tables, frontiers: list[tuple], slot_ad: list[int],
             break
         tree_ads[a] = delta
         tree_slots[slot] = delta
+        potential = p[slot] + delta
 
     # flip the path from the free ad back to the root
     moved = set()

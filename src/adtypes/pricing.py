@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 from typing import Callable, Iterable, Mapping
 
@@ -161,12 +162,13 @@ class _SlotPaths:
       (``vacate[s] + slack(ad at s, y)``).  Slot y's VCG price is
       ``p_y - vacate[y]``, and without the winner i at slot ``s_i`` the
       others' best welfare is ``W_{-i} = W - u_i - vacate[s_i]``.
-    * ``D0[y]``, the second pass: the least cost of making room at slot y
-      when a displaced ad may be dropped.  The ad at y is dropped (``u``),
-      or it takes another slot x, displacing x's ad in turn (``D0[x] +
-      slack(ad at y, x)``).  An empty slot holds an ad of value and
-      utility 0 that no scan lists as a mover: room there costs 0, and
-      nothing moves out of it.
+    * ``D0[y]``, the second pass, run on the first :meth:`lowered_welfare`
+      call, since VCG prices read only ``vacate``: the least cost of
+      making room at slot y when a displaced ad may be dropped.  The ad at
+      y is dropped (``u``), or it takes another slot x, displacing x's ad
+      in turn (``D0[x] + slack(ad at y, x)``).  An empty slot holds an ad
+      of value and utility 0 that no scan lists as a mover: room there
+      costs 0, and nothing moves out of it.
     * :meth:`lowered_welfare`, one local pass per winner: the welfare with
       i bidding r.  Either i is left out (``W_{-i}``), or it takes a slot j
       and earns ``r * alpha_{t_i, j}``, the others keeping ``W - u_i - p_j``
@@ -274,13 +276,23 @@ class _SlotPaths:
         # the ad at s moves into y
         self.settled = len(_dijkstra(start, range(n), into, lambda s, y: (
             u_at[s] + p[y] - v_at[s] * d_at[s][y])))
-        # room at y with a displaced ad dropped (D0): the ad at y is dropped
-        # or moves into x, displacing x's ad in turn
+        # the ad at y moves into x
         self._move = lambda x, y: u_at[y] + p[x] - v_at[y] * d_at[y][x]
-        self.d0 = list(u_at)
-        self.settled += len(_dijkstra(self.d0, range(n), self.movers,
+
+    @cached_property
+    def d0(self) -> list[float]:
+        """Room at each slot y with a displaced ad dropped: the ad at y is
+        dropped or moves into x, displacing x's ad in turn.  Only
+        :meth:`lowered_welfare` reads it, so the pass runs on its first
+        call and VCG prices never pay for it."""
+        d0 = list(self.u_at)
+        self.settled += len(_dijkstra(d0, range(len(d0)), self.movers,
                                       self._move))
-        self._p_d0 = [p_y + d for p_y, d in zip(p, self.d0)]
+        return d0
+
+    @cached_property
+    def _p_d0(self) -> list[float]:
+        return [p_y + d for p_y, d in zip(self.p, self.d0)]
 
     def lowered_welfare(self, s_i: int, r: float) -> float:
         """The welfare with the ad at slot ``s_i`` bidding ``r``."""

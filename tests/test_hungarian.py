@@ -116,7 +116,8 @@ def _scan_refs(inst: Instance, m: Matching, slot: int) -> list[AdRef]:
     tables = _Tables(inst)
     frontiers = _frontiers(tables, *_solver_state(tables, m), range(tables.k))
     return [AdRef(*divmod(a, tables.n))
-            for a in _scan(frontiers, tables.val, slot)]
+            for _, cands in _scan(frontiers, tables.val, slot)
+            for a, _ in cands]
 
 
 def test_scan_candidates_three_cases():
@@ -175,31 +176,41 @@ def test_carried_frontiers_equal_a_full_rebuild(monkeypatch, tie_heavy):
     assert checked == sum(inst.num_slots for inst in cases)
 
 
-def test_tie_free_scan_lists_what_the_protected_walk_lists():
-    # a tie-free type's scan skips the walk, since its first listed ad on
-    # either side protects the rest; the walk run on the same frontier with
-    # tie_free forced off must list the same ads for every slot
+def test_tie_free_scan_lists_what_the_protected_walk_lists(tie_heavy):
+    # a tie-free type's scan reads its table, since its first listed ad on
+    # either side protects the rest; the walk run on the same matching must
+    # list the same pairs for every slot; the tie-heavy cases put table
+    # types and walk types in one solve
     cases = ([gen_strict_random(seed) for seed in range(40)]
              + [gen_exact_random(seed, max_n=12, max_k=4) for seed in range(40)]
+             + [tie_heavy(seed) for seed in range(60)]
              + [gen_scaling_instance(30, 4, 0)])
-    checked = 0
+    checked = mixed = 0
     for inst in cases:
         tables = _Tables(inst)
+        n = tables.n
         sol = solve_adtypes(inst, collect_phase_matchings=True)
+        kinds = set()
         for m in sol.stats.phase_matchings:
             slot_ad, ad_slot = _solver_state(tables, m)
-            for f in _frontiers(tables, slot_ad, ad_slot, range(tables.k)):
-                head, tie_free, slots, prefix_max, suffix_min, _, disc = f
-                if not tie_free:
+            frontiers = _frontiers(tables, slot_ad, ad_slot, range(tables.k))
+            for t, (head, near, by_rank, disc) in enumerate(frontiers):
+                kinds.add(near is None)
+                if near is None:
                     continue
-                by_rank = sorted((slot_ad[s], s) for s in slots)
-                walked = (head, False, slots, prefix_max, suffix_min,
-                          by_rank, disc)
-                for x in range(tables.n):
-                    assert _scan([f], tables.val, x) == \
-                        _scan([walked], tables.val, x), (m, x)
+                by_rank = sorted((a, s) for s, a in enumerate(slot_ad)
+                                 if a >= 0 and a // n == t)
+                walked = (head, None, by_rank, disc)
+                assert len(near) == n
+                for x in range(n):
+                    [(ds, table)] = _scan([frontiers[t]], tables.val, x)
+                    [(ds_walked, walk)] = _scan([walked], tables.val, x)
+                    assert table is near[x], (m, x)
+                    assert (ds, list(table)) == (ds_walked, walk), (m, x)
                     checked += 1
+        mixed += kinds == {True, False}
     assert checked > 8000, checked
+    assert mixed > 0, mixed
 
 
 def test_scan_all_unmatched_one_candidate_per_type():
@@ -468,6 +479,21 @@ def test_counters_pinned_on_scaling_instance():
     # leaves queued, with no counter in the offer loop
     assert stats.heap_pushes == 19750
     assert stats.stale_pops == 7
+
+
+def test_output_bits_pinned_on_scaling_instance():
+    # the welfare, the counters and the dual sums, to the last bit, that
+    # the phase loop gave before it read per-slot candidate tables
+    sol = solve_adtypes(gen_scaling_instance(200, 4, 0))
+    stats = sol.stats
+    assert sol.welfare.hex() == "0x1.450a8d3cbc553p+13"
+    assert stats.total_pops == 14154
+    assert sum(hops for _, _, _, hops in stats.phases) == 7338
+    assert stats.heap_pushes == 73702
+    assert stats.stale_pops == 27
+    assert math.fsum(sol.duals.p).hex() == "0x1.26a011107ae9ep+13"
+    assert math.fsum(x for row in sol.duals.u for x in row).hex() == \
+        "0x1.e6a7c2c416b58p+9"
 
 
 _SCALED_PARETO = """

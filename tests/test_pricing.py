@@ -323,7 +323,9 @@ def test_winner_passes_settle_about_half_the_slots():
     sol = solve_adtypes(inst)
     paths = pricing._SlotPaths(inst, sol)
     n = inst.num_slots
-    assert paths.settled == 2 * n  # vacate and D0 settle every slot
+    assert paths.settled == n  # vacate settles every slot
+    paths.d0
+    assert paths.settled == 2 * n  # and so does D0, once read
     for slot, ad in sol.matching.pairs:
         paths.lowered_welfare(slot, 0.5 * inst.value_of(ad))
     assert len(sol.matching) == n
