@@ -34,8 +34,6 @@ _EXPORTS = {
         "solve_adtypes",
     ),
     "baseline": (
-        "AllocationCurve",
-        "greedy_allocation_curve",
         "solve_bruteforce",
         "solve_generic_hungarian",
         "solve_greedy",
@@ -44,7 +42,6 @@ _EXPORTS = {
         "PricedOutcome",
         "ReserveVector",
         "myerson_changepoint_prices",
-        "myerson_greedy_outcome",
         "price_with_reserves",
         "test_ic_deviation",
         "vcg_outcome",

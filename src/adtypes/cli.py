@@ -150,10 +150,8 @@ def _cmd_price(args) -> int:
     reserves = _load_reserves(args.reserves)
     if args.mechanism == "vcg":
         outcome = pricing.vcg_outcome(inst)
-    elif args.mechanism == "reserve":
-        outcome = pricing.price_with_reserves(inst, reserves)
     else:
-        outcome = pricing.myerson_greedy_outcome(inst, reserves)
+        outcome = pricing.price_with_reserves(inst, reserves)
     _write_json(pricing.priced_outcome_to_dict(outcome), args.out)
     return EXIT_OK
 
@@ -288,10 +286,10 @@ def _solve_arguments(p: _Parser) -> None:
 def _price_arguments(p: _Parser) -> None:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--mechanism", required=True,
-                   choices=["vcg", "reserve", "myerson-greedy"])
+                   choices=["vcg", "reserve"])
     p.add_argument("--reserves", default=None,
                    help='JSON file: [{"type": t, "rank": r, "reserve": x}] '
-                        '(reserve and myerson-greedy only)')
+                        '(reserve only)')
     p.add_argument("--out", default=None)
 
 

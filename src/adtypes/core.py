@@ -38,7 +38,7 @@ class ValidationError(ValueError):
 
 
 class GuardError(RuntimeError):
-    """Raised when an exhaustive solver or a bid sweep refuses an instance
+    """Raised when an exhaustive solver or the gap DP refuses an instance
     as too large."""
 
 

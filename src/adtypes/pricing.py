@@ -12,11 +12,10 @@ Four pricing routes:
   that welfare read off the same certified duals by one shortest-path pass
   over the slots that every winner shares and a local pass per winner, so
   the allocator runs once and the winners together cost about one solve;
-* a bid-sweep oracle that prices any monotone allocation rule by summing
-  bid x allocation-jump over its changepoints, found where welfare tangents
-  cross when the allocator returns an :class:`OptimalSolution`, and by
-  :func:`~adtypes.baseline.bid_sweep` when it returns a bare :class:`Matching`;
-  exact, or refused with :class:`~adtypes.core.GuardError` when too long.
+* a changepoint oracle for exact welfare maximizers: it sums bid x
+  allocation-jump over the changepoints of one ad's allocation curve, found
+  where welfare tangents cross, and refuses an allocator that returns no
+  :class:`OptimalSolution`.
 
 The shortest-path passes are heap Dijkstras over the moves the solver's own
 candidate scan keeps on the final matching
@@ -25,7 +24,7 @@ solver's lists.
 
 Tolerances come from :mod:`adtypes.core`: certificates and utilities are
 compared within ``scaled_tol`` (relative to the largest edge value), welfare
-tangents within ``tol_for`` the welfare.  The bid-sweep oracle compares
+tangents within ``tol_for`` the welfare.  The changepoint oracle compares
 quantities (discounts), which do not scale with the values, within a fixed
 1e-12.
 """
@@ -50,7 +49,6 @@ from .core import (
     with_bid,
 )
 from .hungarian import OptimalSolution, certify, slot_movers, solve_adtypes
-from .baseline import bid_sweep, received_discount, solve_greedy, sweep_bids
 
 
 class NonMonotoneAllocationError(RuntimeError):
@@ -73,6 +71,12 @@ class PricedOutcome:
     payments: dict[AdRef, float]
     mechanism: str
     min_raw_payment: float = 0.0
+
+
+def received_discount(inst: Instance, m: Matching, ad: AdRef) -> float:
+    """The discount ``ad`` gets in ``m``, or 0."""
+    slot = m.slot_of(ad)
+    return 0.0 if slot is None else inst.types[ad.ad_type].discounts[slot]
 
 
 def _priced_outcome(inst: Instance, matching: Matching,
@@ -453,30 +457,31 @@ def myerson_changepoint_prices(inst: Instance, allocator, ad: AdRef,
     the sum over allocation changepoints of bid x quantity-jump, with the
     reserve as the first changepoint.
 
-    The allocator runs first at the ad's own bid, and its result type picks
-    how the changepoints are found.  An :class:`OptimalSolution` marks an
-    exact welfare maximizer, whose welfare is convex in one bid, so the
-    changepoints are where welfare tangents cross.  A bare :class:`Matching`
-    (greedy) is probed between comparator-crossing candidate bids, with
-    GuardError past ``MAX_SWEEP_PROBES`` probes.  Raises
-    :class:`NonMonotoneAllocationError` when the swept allocation decreases.
+    ``allocator`` must be an exact welfare maximizer that returns an
+    :class:`OptimalSolution`; its welfare is convex in one bid, so the
+    changepoints are where welfare tangents cross.  An allocator that
+    returns anything else is refused with :class:`ValidationError`.
+    Raises :class:`NonMonotoneAllocationError` when the probed allocation
+    decreases.
     """
     bid = inst.value_of(ad)
     if bid < r:
         return 0.0
-    seen: dict[float, tuple[float | None, float]] = {}
+    seen: dict[float, tuple[float, float]] = {}
 
     def run(b: float):
         if b not in seen:
             inst_b, ref_b, _ = with_bid(inst, ad, b)
             out = allocator(inst_b)
-            welfare = out.welfare if isinstance(out, OptimalSolution) else None
-            seen[b] = welfare, received_discount(inst_b, out, ref_b)
+            if not isinstance(out, OptimalSolution):
+                raise ValidationError(
+                    "allocator must return an OptimalSolution; the "
+                    f"changepoint oracle refuses a {type(out).__name__}")
+            seen[b] = out.welfare, received_discount(inst_b, out.matching,
+                                                     ref_b)
         return seen[b]
 
-    if run(bid)[0] is not None:  # only an OptimalSolution carries a welfare
-        return _envelope_payment(run, r, bid)
-    return _scan_payment(inst, ad, allocator, sweep_bids(inst, ad, r, bid))
+    return _envelope_payment(run, r, bid)
 
 
 def _envelope_payment(f, lo: float, hi: float) -> float:
@@ -510,38 +515,6 @@ def _envelope_payment(f, lo: float, hi: float) -> float:
     for b, x_left, x_right in sorted(jumps):
         payment += b * (x_right - x_left)
     return payment
-
-
-def _scan_payment(inst: Instance, probe: AdRef, allocator,
-                  cuts: list[float]) -> float:
-    """``hi * x(hi)`` less the area under the allocation curve over the
-    window ``cuts`` of :func:`sweep_bids`, read off one :func:`bid_sweep`."""
-    sweep = bid_sweep(inst, probe, allocator, cuts, cuts[-1])
-    for (b_lo, q_lo), (b_hi, q_hi) in zip(sweep, sweep[1:]):
-        if q_hi < q_lo - 1e-12:
-            raise NonMonotoneAllocationError(b_lo, b_hi, q_lo, q_hi)
-    area = sum(q * (cuts[i + 1] - cuts[i])
-               for i, (_, q) in enumerate(sweep[:-1]))
-    return cuts[-1] * sweep[-1][1] - area
-
-
-def myerson_greedy_outcome(inst: Instance,
-                           reserves: ReserveVector | Mapping | None
-                           ) -> PricedOutcome:
-    """Greedy allocation priced by the bid-sweep identity (greedy's
-    allocation curve is monotone, so the payments are incentive compatible).
-    Exact, or :class:`~adtypes.core.GuardError` when a sweep is too long;
-    each winner's window is computed once and checked before any probe."""
-    reserves = ReserveVector(reserves)
-    filtered, keep_map = filter_by_reserves(inst, reserves)
-    m = solve_greedy(filtered)
-    inv = {kept: orig for orig, kept in keep_map.items()}
-    windows = [(kept, sweep_bids(filtered, kept, reserves.get(inv[kept]),
-                                 filtered.value_of(kept)))
-               for kept in sorted(ad for _, ad in m.pairs if ad in inv)]
-    raw = {kept: _scan_payment(filtered, kept, solve_greedy, cuts)
-           for kept, cuts in windows}
-    return _priced_outcome(inst, m, inv, raw, "myerson-greedy")
 
 
 # ---------------------------------------------------------------------------

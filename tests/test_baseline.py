@@ -1,20 +1,10 @@
-import time
-import tracemalloc
-
 import numpy as np
 import pytest
 
-from adtypes import baseline
 from adtypes.baseline import (
-    MAX_SWEEP_PROBES,
-    AllocationCurve,
-    candidate_bids,
-    greedy_allocation_curve,
-    received_discount,
     solve_bruteforce,
     solve_generic_hungarian,
     solve_greedy,
-    sweep_bids,
 )
 from adtypes.bench import GenConfig, gen_exact_random, gen_greedy_tight, gen_random
 from adtypes.core import (
@@ -25,7 +15,6 @@ from adtypes.core import (
     TypeSpec,
     edge_value,
     welfare,
-    with_bid,
 )
 from adtypes.hungarian import certify, solve_adtypes
 
@@ -124,118 +113,3 @@ def test_greedy_fills_every_slot_of_padded_instances(tie_heavy):
         m = solve_greedy(inst)
         assert len(m) == inst.num_slots
         assert m == _edge_greedy(inst)
-
-
-def test_allocation_curve_sole_bidder():
-    inst = Instance(1, [TypeSpec("t", [5.0], [1.0])])
-    curve = greedy_allocation_curve(inst, AdRef(0, 0))
-    assert curve.points == ((0.0, 1.0),)
-    assert curve.quantity_at(0.0) == 0.0
-    assert curve.quantity_at(3.0) == 1.0
-
-
-def test_allocation_curve_tight_instance_probe():
-    inst = gen_greedy_tight(0.25)
-    probe = AdRef(1, 0)  # the flat type's real bidder
-    curve = greedy_allocation_curve(inst, probe)
-    assert curve.is_monotone()
-    # it always wins a full-discount slot once its bid is positive
-    assert curve.quantity_at(0.5) == 1.0
-    assert curve.quantity_at(2.0) == 1.0
-
-
-def test_allocation_curve_monotone_on_random_probes(monkeypatch):
-    # the curve sweeps exactly the candidate bids: its window's top is the
-    # largest candidate
-    windows, bid_sweep = [], baseline.bid_sweep
-
-    def recorded(inst, ad, allocator, cuts, top):
-        windows.append(cuts)
-        return bid_sweep(inst, ad, allocator, cuts, top)
-
-    monkeypatch.setattr(baseline, "bid_sweep", recorded)
-    rng = np.random.default_rng(2024)
-    checked = 0
-    while checked < 300:
-        inst = gen_exact_random(int(rng.integers(0, 1 << 31)),
-                                max_n=4, max_k=2)
-        for t in range(inst.num_types):
-            for r in range(inst.real_counts[t]):
-                curve = greedy_allocation_curve(inst, AdRef(t, r))
-                assert curve.is_monotone(), (inst, t, r)
-                assert windows.pop() == candidate_bids(inst, AdRef(t, r))
-                checked += 1
-
-
-def test_allocation_curve_over_the_guard_refused():
-    # 5584 candidate bids: refused, not swept over a subsample
-    inst = gen_random(GenConfig(12, 4, 3, "uniform-real", "geometric"))
-    with pytest.raises(GuardError, match="5584 probes"):
-        greedy_allocation_curve(inst, AdRef(3, 0))
-
-
-def test_allocation_curve_refuses_a_long_sweep_before_building_it():
-    # a low-value probe among three rival types at n=90: 1.33M candidate
-    # bids, of which the largest own discount alone puts over 4096 inside
-    # the curve's window, so the refusal builds none of the O(kn^3) set
-    n = 90
-    disc = [1 - j / (n + 1) for j in range(n)]
-    rivals = [TypeSpec(f"r{t}", [100 - 50 * i / n - t for i in range(n)], disc)
-              for t in range(3)]
-    inst = Instance(n, rivals + [TypeSpec("p", [1e-3], disc)])
-    start = time.perf_counter()
-    with pytest.raises(GuardError, match="at least"):
-        greedy_allocation_curve(inst, AdRef(3, 0))
-    assert time.perf_counter() - start < 0.1
-    tracemalloc.start()
-    try:
-        with pytest.raises(GuardError):
-            greedy_allocation_curve(inst, AdRef(3, 0))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 5_000_000, peak
-
-
-@pytest.mark.parametrize("inside", [MAX_SWEEP_PROBES - 2, MAX_SWEEP_PROBES - 1])
-def test_window_check_refuses_exactly_what_the_sweep_guard_does(inside):
-    # the probed type has one positive discount, so that discount's
-    # candidates are all of them: the check before the candidate set is
-    # built meets the guard exactly, returning 4096 cuts and refusing 4097
-    rival = TypeSpec("r", [float(100 - i) for i in range(70)],
-                     [1 / (1 + j / 997) for j in range(70)])
-    edges = sorted({v * d for v in rival.values for d in rival.discounts})
-    value = (edges[inside - 1] + edges[inside]) / 2
-    inst = Instance(70, [TypeSpec("p", [value], [1.0] + [0.0] * 69), rival])
-    ad = AdRef(0, 0)
-    cuts = [0.0] + [c for c in candidate_bids(inst, ad) if 0 < c < value] \
-        + [value]
-    assert len(cuts) == inside + 2
-    if len(cuts) > MAX_SWEEP_PROBES:
-        with pytest.raises(GuardError, match=f"at least {len(cuts)} probes"):
-            sweep_bids(inst, ad, 0.0, value)
-    else:
-        assert sweep_bids(inst, ad, 0.0, value) == cuts
-
-
-def test_candidate_bids_include_own_value_and_zero():
-    inst = gen_greedy_tight(0.5)
-    bids = candidate_bids(inst, AdRef(0, 0))
-    assert 0.0 in bids
-    assert 1.0 in bids
-    assert bids == sorted(bids)
-
-
-def test_curve_constructor_rejects_unsorted_thresholds():
-    with pytest.raises(ValueError):
-        AllocationCurve(((1.0, 0.5), (1.0, 0.75)))
-
-
-def test_greedy_quantity_matches_curve():
-    inst = gen_greedy_tight(0.25)
-    probe = AdRef(0, 0)
-    curve = greedy_allocation_curve(inst, probe)
-    for bid in (0.1, 0.4, 0.9, 1.3, 2.4):
-        probe_inst, ref, _ = with_bid(inst, probe, bid)
-        assert curve.quantity_at(bid) == received_discount(
-            probe_inst, solve_greedy(probe_inst), ref)

@@ -281,27 +281,6 @@ def test_validation_happens_only_in_the_instance_constructor():
     assert called == {"core.py": calls(init)} and len(calls(init)) == 1, called
 
 
-def test_only_sweep_bids_applies_the_sweep_guard():
-    # every bid sweep's window and its probe guard are decided in one
-    # function, so no caller checks MAX_SWEEP_PROBES again on its own
-    src = Path(__file__).resolve().parent.parent / "src" / "adtypes"
-    readers = set()
-    for path in sorted(src.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        owner = {}
-        for func in ast.walk(tree):  # outer functions first, inner ones win
-            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                owner.update((id(node), func.name) for node in ast.walk(func))
-        for node in ast.walk(tree):
-            name = (node.id if isinstance(node, ast.Name)
-                    else node.attr if isinstance(node, ast.Attribute)
-                    else node.name if isinstance(node, ast.alias) else None)
-            if name == "MAX_SWEEP_PROBES" and not isinstance(
-                    getattr(node, "ctx", None), ast.Store):
-                readers.add(f"{path.stem}.{owner.get(id(node), '<module>')}")
-    assert readers == {"baseline.sweep_bids"}, readers
-
-
 def test_no_json_writer_indents():
     # an indent sends json.dump and json.dumps to the pure-Python encoder,
     # so every writer leaves it out and stays on the C one

@@ -69,13 +69,13 @@ def test_verify_with_duals_loads_no_numpy(tmp_path):
     assert not HEAVY & loaded
 
 
-@pytest.mark.parametrize("mechanism", ["vcg", "reserve", "myerson-greedy"])
+@pytest.mark.parametrize("mechanism", ["vcg", "reserve"])
 def test_price_loads_no_numpy(tmp_path, mechanism):
     argv = ["price", "--in", str(FIXTURES / "two_bidders.json"),
             "--mechanism", mechanism, "--out", str(tmp_path / "priced.json")]
     loaded = _modules_after([argv])
     assert "adtypes.pricing" in loaded
-    assert not {"numpy", "adtypes.bench"} & loaded
+    assert not {"numpy", "adtypes.bench", "adtypes.baseline"} & loaded
 
 
 def test_gen_loads_numpy(tmp_path):
@@ -132,13 +132,12 @@ EXPORTS = {
              "load_instance", "validate_instance", "welfare", "with_bid"],
     "hungarian": ["CertificateReport", "DualSolution", "OptimalSolution",
                   "PhaseInvariantError", "certify", "solve_adtypes"],
-    "baseline": ["AllocationCurve", "greedy_allocation_curve",
-                 "solve_bruteforce", "solve_generic_hungarian",
+    "baseline": ["solve_bruteforce", "solve_generic_hungarian",
                  "solve_greedy"],
     "pricing": ["PricedOutcome", "ReserveVector",
-                "myerson_changepoint_prices", "myerson_greedy_outcome",
-                "price_with_reserves", "test_ic_deviation", "vcg_outcome",
-                "vcg_prices_fast", "vcg_prices_naive"],
+                "myerson_changepoint_prices", "price_with_reserves",
+                "test_ic_deviation", "vcg_outcome", "vcg_prices_fast",
+                "vcg_prices_naive"],
     "gapdp": ["Graph", "brute_force_gap", "check_gap_feasible",
               "mis_to_adtypes", "solve_gap_dp", "solve_two_type_dp"],
     "bench": ["BenchReport", "GenConfig", "assignment_to_adtypes",

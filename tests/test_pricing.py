@@ -1,27 +1,18 @@
-import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from adtypes import pricing
-from adtypes.baseline import (
-    MAX_SWEEP_PROBES,
-    candidate_bids,
-    solve_generic_hungarian,
-    solve_greedy,
-    sweep_bids,
-)
+from adtypes.baseline import solve_generic_hungarian, solve_greedy
 from adtypes.bench import (
     GenConfig,
     gen_exact_random,
-    gen_greedy_tight,
     gen_random,
     gen_scaling_instance,
 )
 from adtypes.core import (
     AdRef,
-    GuardError,
     Instance,
     Matching,
     TypeSpec,
@@ -36,7 +27,6 @@ from adtypes.pricing import (
     ReserveVector,
     filter_by_reserves,
     myerson_changepoint_prices,
-    myerson_greedy_outcome,
     price_with_reserves,
     reserve_mechanism,
     vcg_mechanism,
@@ -378,156 +368,26 @@ def test_myerson_matches_reserve_pricing():
             assert abs(oracle - out.payments[orig]) <= 1e-9, f"seed {seed}"
 
 
-def test_myerson_greedy_tight_probe():
-    inst = gen_greedy_tight(0.25)
-    from adtypes.baseline import greedy_allocation_curve, solve_greedy
-
-    pay = myerson_changepoint_prices(inst, solve_greedy, AdRef(1, 0), 0.0)
-    # the flat bidder wins quantity 1 at any positive bid: critical bid 0
-    curve = greedy_allocation_curve(inst, AdRef(1, 0))
-    assert curve.is_monotone()
-    assert pay == pytest.approx(sum(t * q for t, q in curve.points[:1]),
-                                abs=1e-9)
-
-
-def _sweep_instance():
-    # n=12, k=4: every winner of type 3 has over 5500 candidate bids
-    return gen_random(GenConfig(12, 4, 3, "uniform-real", "geometric"))
-
-
-def test_myerson_greedy_refuses_a_sweep_over_the_guard(monkeypatch):
-    # the type-3 winner at slot 1 has 4389 candidates inside its window.
-    # Every winner's window is checked up front, so the refusal costs only
-    # the main allocation, not the sweeps of the winners met before
-    runs = []
-
-    def counted(inst):
-        runs.append(inst)
-        return solve_greedy(inst)
-
-    monkeypatch.setattr(pricing, "solve_greedy", counted)
-    with pytest.raises(GuardError, match="4391 probes"):
-        myerson_greedy_outcome(_sweep_instance(), None)
-    assert len(runs) == 1
-
-
-def test_myerson_greedy_refuses_a_long_sweep_before_building_it():
-    # 402211 candidate bids in the first winner's window; one own discount
-    # alone puts over 4096 inside it, so the refusal builds none of the
-    # O(kn^3) set: no time or memory that grows as n^3
-    inst = gen_random(GenConfig(60, 4, 0, "uniform-real", "geometric"))
-    start = time.perf_counter()
-    with pytest.raises(GuardError, match="at least 14342 probes"):
-        myerson_greedy_outcome(inst, None)
-    assert time.perf_counter() - start < 0.1
-    tracemalloc.start()
-    try:
-        with pytest.raises(GuardError):
-            myerson_greedy_outcome(inst, None)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 5_000_000, peak
-
-
-def test_myerson_scan_prices_a_fitting_window_exactly():
-    # the full candidate set is over the guard, the window (0, value) is
-    # not: the sweep probes every window candidate, none is skipped
-    inst, ad = _sweep_instance(), AdRef(3, 10)
-    value = inst.value_of(ad)
-    cands = candidate_bids(inst, ad)
-    cuts = [0.0] + [c for c in cands if 0.0 < c < value] + [value]
-    assert len(cands) > MAX_SWEEP_PROBES >= len(cuts)
-
-    def quantity(bid):
-        probe, ref, _ = with_bid(inst, ad, bid)
-        slot = solve_greedy(probe).slot_of(ref)
-        return 0.0 if slot is None else probe.types[3].discounts[slot]
-
-    qs = [quantity((a + b) / 2) for a, b in zip(cuts, cuts[1:])]
-    qs.append(quantity(value))
-    # Myerson: each changepoint's bid times the quantity jump there
-    expected = sum(c * (q1 - q0) for c, q0, q1 in zip(cuts[1:], qs, qs[1:]))
-    assert myerson_changepoint_prices(inst, solve_greedy, ad, 0.0) \
-        == pytest.approx(expected, rel=1e-12, abs=1e-12)
-
-
-def test_myerson_greedy_computes_each_window_once(monkeypatch):
-    calls = []
-
-    def counted(inst, ad, lo, hi):
-        calls.append(ad)
-        return sweep_bids(inst, ad, lo, hi)
-
-    monkeypatch.setattr(pricing, "sweep_bids", counted)
-    inst = gen_exact_random(3, max_n=6, max_k=3)
-    out = myerson_greedy_outcome(inst, None)
-    winners = sorted(ad for _, ad in out.matching.pairs)
-    assert len(winners) >= 3
-    assert calls == winners
-
-
-def test_myerson_greedy_payments_are_the_changepoint_sums():
-    # each winner pays r * q0 + sum of c_i * (q_i - q_(i-1)) over the
-    # candidate bids c_i of its window (r, value], where q_i is what greedy
-    # gives it just above c_i (at its value for the last) and q0 just above r
-    rng = np.random.default_rng(13)
-    winners = 0
-    for seed in range(50):
-        inst = gen_exact_random(seed, max_n=6, max_k=3)
-        reserves = {ad: float(rng.uniform(0.0, 1.5)) * inst.value_of(ad)
-                    for i, ad in enumerate(inst.real_ads()) if i % 2}
-        out = myerson_greedy_outcome(inst, reserves)
-        filtered, keep = filter_by_reserves(inst, ReserveVector(reserves))
-        won = {ad for _, ad in out.matching.pairs}
-        for orig in inst.real_ads():
-            if orig not in won:
-                assert out.payments[orig] == 0.0
-                continue
-            kept, r = keep[orig], reserves.get(orig, 0.0)
-            value = filtered.value_of(kept)
-            cuts = sorted({r, value} | {c for c in candidate_bids(filtered, kept)
-                                        if r < c < value})
-
-            def quantity(bid):
-                probe, ref, _ = with_bid(filtered, kept, bid)
-                slot = solve_greedy(probe).slot_of(ref)
-                return 0.0 if slot is None else \
-                    probe.types[ref.ad_type].discounts[slot]
-
-            qs = [quantity((a + b) / 2) for a, b in zip(cuts, cuts[1:])]
-            qs.append(quantity(value))
-            expected = r * qs[0] + sum(c * (q1 - q0) for c, q0, q1
-                                       in zip(cuts[1:], qs, qs[1:]))
-            assert out.payments[orig] == pytest.approx(
-                max(0.0, expected), rel=1e-12, abs=1e-12), (seed, orig)
-            winners += 1
-    assert winners > 100
-
-
-def test_myerson_greedy_outcome_consistent():
-    inst = gen_greedy_tight(0.25)
-    out = myerson_greedy_outcome(inst, None)
-    assert out.mechanism == "myerson-greedy"
-    assert out.min_raw_payment >= -1e-9
-    for ad, pay in out.payments.items():
-        slot = out.matching.slot_of(ad)
-        quantity = 0.0 if slot is None else inst.types[ad.ad_type].discounts[slot]
-        assert pay <= inst.value_of(ad) * quantity + 1e-9
-
-
 def test_non_monotone_allocator_detected():
     inst = Instance(1, [TypeSpec("t", [4.0], [1.0])])
 
     def perverse(probe_inst):
         # drops the bidder once it bids above 2: not allocation-monotone
+        sol = solve_adtypes(probe_inst)
         if probe_inst.types[0].values[0] > 2.0:
-            return Matching({})
-        return Matching({0: AdRef(0, 0)})
+            return OptimalSolution(Matching({}), sol.duals, 0.0)
+        return sol
 
     with pytest.raises(NonMonotoneAllocationError) as info:
         myerson_changepoint_prices(inst, perverse, AdRef(0, 0), 0.0)
     assert len(info.value.counterexample) == 4
+
+
+def test_myerson_refuses_an_allocator_without_a_solution(two_bidders):
+    # only an exact allocator's welfare locates the changepoints; a bare
+    # matching is refused by name, not priced by some other route
+    with pytest.raises(ValidationError, match="refuses a Matching"):
+        myerson_changepoint_prices(two_bidders, solve_greedy, AdRef(0, 0), 0.0)
 
 
 def test_outcomes_after_a_bid_change_price_real_ads_only(monkeypatch):
