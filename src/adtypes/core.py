@@ -320,17 +320,23 @@ def instance_to_dict(inst: Instance) -> dict:
 
 def instance_from_dict(data: Mapping) -> Instance:
     """Build an instance from the JSON schema above.  A malformed document
-    (types not a list of objects, values or discounts not lists of numbers,
-    a ``num_slots`` or gap entry that is not an integer) raises
+    (no ``num_slots``, types not a list of objects, a type without values
+    or discounts, values or discounts not lists of numbers, a
+    ``num_slots`` or gap entry that is not an integer) raises
     :class:`ValidationError`, and so does an invalid instance, which the
     :class:`Instance` constructor refuses."""
     if not isinstance(data, Mapping) or not isinstance(data.get("types"), list):
         raise ValidationError("instance must be an object with a 'types' list")
+    if "num_slots" not in data:
+        raise ValidationError("instance: missing 'num_slots'")
     types = []
     for i, t in enumerate(data["types"]):
         if not isinstance(t, Mapping):
             raise ValidationError(f"type {i}: must be an object")
         name = t.get("name", f"type{i}")
+        for key in ("values", "discounts"):
+            if key not in t:
+                raise ValidationError(f"type {i} ({name}): missing {key!r}")
         values, discounts = t["values"], t["discounts"]
         bad = f"{name}: 'values' and 'discounts' must be lists of numbers"
         if not (isinstance(values, list) and isinstance(discounts, list)):

@@ -14,8 +14,9 @@ the witness to be strictly worse in value and strictly better in discount
 always exists and the scan touches at most three ads per type (unmatched
 head, one matched below, one matched above); ties widen the scan just enough
 to stay safe.  The argument needs only feasible duals with tight matched
-edges, so it outlives the solve: :func:`slot_movers` runs the same scan on
-the final matching for the pricing passes of :mod:`adtypes.pricing`.
+edges, so it outlives the solve: :func:`slot_movers` reads the same
+frontiers on the final matching for the pricing passes of
+:mod:`adtypes.pricing`.
 
 The duals certify optimality: feasible (u_i + p_j >= v_ij everywhere),
 non-negative, tight on every matched edge, and zero on unmatched ads;
@@ -23,7 +24,7 @@ non-negative, tight on every matched edge, and zero on unmatched ads;
 off one lower envelope per type (:func:`_least_slack`).
 
 One function, :func:`_phase`, runs a phase over local variables: offer the
-candidates :func:`_scan` finds for the slot that just joined the tree, pop
+candidates the frontiers list for the slot that just joined the tree, pop
 the next tight edge, grow the tree, and repeat until the pop reaches an
 unmatched ad; then flip the augmenting path and write the duals back.  Its
 counters go straight into :class:`SolveStats`.  Inside it an ad is the int
@@ -31,15 +32,18 @@ counters go straight into :class:`SolveStats`.  Inside it an ad is the int
 best-key list, the heap entries, the per-type frontiers
 (:func:`_frontiers`), the utilities ``u`` and the matching (``slot_ad`` and
 ``ad_slot``, with -1 for unmatched) are lists and dicts keyed by that int.
-The frontier a pop reads changes only between phases, so a tie-free type's
-frontier is a table: for each slot, the tuple of ``(ad, value)`` pairs the
-scan lists there, built once per rebuild with one tuple per gap between
-the type's matched slots.  A type with ties keeps the protected walk.  The
-scan gives, per type, the discount at the slot and those pairs, so an offer
-is one multiplication and one key, ``u[a] + potential - value``, with the
-slot's potential set when it joins the tree.  Tree membership lives in the
-best-key list: a popped ad's entry becomes the sentinel ``_IN_TREE``,
-whose key no offer undercuts, so the offer loop needs no membership test.
+Every frontier has one shape, ``(head, near, disc)``, and the phase loop
+reads each type's candidates as ``near[slot]``, with no call and no list
+built per pop.  The frontier a pop reads changes only between phases, so a
+tie-free type's ``near`` is a table: for each slot, the tuple of ``(ad,
+value)`` pairs the scan lists there, built once per rebuild with one tuple
+per gap between the type's matched slots.  A type with ties gets a
+:class:`_Walk`, whose reads run the protected walk.  An offer is one
+multiplication and one key, ``u[a] + potential - value``, with the slot's
+discount read once per type and its potential set when it joins the tree.
+Tree membership lives in the best-key list: a popped ad's entry becomes
+the sentinel ``_IN_TREE``, whose key no offer undercuts, so the offer loop
+needs no membership test.
 The frontiers are carried from phase to phase: a type's frontier reads only
 that type's ads, so after each augmentation :func:`solve_adtypes` rebuilds
 only the frontiers of the types whose ads the path moved.  :class:`AdRef`
@@ -164,18 +168,21 @@ class _Tables:
 def _frontiers(tables: _Tables, slot_ad: list[int], ad_slot: list[int],
                types: Collection[int]) -> list[tuple]:
     """The frontier of each type in ``types``, in that order, as ``(head,
-    near, by_rank, disc)``: the type's lowest unmatched ad (``None`` when
-    all are matched), its candidate table or ``None``, its matched
-    ``(ad, slot)`` pairs sorted by rank or ``None``, and its discount curve.
+    near, disc)``: the type's lowest unmatched ad (``None`` when all are
+    matched), its candidates by slot and its discount curve.  ``near[x]``
+    lists the ``(ad, value)`` pairs whose edge to slot x might yet go tight
+    this phase, so the phase loop reads every type's candidates alike.
+    ``slot_ad`` may end at the last filled slot.
 
-    A tie-free type (distinct matched values, strictly decreasing curve)
-    gets the table: ``near[x]`` is the tuple of ``(ad, value)`` pairs
-    :func:`_scan` lists for slot x, namely the head, the highest-rank ad
+    A tie-free type (distinct matched values, strictly decreasing curve) is
+    always protected by its first listed ad on either side, so its ``near``
+    is a table: ``near[x]`` is the tuple of the head, the highest-rank ad
     matched below x and the lowest-rank ad matched above x, never the ad at
     x itself.  Those are the same for every slot between two of the type's
     matched slots, so each gap's tuple is built once and repeated by list
-    multiplication.  Any other type keeps ``by_rank`` for the protected
-    walk.
+    multiplication.  Any other type's ``near`` is a :class:`_Walk`, which
+    runs the protected walk at each read and lists the same pairs on a
+    tie-free type.
 
     A frontier reads only its own type's ads, so an augmentation changes
     only the frontiers of the types whose ads its path moved:
@@ -190,24 +197,20 @@ def _frontiers(tables: _Tables, slot_ad: list[int], ad_slot: list[int],
                 pairs.append((s, a))
     frontiers = []
     for t, pairs in by_slot.items():
-        head, end = t * n, t * n + n
+        head, end, disc = t * n, t * n + n, tables.disc[t]
         while head < end and ad_slot[head] >= 0:
             head += 1
         head = head if head < end else None
-        if tables.strict[t] and tables.distinct[t]:
-            # all the type's values differ, so its matched ones do
-            by_rank = None
-        else:
-            # values are non-increasing in rank, so distinct means strictly
-            # decreasing along by_rank
+        # a type whose values all differ has distinct matched values; for
+        # any other, values are non-increasing in rank, so distinct means
+        # strictly decreasing along by_rank
+        if not (tables.strict[t] and tables.distinct[t]):
             by_rank = sorted((a, s) for s, a in pairs)
             ranked = [val[a] for a, _ in by_rank]
-            if tables.strict[t] and all(x > y for x, y in
-                                        zip(ranked, ranked[1:])):
-                by_rank = None
-        if by_rank is not None:
-            frontiers.append((head, None, by_rank, tables.disc[t]))
-            continue
+            if not (tables.strict[t] and all(x > y for x, y in
+                                             zip(ranked, ranked[1:]))):
+                frontiers.append((head, _Walk(head, by_rank, disc, val), disc))
+                continue
         # ups[i]: the lowest-rank ad matched at the i-th matched slot or a
         # later one, as a 1-tuple; past the last one, nothing
         ups = []
@@ -231,68 +234,65 @@ def _frontiers(tables: _Tables, slot_ad: list[int], ad_slot: list[int],
                 down, high = top + (pair[a],), a
             prev = s
         near += [down] * (n - 1 - prev)
-        frontiers.append((head, near, None, tables.disc[t]))
+        frontiers.append((head, near, disc))
     return frontiers
 
 
-def _walk(head: int | None, by_rank: list[tuple[int, int]],
-          disc: list[float], val: list[float], slot: int
-          ) -> list[tuple[int, float]]:
-    """The protected walk of a type with ties: the ``(ad, value)`` pairs
-    of the head; of the matched ads below ``slot`` from the highest rank
-    down until one is strictly protected (an already-listed ad with
+class _Walk:
+    """The candidates of a type with ties, read by slot as a table's are:
+    ``walk[slot]`` runs the protected walk.  It lists the ``(ad, value)``
+    pairs of the head; of the matched ads below ``slot`` from the highest
+    rank down until one is strictly protected (an already-listed ad with
     strictly smaller value at a strictly better discount); and of the
-    matched ads above it from the lowest rank up, symmetrically."""
-    cands = [] if head is None else [(head, val[head])]
-    a_scan = disc[slot]
-    # matched below the slot, descending rank (ascending value)
-    protect_v = None
-    for a, s in reversed(by_rank):
-        if s >= slot:
-            continue
-        v = val[a]
-        if protect_v is not None and protect_v < v:
-            break
-        cands.append((a, v))
-        if disc[s] > a_scan and (protect_v is None or v < protect_v):
-            protect_v = v
-    # matched above the slot, ascending rank (descending value)
-    protect_v = None
-    for a, s in by_rank:
-        if s <= slot:
-            continue
-        v = val[a]
-        if protect_v is not None and protect_v > v:
-            break
-        cands.append((a, v))
-        if disc[s] < a_scan and (protect_v is None or v > protect_v):
-            protect_v = v
-    return cands
+    matched ads above it from the lowest rank up, symmetrically.
+    ``by_rank`` holds the type's matched ``(ad, slot)`` pairs sorted by
+    rank.  Two walks are equal when their fields are.  It is a plain
+    class because a dataclass would add about 1 ms to every import."""
 
+    def __init__(self, head: int | None, by_rank: list[tuple[int, int]],
+                 disc: Sequence[float], val: list[float]):
+        self.fields = head, by_rank, disc, val
 
-def _scan(frontiers: list[tuple], val: list[float], slot: int
-          ) -> list[tuple[float, Sequence[tuple[int, float]]]]:
-    """The ads whose edge to ``slot`` might yet go tight this phase, per
-    type in frontier order: the type's discount at ``slot`` and its
-    ``(ad, value)`` candidate pairs.
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, _Walk) and self.fields == other.fields
 
-    A tie-free type is always protected by its first listed ad on either
-    side, so its candidates are the head, the highest rank matched below
-    the slot and the lowest rank matched above it, read from its table
-    (:func:`_frontiers`).  A type with ties runs the protected walk
-    (:func:`_walk`), which lists the same pairs for a tie-free type."""
-    return [(disc[slot], near[slot] if near is not None
-             else _walk(head, by_rank, disc, val, slot))
-            for head, near, by_rank, disc in frontiers]
+    def __getitem__(self, slot: int) -> list[tuple[int, float]]:
+        head, by_rank, disc, val = self.fields
+        cands = [] if head is None else [(head, val[head])]
+        a_scan = disc[slot]
+        # matched below the slot, descending rank (ascending value)
+        protect_v = None
+        for a, s in reversed(by_rank):
+            if s >= slot:
+                continue
+            v = val[a]
+            if protect_v is not None and protect_v < v:
+                break
+            cands.append((a, v))
+            if disc[s] > a_scan and (protect_v is None or v < protect_v):
+                protect_v = v
+        # matched above the slot, ascending rank (descending value)
+        protect_v = None
+        for a, s in by_rank:
+            if s <= slot:
+                continue
+            v = val[a]
+            if protect_v is not None and protect_v > v:
+                break
+            cands.append((a, v))
+            if disc[s] < a_scan and (protect_v is None or v > protect_v):
+                protect_v = v
+        return cands
 
 
 def slot_movers(inst: Instance, matching: Matching
                 ) -> tuple[list[AdRef], list[list[int]]]:
-    """The moves :func:`_scan` keeps on a final ``matching``: each type's
-    lowest-rank unmatched ad, and for each slot x the slots whose ad the
-    scan lists for x.  With certified duals the crossing argument behind
-    the scan still holds, so these are the only moves a shortest path over
-    the slots needs (the proof is in :class:`adtypes.pricing._SlotPaths`)."""
+    """The moves the solver's candidate scan keeps on a final ``matching``:
+    each type's lowest-rank unmatched ad, and for each slot x the slots
+    whose ad a frontier lists for x (:func:`_frontiers`).  With certified
+    duals the crossing argument behind the scan still holds, so these are
+    the only moves a shortest path over the slots needs (the proof is in
+    :class:`adtypes.pricing._SlotPaths`)."""
     tables = _Tables(inst)
     n = tables.n
     slot_ad = [-1] * n
@@ -302,8 +302,8 @@ def slot_movers(inst: Instance, matching: Matching
         ad_slot[a] = s
     frontiers = _frontiers(tables, slot_ad, ad_slot, range(tables.k))
     losers = [AdRef(*divmod(f[0], n)) for f in frontiers if f[0] is not None]
-    movers = [[ad_slot[a] for _, cands in _scan(frontiers, tables.val, x)
-               for a, _ in cands if ad_slot[a] >= 0] for x in range(n)]
+    movers = [[ad_slot[a] for _, near, _ in frontiers for a, _ in near[x]
+               if ad_slot[a] >= 0] for x in range(n)]
     return losers, movers
 
 
@@ -329,7 +329,7 @@ def _phase(tables: _Tables, frontiers: list[tuple], slot_ad: list[int],
     they joined; the duals are written back once, at the end.  A popped ad's
     best-key entry becomes ``_IN_TREE``, which no later offer replaces.
     """
-    n, val, tol = tables.n, tables.val, tables.tol
+    n, tol = tables.n, tables.tol
     tree_ads: dict[int, float] = {}
     tree_slots: dict[int, float] = {root: 0.0}
     parent_slot: dict[int, int] = {}
@@ -342,10 +342,12 @@ def _phase(tables: _Tables, frontiers: list[tuple], slot_ad: list[int],
     potential = p[root]  # the root joins at shift 0
     while True:
         # offer the candidate edges into the slot that just joined the tree,
-        # lowering a candidate's key when this edge goes tight sooner than
-        # its current best
+        # each type's read off its frontier by slot, lowering a candidate's
+        # key when this edge goes tight sooner than its current best
         scanned = 0
-        for ds, cands in _scan(frontiers, val, slot):
+        for _, near, disc in frontiers:
+            ds = disc[slot]
+            cands = near[slot]
             scanned += len(cands)
             for a, va in cands:
                 value = ds * va
@@ -443,8 +445,9 @@ def solve_adtypes(inst: Instance, *,
 
     for j in range(n):
         moved = _phase(tables, frontiers, slot_ad, ad_slot, u, p, j, stats)
-        for t, frontier in zip(moved, _frontiers(tables, slot_ad, ad_slot,
-                                                 moved)):
+        # after phase j exactly slots 0..j are filled
+        for t, frontier in zip(moved, _frontiers(tables, slot_ad[:j + 1],
+                                                 ad_slot, moved)):
             frontiers[t] = frontier
         if stats.phase_matchings is not None:
             stats.phase_matchings.append(tables.matching(slot_ad))

@@ -388,6 +388,26 @@ def test_bad_numbers_exit_code(tmp_path, capsys, values):
         assert "invalid:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,message", [
+    ("values", "type 0 (a): missing 'values'"),
+    ("discounts", "type 0 (a): missing 'discounts'"),
+    ("num_slots", "instance: missing 'num_slots'"),
+])
+def test_missing_key_exit_code(tmp_path, capsys, key, message):
+    # a missing key is refused with its name and the type lacking it, not
+    # with the bare key a KeyError prints
+    doc = {"num_slots": 2, "types": [
+        {"name": "a", "values": [1.0], "discounts": [1.0, 0.5]}]}
+    doc.pop(key, None)
+    doc["types"][0].pop(key, None)
+    inst = tmp_path / "missing.json"
+    inst.write_text(json.dumps(doc))
+    for cmd in (["solve"], ["price", "--mechanism", "vcg"]):
+        assert run(cmd + ["--in", str(inst),
+                          "--out", str(tmp_path / "x.json")]) == 1
+        assert capsys.readouterr().err == f"invalid: {message}\n"
+
+
 @pytest.mark.parametrize("discounts", [[1e308, 1.0], [1.0, 1.0]])
 def test_overflow_exit_code(tmp_path, capsys, discounts):
     # finite numbers whose edge value or welfare overflows: refused, not

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import math
 import os
 import re
@@ -36,8 +38,8 @@ from adtypes.hungarian import (
     OptimalSolution,
     PhaseInvariantError,
     _frontiers,
-    _scan,
     _Tables,
+    _Walk,
     certify,
     crossing_violations,
     slot_movers,
@@ -116,8 +118,7 @@ def _scan_refs(inst: Instance, m: Matching, slot: int) -> list[AdRef]:
     tables = _Tables(inst)
     frontiers = _frontiers(tables, *_solver_state(tables, m), range(tables.k))
     return [AdRef(*divmod(a, tables.n))
-            for _, cands in _scan(frontiers, tables.val, slot)
-            for a, _ in cands]
+            for _, near, _ in frontiers for a, _ in near[slot]]
 
 
 def test_scan_candidates_three_cases():
@@ -177,8 +178,8 @@ def test_carried_frontiers_equal_a_full_rebuild(monkeypatch, tie_heavy):
 
 
 def test_tie_free_scan_lists_what_the_protected_walk_lists(tie_heavy):
-    # a tie-free type's scan reads its table, since its first listed ad on
-    # either side protects the rest; the walk run on the same matching must
+    # a tie-free type's frontier is a table, since its first listed ad on
+    # either side protects the rest; a walk built on the same matching must
     # list the same pairs for every slot; the tie-heavy cases put table
     # types and walk types in one solve
     cases = ([gen_strict_random(seed) for seed in range(40)]
@@ -194,23 +195,35 @@ def test_tie_free_scan_lists_what_the_protected_walk_lists(tie_heavy):
         for m in sol.stats.phase_matchings:
             slot_ad, ad_slot = _solver_state(tables, m)
             frontiers = _frontiers(tables, slot_ad, ad_slot, range(tables.k))
-            for t, (head, near, by_rank, disc) in enumerate(frontiers):
-                kinds.add(near is None)
-                if near is None:
+            for t, (head, near, disc) in enumerate(frontiers):
+                kinds.add(isinstance(near, _Walk))
+                if isinstance(near, _Walk):
                     continue
                 by_rank = sorted((a, s) for s, a in enumerate(slot_ad)
                                  if a >= 0 and a // n == t)
-                walked = (head, None, by_rank, disc)
-                assert len(near) == n
+                walk = _Walk(head, by_rank, disc, tables.val)
+                assert isinstance(near, list) and len(near) == n
                 for x in range(n):
-                    [(ds, table)] = _scan([frontiers[t]], tables.val, x)
-                    [(ds_walked, walk)] = _scan([walked], tables.val, x)
-                    assert table is near[x], (m, x)
-                    assert (ds, list(table)) == (ds_walked, walk), (m, x)
+                    assert list(near[x]) == walk[x], (m, x)
                     checked += 1
         mixed += kinds == {True, False}
     assert checked > 8000, checked
     assert mixed > 0, mixed
+
+
+def test_phase_reads_the_frontiers_without_a_scan_call():
+    # the phase loop reads each type's candidates as near[slot]: no scan
+    # helper is left, and _phase neither walks nor rebuilds a frontier
+    tree = ast.parse(inspect.getsource(hungarian))
+    defined = {node.name for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert "_scan" not in defined
+    [phase] = [node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name == "_phase"]
+    called = {node.func.id for node in ast.walk(phase)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert called, "no calls found"
+    assert not called & {"_scan", "_walk", "_frontiers"}, called
 
 
 def test_scan_all_unmatched_one_candidate_per_type():
@@ -491,6 +504,8 @@ def test_output_bits_pinned_on_scaling_instance():
     assert sum(hops for _, _, _, hops in stats.phases) == 7338
     assert stats.heap_pushes == 73702
     assert stats.stale_pops == 27
+    assert stats.max_scan_candidates == 9
+    assert stats.max_queue_occupancy == 8
     assert math.fsum(sol.duals.p).hex() == "0x1.26a011107ae9ep+13"
     assert math.fsum(x for row in sol.duals.u for x in row).hex() == \
         "0x1.e6a7c2c416b58p+9"
