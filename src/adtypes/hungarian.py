@@ -34,11 +34,11 @@ best-key list, the heap entries, the per-type frontiers
 ``ad_slot``, with -1 for unmatched) are lists and dicts keyed by that int.
 Every frontier has one shape, ``(head, near, disc)``, and the phase loop
 reads each type's candidates as ``near[slot]``, with no call and no list
-built per pop.  The frontier a pop reads changes only between phases, so a
-tie-free type's ``near`` is a table: for each slot, the tuple of ``(ad,
-value)`` pairs the scan lists there, built once per rebuild with one tuple
-per gap between the type's matched slots.  A type with ties gets a
-:class:`_Walk`, whose reads run the protected walk.  An offer is one
+built per pop.  The frontier a pop reads changes only between phases, so
+``near`` is a table: for each slot, the tuple of ``(ad, value)`` pairs the
+scan lists there, built once per rebuild with one tuple per gap between
+the type's matched slots, and the slots of a run of equal discounts that
+holds a matched ad rewritten one by one.  An offer is one
 multiplication and one key, ``u[a] + potential - value``, with the slot's
 discount read once per type and its potential set when it joins the tree.
 Tree membership lives in the best-key list: a popped ad's entry becomes
@@ -58,7 +58,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, insort
-from collections.abc import Collection, Sequence
+from collections.abc import Collection
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 
@@ -77,15 +77,16 @@ from .core import (
 class PhaseInvariantError(ValidationError):
     """A phase broke an invariant that exact arithmetic guarantees: a queue
     key fell below the accumulated dual shift by more than the instance's
-    tolerance (:func:`~adtypes.core.scaled_tol`), or the queue ran dry
-    before an augmenting path was found.  Rounding can cause either; the
-    solve is refused instead of returning duals that would not certify."""
+    tolerance (:func:`~adtypes.core.scaled_tol`).  Rounding can cause it;
+    the solve is refused instead of returning duals that would not
+    certify."""
 
-    def __init__(self, phase: int, key: float | None, shift: float, what: str):
+    def __init__(self, phase: int, key: float, shift: float):
         self.phase = phase
         self.key = key
         self.shift = shift
-        super().__init__(f"phase {phase}: {what} (key {key!r}, shift {shift!r})")
+        super().__init__(f"phase {phase}: queue key regressed "
+                         f"(key {key!r}, shift {shift!r})")
 
 
 @dataclass(frozen=True)
@@ -136,20 +137,21 @@ class OptimalSolution:
 class _Tables:
     """An instance's numbers as the phase loop reads them, built once per
     solve: ``val[a]`` for ``a = t*n + r``, the candidate pair ``pair[a] =
-    (a, val[a])``, ``disc[t][slot]``, whether each type's discount curve
-    is strictly decreasing, whether its values are too (``distinct``), and
-    the tolerance."""
+    (a, val[a])``, ``disc[t][slot]``, each type's runs of equal discounts
+    ``runs[t]``, as ``(first, last)`` slots with ``first < last``, and the
+    tolerance."""
 
     def __init__(self, inst: Instance):
-        self.n, self.k = inst.num_slots, inst.num_types
+        n = self.n = inst.num_slots
+        self.k = inst.num_types
         self.val = [v for spec in inst.types for v in spec.values]
         self.pair = list(enumerate(self.val))
         self.disc = [spec.discounts for spec in inst.types]
-        self.strict = [all(d[j] > d[j + 1] for j in range(self.n - 1))
-                       for d in self.disc]
-        self.distinct = [all(x > y for x, y in zip(spec.values,
-                                                   spec.values[1:]))
-                         for spec in inst.types]
+        self.runs = []
+        for d in self.disc:
+            firsts = [s for s in range(n) if s == 0 or d[s] < d[s - 1]]
+            self.runs.append([(f, end - 1) for f, end in
+                              zip(firsts, firsts[1:] + [n]) if end - f > 1])
         self.tol = scaled_tol(inst)
 
     def initial_duals(self) -> tuple[list[float], list[float]]:
@@ -174,15 +176,27 @@ def _frontiers(tables: _Tables, slot_ad: list[int], ad_slot: list[int],
     this phase, so the phase loop reads every type's candidates alike.
     ``slot_ad`` may end at the last filled slot.
 
-    A tie-free type (distinct matched values, strictly decreasing curve) is
-    always protected by its first listed ad on either side, so its ``near``
-    is a table: ``near[x]`` is the tuple of the head, the highest-rank ad
-    matched below x and the lowest-rank ad matched above x, never the ad at
-    x itself.  Those are the same for every slot between two of the type's
-    matched slots, so each gap's tuple is built once and repeated by list
-    multiplication.  Any other type's ``near`` is a :class:`_Walk`, which
-    runs the protected walk at each read and lists the same pairs on a
-    tie-free type.
+    Take slot x, the run [f, l] of equal discounts on the type's curve
+    that holds x (x alone on a strictly decreasing curve), v* the least
+    value matched at a slot before f (inf if none) and w* the largest
+    matched after l (-inf if none).  ``near[x]`` lists the head, the ads
+    matched before x of value at most v* and the ads matched after x of
+    value at least w*, never the ad at x itself.  That is the protected
+    walk: from x outwards, list matched ads until one protects the rest,
+    being strictly worse in value at a strictly better discount (the
+    crossing argument), and then the ads tied with it in value.  An ad
+    in x's own run has x's discount and protects nothing, so the first
+    protector before x is an ad of value v* matched before f, the first
+    after x one of value w* matched after l, and the walk lists exactly
+    the ads above.
+
+    Outside the runs that hold a matched ad, v* is the least value matched
+    before x and w* the largest after it, so ``near[x]`` is the same for
+    every slot between two of the type's matched slots: each gap's tuple
+    is built once and repeated by list multiplication.  The slots of each
+    run of equal discounts (:attr:`_Tables.runs`) that holds a matched ad
+    are then rewritten by the formula; a strictly decreasing curve has no
+    such run.
 
     A frontier reads only its own type's ads, so an augmentation changes
     only the frontiers of the types whose ads its path moved:
@@ -201,88 +215,53 @@ def _frontiers(tables: _Tables, slot_ad: list[int], ad_slot: list[int],
         while head < end and ad_slot[head] >= 0:
             head += 1
         head = head if head < end else None
-        # a type whose values all differ has distinct matched values; for
-        # any other, values are non-increasing in rank, so distinct means
-        # strictly decreasing along by_rank
-        if not (tables.strict[t] and tables.distinct[t]):
-            by_rank = sorted((a, s) for s, a in pairs)
-            ranked = [val[a] for a, _ in by_rank]
-            if not (tables.strict[t] and all(x > y for x, y in
-                                             zip(ranked, ranked[1:]))):
-                frontiers.append((head, _Walk(head, by_rank, disc, val), disc))
-                continue
-        # ups[i]: the lowest-rank ad matched at the i-th matched slot or a
-        # later one, as a 1-tuple; past the last one, nothing
+        # ups[i]: the ads of the largest value matched at the i-th matched
+        # slot or a later one; past the last one, nothing
         ups = []
-        low = end
+        up, high = (), -math.inf
         for _, a in reversed(pairs):
-            if a < low:
-                low = a
-            ups.append((pair[low],))
+            v = val[a]
+            if v > high:
+                up, high = (pair[a],), v
+            elif v == high:
+                up += (pair[a],)
+            ups.append(up)
         ups.reverse()
         ups.append(())
-        # down: the head and the highest rank matched below the slot
+        # down: the head and the ads of the least value matched below the slot
         top = () if head is None else (pair[head],)
-        down, high = top, -1
+        down, low = top, math.inf
         near: list[tuple] = []
         prev = -1
         for (s, a), up, up_past in zip(pairs, ups, ups[1:]):
             # the gap below s, then s itself, which skips its own ad
             near += [down + up] * (s - prev - 1)
             near.append(down + up_past)
-            if a > high:
-                down, high = top + (pair[a],), a
+            v = val[a]
+            if v < low:
+                down, low = top + (pair[a],), v
+            elif v == low:
+                down += (pair[a],)
             prev = s
         near += [down] * (n - 1 - prev)
+        # a run of equal discounts that holds a matched ad: its slots list
+        # the ads matched below them of at most the least value matched
+        # before the run, and symmetrically above
+        for f, l in tables.runs[t]:
+            inner = [(s, pair[a]) for s, a in pairs if f <= s <= l]
+            if not inner:
+                continue
+            low = min([val[a] for s, a in pairs if s < f], default=math.inf)
+            high = max([val[a] for s, a in pairs if s > l], default=-math.inf)
+            outer = top + tuple(pair[a] for s, a in pairs
+                                if s < f and val[a] == low
+                                or s > l and val[a] == high)
+            for x in range(f, l + 1):
+                near[x] = outer + tuple(c for s, c in inner
+                                        if s < x and c[1] <= low
+                                        or s > x and c[1] >= high)
         frontiers.append((head, near, disc))
     return frontiers
-
-
-class _Walk:
-    """The candidates of a type with ties, read by slot as a table's are:
-    ``walk[slot]`` runs the protected walk.  It lists the ``(ad, value)``
-    pairs of the head; of the matched ads below ``slot`` from the highest
-    rank down until one is strictly protected (an already-listed ad with
-    strictly smaller value at a strictly better discount); and of the
-    matched ads above it from the lowest rank up, symmetrically.
-    ``by_rank`` holds the type's matched ``(ad, slot)`` pairs sorted by
-    rank.  Two walks are equal when their fields are.  It is a plain
-    class because a dataclass would add about 1 ms to every import."""
-
-    def __init__(self, head: int | None, by_rank: list[tuple[int, int]],
-                 disc: Sequence[float], val: list[float]):
-        self.fields = head, by_rank, disc, val
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _Walk) and self.fields == other.fields
-
-    def __getitem__(self, slot: int) -> list[tuple[int, float]]:
-        head, by_rank, disc, val = self.fields
-        cands = [] if head is None else [(head, val[head])]
-        a_scan = disc[slot]
-        # matched below the slot, descending rank (ascending value)
-        protect_v = None
-        for a, s in reversed(by_rank):
-            if s >= slot:
-                continue
-            v = val[a]
-            if protect_v is not None and protect_v < v:
-                break
-            cands.append((a, v))
-            if disc[s] > a_scan and (protect_v is None or v < protect_v):
-                protect_v = v
-        # matched above the slot, ascending rank (descending value)
-        protect_v = None
-        for a, s in by_rank:
-            if s <= slot:
-                continue
-            v = val[a]
-            if protect_v is not None and protect_v > v:
-                break
-            cands.append((a, v))
-            if disc[s] < a_scan and (protect_v is None or v > protect_v):
-                protect_v = v
-        return cands
 
 
 def slot_movers(inst: Instance, matching: Matching
@@ -370,20 +349,18 @@ def _phase(tables: _Tables, frontiers: list[tuple], slot_ad: list[int],
         if live > max_queue:
             max_queue = live
         # pop the live entry with minimal key and advance the shift to its
-        # tightness point (the step can be zero)
+        # tightness point (the step can be zero); the queue never runs dry:
+        # the root's scan queued every head (phase j starts with j of the
+        # kn > j ads matched, so some type has one), and a head's live
+        # entry leaves only by the pop that ends the phase
         while True:
-            if not queue:
-                raise PhaseInvariantError(root, None, delta,
-                                          "phase queue exhausted before "
-                                          "augmenting (impossible once every "
-                                          "type is padded)")
             entry = heappop(queue)
             key, _, via, a = entry
             if best[a] is entry:
                 break
             stale += 1  # superseded by a lower key, or already in the tree
         if key < delta - tol:
-            raise PhaseInvariantError(root, key, delta, "queue key regressed")
+            raise PhaseInvariantError(root, key, delta)
         if key > delta:
             delta = key
         best[a] = _IN_TREE
