@@ -233,14 +233,34 @@ class _SlotPaths:
     than the dropped move.  Losers move only as each type's lowest-rank
     loser, the scan's head.
 
+    Why a winner's pass may stop early.  Before the search, ``best`` is the
+    larger of ``W_{-i}`` and the far term.  A slot j settled at distance
+    ``d = d_i(j)`` gives the placed term ``r * alpha_{t_i, j} + W - u_i -
+    p_j - d``, which is at most ``W - u_i + top - d`` for ``top = max_j (r
+    * alpha_{t_i, j} - p_j)``.  Dijkstra settles the slots in order of
+    distance, so once a slot's distance exceeds ``W - u_i + top - best``
+    no slot left can beat ``best``, and the pass stops there; ``best``
+    rises with each placed term that beats it, which lowers the bound.
+    Where the bound is below 0 not even ``s_i``, at distance 0, can beat
+    ``best``: the call returns before it builds its distances.  The stop
+    test adds ``scaled_tol`` to the bound.  Without it, a slot just past
+    the bound could have a placed term that rounding lifts an ulp above
+    ``best``, and the welfare would differ in its last bits from the one
+    the unstopped pass returns; rounding in these sums stays far below
+    ``scaled_tol`` at the instance's magnitudes, so with the margin the
+    two are the same float.
+
     The ``vacate`` and ``D0`` passes settle n slots each through O(kn)
     moves (more where values or discounts tie) on a heap: O(kn log n)
     time.  A winner's pass settles only the slots where a chain into
-    ``s_i`` beats ``vacate[s_i] + D0``, about half of them on
-    :func:`~adtypes.bench.gen_scaling_instance` at n=400, plus O(n) for
-    the far term; ``settled`` counts the slots all passes settle.  Memory
-    is O(kn).  A solution that fails :func:`certify` is refused with
-    ValidationError.
+    ``s_i`` beats ``vacate[s_i] + D0`` and that are near enough to raise
+    the welfare, plus O(n) for the far term and the bound.  On
+    :func:`~adtypes.bench.gen_scaling_instance` at n=400 all the winners'
+    passes together settle no slot at bids of 0 or half the value,
+    0.44 * n * n at the value and 0.46 * n * n at twice it (0.52 * n * n
+    at every bid without the stop); ``settled`` counts the slots all
+    passes settle.  Memory is O(kn).  A solution that fails
+    :func:`certify` is refused with ValidationError.
     """
 
     def __init__(self, inst: Instance, sol: OptimalSolution):
@@ -251,6 +271,7 @@ class _SlotPaths:
         n = inst.num_slots
         self.p = p = sol.duals.p
         self.welfare = sol.welfare
+        self.tol = scaled_tol(inst)
         u = sol.duals.u
         losers, self.movers = slot_movers(inst, sol.matching)
         # per slot: its ad's discounts, value and utility; an empty slot
@@ -303,16 +324,41 @@ class _SlotPaths:
         repair = self.vacate[s_i]
         others = self.welfare - self.u_at[s_i]
         alpha = self.d_at[s_i]
+        p = self.p
         far = max(r * a - q for a, q in zip(alpha, self._p_d0))
+        best = max(others - repair, others - repair + far)
+        # a slot settled at distance d places i for at most others + top - d,
+        # so the pass stops once d exceeds reach - best
+        reach =others + max(r * a - p_j for a, p_j in zip(alpha, p)) + self.tol
+        if reach - best < 0.0:
+            return best
         # the chains into s_i, searched only where they beat repair + D0;
         # s_i settles first, so nothing moves into it: its ad is gone
         room = [repair + d for d in self.d0]
         room[s_i] = 0.0
-        near = _dijkstra(room, (s_i,), self.movers, self._move)
-        self.settled += len(near)
-        p = self.p
-        placed = max(r * alpha[j] + others - p[j] - room[j] for j in near)
-        return max(others - repair, others - repair + far, placed)
+        settled = [False] * len(room)
+        heap = [(0.0, s_i)]
+        movers, u_at, v_at, d_at = self.movers, self.u_at, self.v_at, self.d_at
+        while heap:
+            d, x = heappop(heap)
+            if settled[x]:
+                continue
+            if d > reach - best:
+                break
+            settled[x] = True
+            self.settled += 1
+            placed = r * alpha[x] + others - p[x] - d
+            if placed > best:
+                best = placed
+            # the ad at y moves into x
+            p_x = p[x]
+            for y in movers[x]:
+                if not settled[y]:
+                    dy = d + (u_at[y] + p_x - v_at[y] * d_at[y][x])
+                    if dy < room[y]:
+                        room[y] = dy
+                        heappush(heap, (dy, y))
+        return best
 
 
 # ---------------------------------------------------------------------------
@@ -402,13 +448,16 @@ def price_with_reserves(inst: Instance, reserves: ReserveVector | Mapping | None
     certificate fails, so it must be an exact welfare maximizer with duals.
     Each ``W(b -> r)`` then comes from those duals, not from a re-solve
     (:meth:`_SlotPaths.lowered_welfare`, where the proof is, the two-chain
-    case and the shared ``D0`` pass included, and why the solver's scan
-    pruning is exact).  Two passes over all the slots serve every winner;
-    then each winner with positive quantity gets a local pass that settles
-    only the slots where a chain into its own slot beats the shared pass,
-    plus O(n) for the far term.  So a winner costs O(n) plus O(k log n)
-    per slot it settles, at most O(kn log n), on top of the one solve
-    (more where values or discounts tie), in O(kn) memory.
+    case and the shared ``D0`` pass included, why the solver's scan pruning
+    is exact, and why a winner's pass may stop early).  Two passes over all
+    the slots serve every winner; then each winner with positive quantity
+    gets a local pass that settles only the slots where a chain into its
+    own slot beats the shared pass, and stops at the first slot too far
+    from its own to raise the welfare, plus O(n) for the far term and the
+    bound.  So a winner costs O(n) plus O(k log n) per slot it settles, at
+    most O(kn log n) and only O(n) when no slot can beat leaving it out,
+    on top of the one solve (more where values or discounts tie), in O(kn)
+    memory.
     """
     reserves = ReserveVector(reserves)
     filtered, keep_map = filter_by_reserves(inst, reserves)

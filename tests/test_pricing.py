@@ -240,12 +240,33 @@ def _resolved_payments(inst, reserves):
     return payments
 
 
+def _unbounded_lowered_welfare(paths, s_i, r):
+    """``paths.lowered_welfare(s_i, r)`` by a local pass that never stops
+    early: it settles every slot a chain into ``s_i`` reaches below
+    ``repair + D0`` and takes the placed term over all of them, the rule the
+    bounded pass replaces.  It leaves ``paths.settled`` alone."""
+    repair = paths.vacate[s_i]
+    others = paths.welfare - paths.u_at[s_i]
+    alpha = paths.d_at[s_i]
+    far = max(r * a - q for a, q in zip(alpha, paths._p_d0))
+    # the chains into s_i, searched only where they beat repair + D0;
+    # s_i settles first, so nothing moves into it: its ad is gone
+    room = [repair + d for d in paths.d0]
+    room[s_i] = 0.0
+    near = pricing._dijkstra(room, (s_i,), paths.movers, paths._move)
+    p = paths.p
+    placed = max(r * alpha[j] + others - p[j] - room[j] for j in near)
+    return max(others - repair, others - repair + far, placed)
+
+
 def test_lowered_welfares_match_the_resolve_oracle(tie_heavy):
     # every value and discount family, then the tie-heavy one; n <= 15 and
     # k <= 4, so padding ads and zero-discount (step) slots occur; then
     # solutions with their padding dropped, so slots are empty; each from
     # both solvers' duals; the bids run from 0 to twice the ad's value,
-    # since the split into D0 and a local pass must hold above it too
+    # since the split into D0 and a local pass must hold above it too; the
+    # pass that stops once no slot can raise the welfare gives the same
+    # float as the one that settles every slot it reaches
     checked = 0
     for seed in range(360):
         rng = np.random.default_rng(seed + 7000)
@@ -267,6 +288,9 @@ def test_lowered_welfares_match_the_resolve_oracle(tie_heavy):
                 for r in (0.0, value, float(rng.uniform(0.0, value)),
                           2.0 * value):
                     got = paths.lowered_welfare(slot, r)
+                    assert got.hex() == \
+                        _unbounded_lowered_welfare(paths, slot, r).hex(), \
+                        (seed, solver.__name__, slot, r)
                     want = solve_adtypes(with_bid(inst, ad, r)[0]).welfare
                     assert abs(got - want) <= tol_for(want), \
                         (seed, solver.__name__, slot, r)
@@ -305,21 +329,41 @@ def test_reserve_pricing_memory_is_linear_in_the_slots():
     assert peak < 300 * 300 * 8 // 4, peak
 
 
-def test_winner_passes_settle_about_half_the_slots():
-    # each winner's pass searches only the chains into its own slot that
-    # beat vacating it and clearing the target slot by D0, so all n passes
-    # together settle well under the n * n slots of full passes
+def test_bounded_winner_passes_match_the_unbounded_pass_bit_for_bit():
+    # on a large instance, where long chains settle many slots, at bids
+    # below, at and above each winner's value
+    inst = gen_scaling_instance(200, 4, 0)
+    sol = solve_adtypes(inst)
+    paths = pricing._SlotPaths(inst, sol)
+    for mult in (0.0, 0.5, 1.0, 2.0):
+        for slot, ad in sol.matching.pairs:
+            r = mult * inst.value_of(ad)
+            assert paths.lowered_welfare(slot, r).hex() == \
+                _unbounded_lowered_welfare(paths, slot, r).hex(), (mult, slot)
+
+
+def test_winner_passes_stop_once_no_slot_can_raise_the_welfare():
+    # a winner's pass stops at the first slot whose distance rules out
+    # beating the best welfare found so far; at half its value no winner's
+    # slot can beat leaving it out or placing it by D0, so no winner pass
+    # settles a slot, and at the other bids all passes together settle
+    # about 0.30 * n * n slots per bid (0.52 * n * n when every pass ran
+    # until no chain beat D0)
     inst = gen_scaling_instance(400, 4, 0)
     sol = solve_adtypes(inst)
     paths = pricing._SlotPaths(inst, sol)
     n = inst.num_slots
+    assert len(sol.matching) == n
     assert paths.settled == n  # vacate settles every slot
     paths.d0
     assert paths.settled == 2 * n  # and so does D0, once read
     for slot, ad in sol.matching.pairs:
         paths.lowered_welfare(slot, 0.5 * inst.value_of(ad))
-    assert len(sol.matching) == n
-    assert paths.settled - 2 * n <= 0.6 * n * n, paths.settled
+    assert paths.settled == 2 * n
+    for mult in (0.0, 1.0, 2.0):
+        for slot, ad in sol.matching.pairs:
+            paths.lowered_welfare(slot, mult * inst.value_of(ad))
+    assert paths.settled - 2 * n <= 3 * 0.35 * n * n, paths.settled
 
 
 def test_lowered_welfare_two_chain_case():
