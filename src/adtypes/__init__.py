@@ -15,7 +15,6 @@ _EXPORTS = {
         "Matching",
         "TypeSpec",
         "ValidationError",
-        "ValidationReport",
         "edge_value",
         "has_gap_rules",
         "instance_from_dict",

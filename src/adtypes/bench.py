@@ -155,6 +155,15 @@ def assignment_to_adtypes(weights) -> tuple[Instance, float]:
     return Instance(n, types), offset
 
 
+def gen_assignment(n: int, seed: int) -> tuple[Instance, float]:
+    """An ``n`` x ``n`` matrix of integer weights drawn from 1..99 with
+    ``seed``, embedded by :func:`assignment_to_adtypes`."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, not {n}")
+    rng = np.random.default_rng(seed)
+    return assignment_to_adtypes(rng.integers(1, 100, size=(n, n)).astype(float))
+
+
 def assignment_value(weights, matching: Matching) -> float:
     """Original-matrix value of a matching produced on the embedded instance
     (type index = row, slot = column)."""

@@ -15,6 +15,7 @@ command's help and parse are the same either way.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import math
 import sys
@@ -94,28 +95,28 @@ def _solution_dict(algo: str, inst: Instance, out) -> dict:
     return doc
 
 
+# --algo name -> (module, solver function), in help order
+_SOLVERS = {
+    "adtypes": ("hungarian", "solve_adtypes"),
+    "generic": ("baseline", "solve_generic_hungarian"),
+    "greedy": ("baseline", "solve_greedy"),
+    "gapdp": ("gapdp", "solve_gap_dp"),
+    "brute": ("baseline", "solve_bruteforce"),
+    "two-type": ("gapdp", "solve_two_type_dp"),
+}
+
+
 def _cmd_solve(args) -> int:
     algo = args.algo
     if args.trace and algo != "adtypes":
         raise _UsageError(f"--trace traces --algo adtypes only, not {algo}")
     inst = load_instance(args.infile)
-    # solvers are looked up at call time: perfbench wraps module attributes
-    if algo == "adtypes":
-        out = hungarian.solve_adtypes(inst)
-        if args.trace:
-            print(*out.stats.trace_lines(), sep="\n", file=sys.stderr)
-    elif algo in ("gapdp", "two-type"):
-        from . import gapdp  # here, so the other solvers never load it
-        dp = gapdp.solve_gap_dp if algo == "gapdp" else gapdp.solve_two_type_dp
-        out = dp(inst)
-    else:
-        from . import baseline  # here, so the other solvers never load it
-        if algo == "generic":
-            out = baseline.solve_generic_hungarian(inst)
-        elif algo == "greedy":
-            out = baseline.solve_greedy(inst)
-        else:
-            out = baseline.solve_bruteforce(inst)
+    # looked up at call time: only this solver's module loads, and a module
+    # attribute perfbench wraps is the one called
+    module, name = _SOLVERS[algo]
+    out = getattr(importlib.import_module(f".{module}", __package__), name)(inst)
+    if args.trace:
+        print(*out.stats.trace_lines(), sep="\n", file=sys.stderr)
     _write_json(_solution_dict(algo, inst, out), args.out)
     return EXIT_OK
 
@@ -174,12 +175,7 @@ def _cmd_gen(args) -> int:
             g = gapdp.parse_graph_text(fh.read())
         inst = gapdp.mis_to_adtypes(g)
     else:
-        if args.n < 1:
-            raise ValueError(f"n must be >= 1, not {args.n}")
-        import numpy as np
-        rng = np.random.default_rng(args.seed)
-        weights = rng.integers(1, 100, size=(args.n, args.n)).astype(float)
-        inst, offset = bench.assignment_to_adtypes(weights)
+        inst, offset = bench.gen_assignment(args.n, args.seed)
         print(f"offset={offset!r}", file=sys.stderr)
     _write_json(instance_to_dict(inst), args.out)
     return EXIT_OK
@@ -212,8 +208,8 @@ def _cmd_bench(args) -> int:
 def _load_solution(path) -> tuple[list, float | None,
                                   hungarian.DualSolution | None]:
     """The assignment entries, stated welfare and duals of a solution file
-    (``None`` for an absent welfare or duals).  A document of another shape
-    raises :class:`ValidationError`."""
+    (``None`` for a welfare or duals that is absent or null).  A document of
+    another shape raises :class:`ValidationError`."""
     data = read_json(path)
     if not (isinstance(data, dict) and isinstance(data.get("assignment"), list)):
         raise ValidationError("solution must be an object with an "
@@ -224,7 +220,7 @@ def _load_solution(path) -> tuple[list, float | None,
         if not math.isfinite(stated):
             raise ValidationError(f"solution welfare {stated!r} is not finite")
     duals = data.get("duals")
-    if duals:
+    if duals is not None:
         bad = 'solution duals must be {"u": [[number]], "p": [number]}'
         if not (isinstance(duals, dict) and isinstance(duals.get("u"), list)
                 and all(isinstance(row, list) for row in duals["u"])
@@ -233,7 +229,7 @@ def _load_solution(path) -> tuple[list, float | None,
         duals = hungarian.DualSolution(
             tuple(tuple(as_number(x, bad) for x in row) for row in duals["u"]),
             tuple(as_number(x, bad) for x in duals["p"]))
-    return data["assignment"], stated, duals or None
+    return data["assignment"], stated, duals
 
 
 def _cmd_verify(args) -> int:
@@ -259,7 +255,9 @@ def _cmd_verify(args) -> int:
         if not gapdp.check_gap_feasible(inst, matching):
             failures.append("assignment violates gap rules")
     if duals is not None:
-        sol = hungarian.OptimalSolution(matching, duals, stated)
+        # the stated welfare is checked above; the certificate is checked
+        # against the recomputed one, so a wrong stated welfare fails once
+        sol = hungarian.OptimalSolution(matching, duals, w)
         cert = hungarian.certify(inst, sol)
         if not cert.passed:
             failures.append("certificate failed: " + "; ".join(cert.messages)
@@ -274,9 +272,7 @@ def _cmd_verify(args) -> int:
 
 def _solve_arguments(p: _Parser) -> None:
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--algo", default="adtypes",
-                   choices=["adtypes", "generic", "greedy", "gapdp",
-                            "brute", "two-type"])
+    p.add_argument("--algo", default="adtypes", choices=list(_SOLVERS))
     p.add_argument("--out", default=None)
     p.add_argument("--trace", action="store_true",
                    help="per-phase trace on stderr, after the solve "

@@ -124,9 +124,9 @@ class Instance:
             gap = tuple(tuple(as_integer(g, "gap entry") for g in row)
                         for row in gap)
         object.__setattr__(self, "gap", gap)
-        rep = validate_instance(self)
-        if not rep.ok:
-            raise ValidationError(rep.errors)
+        errors = validate_instance(self)
+        if errors:
+            raise ValidationError(errors)
 
     @property
     def num_types(self) -> int:
@@ -171,29 +171,15 @@ class Matching:
         return len(self.pairs)
 
 
-@dataclass
-class ValidationReport:
-    """Violations found in an instance.  ``errors`` make solvers refuse;
-    ``warnings`` are advisory (discounts above 1 are tolerated but flagged)."""
-
-    errors: list[str] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.errors
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def validate_instance(inst: Instance) -> ValidationReport:
-    """Check finiteness, monotonicity, signs, dimensions, the gap matrix
-    shape, and that the welfare bound ``num_slots`` x largest value x largest
-    discount is finite, so no sum the solvers form can overflow.  Every
-    :class:`Instance` passes it, so on one it reports only warnings."""
-    rep = ValidationReport()
-    err = rep.errors.append
+def validate_instance(inst: Instance) -> list[str]:
+    """The errors that make ``Instance(...)`` refuse: non-finite, negative or
+    increasing numbers, wrong dimensions, a gap matrix that is not k x k or
+    has a negative entry, and a welfare bound ``num_slots`` x largest value
+    x largest discount that is not finite, so no sum the solvers form can
+    overflow.  A discount above 1 is accepted as it is.  Every
+    :class:`Instance` passes, so on one it returns ``[]``."""
+    errors: list[str] = []
+    err = errors.append
     if inst.num_slots < 1:
         err("num_slots must be >= 1")
     if inst.num_types < 1:
@@ -215,23 +201,20 @@ def validate_instance(inst: Instance) -> ValidationReport:
             err(f"{label}: negative discount")
         if any(spec.discounts[i] < spec.discounts[i + 1] for i in range(len(spec.discounts) - 1)):
             err(f"{label}: discounts not non-increasing")
-        if any(d > 1 for d in spec.discounts):
-            rep.warnings.append(f"{label}: discount above 1 (treated as-is)")
     if inst.gap is not None:
         k = inst.num_types
         if len(inst.gap) != k or any(len(row) != k for row in inst.gap):
             err("gap matrix not k x k")
-        else:
-            if any(g < 0 for row in inst.gap for g in row):
-                err("gap matrix has negative entries")
+        elif any(g < 0 for row in inst.gap for g in row):
+            err("gap matrix has negative entries")
     # with the checks above passed, values and discounts are finite,
     # non-negative and non-increasing, so each type's largest is its first
-    if rep.ok and not math.isfinite(max(s.values[0] for s in inst.types)
-                                    * max(s.discounts[0] for s in inst.types)
-                                    * n):
+    if not errors and not math.isfinite(max(s.values[0] for s in inst.types)
+                                        * max(s.discounts[0] for s in inst.types)
+                                        * n):
         err("welfare bound (num_slots x largest value x largest discount) "
             "overflows")
-    return rep
+    return errors
 
 
 def has_gap_rules(inst: Instance) -> bool:

@@ -75,13 +75,16 @@ def _gap(inst: Instance):
 
 def check_gap_feasible(inst: Instance, m: Matching) -> bool:
     """True iff no assigned slot sits inside the blocking window that an
-    earlier assigned ad's type imposes on its type."""
+    earlier assigned ad's type imposes on its type.  The pairs are walked in
+    slot order through :func:`_append_ok`, keeping each type's latest slot:
+    the latest ad of a type blocks the longest, so it alone decides that
+    type's window.  O(nk)."""
     gap = _gap(inst)
-    pairs = m.pairs
-    for i, (s1, a1) in enumerate(pairs):
-        for s2, a2 in pairs[i + 1:]:
-            if s2 - s1 <= gap[a1.ad_type][a2.ad_type]:
-                return False
+    lasts = [BOTTOM] * inst.num_types
+    for slot, ad in m.pairs:
+        if not _append_ok(gap, lasts, ad.ad_type, slot):
+            return False
+        lasts[ad.ad_type] = slot
     return True
 
 

@@ -257,9 +257,8 @@ class _SlotPaths:
     the welfare, plus O(n) for the far term and the bound.  On
     :func:`~adtypes.bench.gen_scaling_instance` at n=400 all the winners'
     passes together settle no slot at bids of 0 or half the value,
-    0.44 * n * n at the value and 0.46 * n * n at twice it (0.52 * n * n
-    at every bid without the stop); ``settled`` counts the slots all
-    passes settle.  Memory is O(kn).  A solution that fails
+    0.44 * n * n at the value and 0.46 * n * n at twice it; ``settled``
+    counts the slots all passes settle.  Memory is O(kn).  A solution that fails
     :func:`certify` is refused with ValidationError.
     """
 

@@ -27,7 +27,7 @@ def test_gen_random_validates():
         for fam in ("geometric", "linear", "step"):
             for dist in ("uniform-int", "uniform-real", "pareto"):
                 cfg = GenConfig(1 + seed % 7, 1 + seed % 3, seed, dist, fam)
-                assert validate_instance(gen_random(cfg)).ok
+                assert validate_instance(gen_random(cfg)) == []
 
 
 def test_greedy_tight_values():
@@ -72,7 +72,7 @@ def test_assignment_reduction_random_matrices():
     for trial in range(25):
         weights = rng.integers(1, 100, size=(6, 6)).astype(float)
         inst, offset = assignment_to_adtypes(weights)
-        assert validate_instance(inst).ok
+        assert validate_instance(inst) == []
         sol = solve_adtypes(inst)
         best = brute_force_assignment(weights)
         assert sol.welfare - offset == pytest.approx(best, abs=1e-9)
@@ -92,7 +92,7 @@ def test_assignment_reduction_rejects_an_empty_matrix():
 
 def test_scaling_instance_shape():
     inst = gen_scaling_instance(30, 4, 0)
-    assert validate_instance(inst).ok
+    assert validate_instance(inst) == []
     assert inst.num_slots == 30
     assert inst.num_types == 4
 

@@ -119,6 +119,42 @@ def test_verify_reports_ragged_duals(fixtures_dir, tmp_path, capsys):
     assert "invalid:" not in captured.err
 
 
+@pytest.mark.parametrize("fixture,edit,code,lines", [
+    ("example1.json", lambda sol: dict(sol, welfare=sol["welfare"] + 1.0), 1,
+     ["violation: stated welfare 10.0 != recomputed 9.0"]),
+    ("example1.json", lambda sol: dict(sol, duals=None, welfare=8.0), 1,
+     ["violation: stated welfare 8.0 != recomputed 9.0"]),
+    ("example1.json", lambda sol: dict(sol, assignment=[
+        {"slot": 0, "type": 0, "rank": 0}, {"slot": 0, "type": 1, "rank": 0}]),
+     1, ["violation: assignment invalid: slot assigned twice"]),
+    ("example1.json", lambda sol: dict(sol, assignment=[
+        {"slot": 2, "type": 0, "rank": 0}]),
+     1, ["violation: assignment out of range: slot 2 out of range"]),
+    ("gap_small.json", lambda sol: dict(sol, welfare=10.25, assignment=[
+        {"slot": 0, "type": 0, "rank": 0}, {"slot": 1, "type": 0, "rank": 1}]),
+     1, ["violation: assignment violates gap rules"]),
+    ("example1.json", lambda sol: {k: v for k, v in sol.items()
+                                   if k != "welfare"},
+     0, ["ok: welfare 9.0, 2 slots assigned"]),
+], ids=["wrong-welfare-with-duals", "wrong-welfare-without-duals",
+        "duplicate-slot", "slot-out-of-range", "gap-violation",
+        "no-stated-welfare"])
+def test_verify_reports_each_violation_once(fixtures_dir, tmp_path, capsys,
+                                            fixture, edit, code, lines):
+    # a wrong stated welfare is the CLI's to report; the certificate is
+    # checked against the recomputed welfare, so it does not report it again
+    inst = str(fixtures_dir / fixture)
+    algo = "gapdp" if fixture == "gap_small.json" else "adtypes"
+    out = tmp_path / "sol.json"
+    assert run(["solve", "--in", inst, "--algo", algo, "--out", str(out)]) == 0
+    out.write_text(json.dumps(edit(_read(out))))
+    capsys.readouterr()
+    assert run(["verify", "--in", inst, "--sol", str(out)]) == code
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == lines
+    assert captured.err == ""
+
+
 def test_price_vcg_two_bidders(fixtures_dir, tmp_path):
     out = tmp_path / "priced.json"
     code = run(["price", "--in", str(fixtures_dir / "two_bidders.json"),
@@ -439,9 +475,17 @@ def test_huge_num_slots_exit_code(tmp_path, capsys, num_slots):
     lambda sol: dict(sol, duals={"u": 5, "p": sol["duals"]["p"]}),
     lambda sol: dict(sol, welfare="nan"),
     lambda sol: dict(sol, welfare=10 ** 400),
-], ids=["string", "list", "duals-u-number", "welfare-nan", "welfare-huge-int"])
+    lambda sol: dict(sol, duals={}),
+    lambda sol: dict(sol, duals=[]),
+    lambda sol: dict(sol, duals=0),
+    lambda sol: dict(sol, duals=False),
+    lambda sol: dict(sol, duals=""),
+], ids=["string", "list", "duals-u-number", "welfare-nan", "welfare-huge-int",
+        "duals-empty-object", "duals-empty-list", "duals-zero", "duals-false",
+        "duals-empty-string"])
 def test_verify_refuses_malformed_solution(fixtures_dir, tmp_path, capsys, edit):
-    # each once raised TypeError out of run() or printed "ok"
+    # each once raised TypeError out of run() or printed "ok"; only a null
+    # or absent duals means "no certificate to check"
     inst = str(fixtures_dir / "example1.json")
     out = tmp_path / "sol.json"
     assert run(["solve", "--in", inst, "--out", str(out)]) == 0

@@ -23,9 +23,7 @@ from adtypes.core import (
 
 def test_wellformed_instance_is_valid():
     inst = Instance(2, [TypeSpec("t", [3.0, 1.0], [1.0, 0.5])])
-    report = validate_instance(inst)
-    assert report.ok
-    assert report.errors == []
+    assert validate_instance(inst) == []
 
 
 def test_increasing_discounts_flagged():
@@ -40,11 +38,21 @@ def test_gap_matrix_shape_flagged():
                  gap=[[0, 0, 0], [0, 0, 0]])
 
 
-def test_discount_above_one_is_warning_not_error():
+def test_discount_above_one_is_accepted():
     inst = Instance(1, [TypeSpec("t", [1.0], [1.5])])
-    report = validate_instance(inst)
-    assert report.ok
-    assert report.warnings
+    assert inst.types[0].discounts == (1.5,)
+    assert validate_instance(inst) == []
+
+
+@pytest.mark.parametrize("num_slots,types,gap,message", [
+    (0, [TypeSpec("t", [1.0], [])], None, "num_slots must be >= 1"),
+    (2, [], None, "at least one ad type required"),
+    (2, [TypeSpec("a", [1.0], [1.0, 0.5]), TypeSpec("b", [1.0], [1.0, 0.5])],
+     [[0, -1], [0, 0]], "gap matrix has negative entries"),
+], ids=["no-slots", "no-types", "negative-gap"])
+def test_empty_or_negative_shapes_refused(num_slots, types, gap, message):
+    with pytest.raises(ValidationError, match=message):
+        Instance(num_slots, types, gap)
 
 
 def test_unsorted_values_flagged_not_repaired():
@@ -146,6 +154,11 @@ def test_matching_rejects_duplicate_ad():
         Matching({0: AdRef(0, 0), 1: AdRef(0, 0)})
 
 
+def test_matching_rejects_duplicate_slot():
+    with pytest.raises(ValueError, match="slot assigned twice"):
+        Matching([(0, AdRef(0, 0)), (0, AdRef(1, 0))])
+
+
 def test_adref_is_a_named_pair():
     # hashed and sorted in C as a tuple, with the fields, order and repr of
     # the frozen record it replaced
@@ -221,7 +234,7 @@ def small_instances(draw):
 @given(small_instances())
 @settings(max_examples=120, deadline=None)
 def test_edge_value_monotone(inst):
-    assert validate_instance(inst).ok
+    assert validate_instance(inst) == []
     for t in range(inst.num_types):
         for r in range(inst.num_slots):
             row = [edge_value(inst, AdRef(t, r), s) for s in range(inst.num_slots)]

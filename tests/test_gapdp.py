@@ -86,6 +86,38 @@ def test_check_gap_feasible_examples():
     assert check_gap_feasible(blocking, reverse)
 
 
+def _pairwise_gap_feasible(inst: Instance, m: Matching) -> bool:
+    # the rule as stated, over every ordered pair of assigned slots: the
+    # oracle for check_gap_feasible's walk over each type's latest slot
+    pairs = m.pairs
+    for i, (s1, a1) in enumerate(pairs):
+        for s2, a2 in pairs[i + 1:]:
+            if s2 - s1 <= inst.gap[a1.ad_type][a2.ad_type]:
+                return False
+    return True
+
+
+def test_check_gap_feasible_matches_the_pairwise_rule():
+    rng = np.random.default_rng(29)
+    verdicts = []
+    for seed in range(2500):
+        inst = gen_gap_random(seed)
+        n, k = inst.num_slots, inst.num_types
+        for _ in range(5):
+            used = [0] * k
+            pairs = []
+            for slot in range(n):
+                if rng.random() < 0.7:
+                    t = int(rng.integers(0, k))
+                    pairs.append((slot, AdRef(t, used[t])))
+                    used[t] += 1
+            m = Matching(pairs)
+            verdicts.append(check_gap_feasible(inst, m))
+            assert verdicts[-1] == _pairwise_gap_feasible(inst, m), (seed, pairs)
+    assert len(verdicts) >= 10_000
+    assert sum(verdicts) >= 3_000 and len(verdicts) - sum(verdicts) >= 3_000
+
+
 def test_two_type_dp_example1(example1):
     assert welfare(example1, solve_two_type_dp(example1)) == 9.0
 
