@@ -46,24 +46,28 @@ key, ``u[a] + potential - value``, with the slot's discount read once per
 type and its potential set when it joins the tree.  Only matched ads enter
 the heap: a head's pop ends the phase, so the least head entry is kept
 beside the heap, and a pop compares it with the heap's top.  That entry
-only falls, so an entry above it is never popped and is not pushed.
+only falls, so an entry above it is never popped and is not pushed, and
+an offer is tested against its key before anything else is read.
 Tree membership lives in the best-key list: a popped ad's key becomes
 -inf, which no offer undercuts, so the offer loop needs no membership test.
+No counter runs per offer or per scan: the scan size is counted by the
+instrumented solve alone, off each phase's tree slots.
+
 The frontiers are carried from phase to phase: a type's frontier reads only
 that type's ads, so after each augmentation :func:`solve_adtypes` rebuilds
-only the frontiers of the types whose ads the path moved.  :class:`AdRef`
-and :class:`Matching` appear only at the edges: :func:`solve_adtypes`
-reads the instance on the way in and builds the final matching (and the
-per-phase ones, when ``collect_phase_matchings`` asks) on the way out.  A
-solve can be followed phase by phase through :attr:`SolveStats.phases`
-(printed by :meth:`SolveStats.trace_lines`) and
-``collect_phase_matchings``.
+only the frontiers of the types whose ads the path moved, each from the
+lowest slot where its matched pairs changed; the path flip keeps every
+type's pairs sorted by slot.  :class:`AdRef` and :class:`Matching` appear
+only at the edges: :func:`solve_adtypes` reads the instance on the way in
+and builds the final matching (and the per-phase ones, when
+``collect_phase_matchings`` asks) on the way out.  A solve can be followed
+phase by phase through :attr:`SolveStats.phases` (printed by
+:meth:`SolveStats.trace_lines`) and ``collect_phase_matchings``.
 """
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, insort
-from collections.abc import Collection
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 
@@ -113,12 +117,16 @@ class SolveStats:
     unmatched head, takes an entry kept off the heap, so it counts among
     the pops and not the pushes, and an offer above the least head entry
     is not pushed, as the phase ends before it could be popped.
-    ``max_queue_occupancy`` is the most ads holding a live offer at once,
-    pushed or not, and ``max_scan_candidates`` the most candidates one
-    scan offered, heads included."""
+    ``max_queue_occupancy`` is the most matched ads holding a live queued
+    key at once (pushed in the phase and not yet popped live), plus the
+    kept head entry, counted at an ad's first push and at its live pop, so
+    it stays at most n + k.
+    ``max_scan_candidates``, the most candidates one scan offered, heads
+    included, is counted by the instrumented solve only
+    (``collect_phase_matchings=True``) and is ``None`` otherwise."""
 
     max_queue_occupancy: int = 0
-    max_scan_candidates: int = 0
+    max_scan_candidates: int | None = None
     heap_pushes: int = 0
     stale_pops: int = 0
     phases: list[tuple[int, int, float, int]] = field(default_factory=list)
@@ -178,15 +186,20 @@ class _Tables:
                          for s, a in enumerate(slot_ad) if a >= 0])
 
 
-def _frontiers(tables: _Tables, slot_ad: list[int], ad_slot: list[int],
-               types: Collection[int]) -> list[tuple]:
-    """The frontier of each type in ``types``, in that order, as ``(head,
-    vh, hfrom, near, disc)``: the type's lowest unmatched ad (``None`` when
-    all are matched), its value, the first slot that lists it, its matched
-    candidates by slot and its discount curve.  ``near[x]`` lists the
-    ``(ad, value)`` pairs of the matched ads whose edge to slot x might yet
-    go tight this phase, so the phase loop reads every type's candidates
-    alike.  ``slot_ad`` may end at the last filled slot.
+def _frontiers(tables: _Tables, pairs: list[list[tuple[int, int]]],
+               ad_slot: list[int], changed: dict[int, int],
+               frontiers: list[tuple], kept: list[tuple[list, list]]) -> None:
+    """Rebuild in place the frontier of each type t in ``changed`` on its
+    matched ``(slot, ad)`` pairs ``pairs[t]``, sorted by slot, of which
+    only those from slot ``changed[t]`` on differ from the last build's.
+    A frontier is ``(head, vh, hfrom, near, disc)``: the type's lowest
+    unmatched ad (``None`` when all are matched), its value, the first slot
+    that lists it, its matched candidates by slot and its discount curve.
+    ``near[x]`` lists the ``(ad, value)`` pairs of the matched ads whose
+    edge to slot x might yet go tight this phase, so the phase loop reads
+    every type's candidates alike.  ``kept[t]`` holds the type's ``ups``
+    and ``downs`` from the last build (below); a full build
+    (:func:`_build_frontiers`) is this rebuild from slot 0 on no pairs.
 
     The head is a candidate at slot x iff ``x >= hfrom``.  Let z be the
     last slot that holds an ad of the type of value strictly above the
@@ -195,7 +208,9 @@ def _frontiers(tables: _Tables, slot_ad: list[int], ad_slot: list[int],
     ``slack(h, x) - slack(w, x) - slack(h, z) = (v_h - v_w) * (alpha_z -
     alpha_x)``, strictly positive for every x before z's run, so w
     protects the head there (the crossing argument).  Every matched slot
-    lies before a phase's root, so the root lists every head.
+    lies before a phase's root, so the root lists every head.  A matched
+    ad stays matched, so the head only moves up the ranks, and its search
+    starts at the last one.
 
     Take slot x, the run [f, l] of equal discounts on the type's curve
     that holds x (x alone on a strictly decreasing curve), v* the least
@@ -211,63 +226,68 @@ def _frontiers(tables: _Tables, slot_ad: list[int], ad_slot: list[int],
     and the walk lists exactly the ads above.
 
     Outside the runs that hold a matched ad, v* is the least value matched
-    before x and w* the largest after it, so ``near[x]`` is the same for
-    every slot between two of the type's matched slots: each gap's tuple
-    is built once and repeated by list multiplication.  The slots of each
-    run of equal discounts (:attr:`_Tables.runs`) that holds a matched ad
-    are then rewritten by the formula; a strictly decreasing curve has no
-    such run.
+    before x and w* the largest after it: ``downs[i]``, the ads of the
+    least value among the first i pairs, and ``ups[i]``, those of the
+    largest among the pairs from the i-th on.  So ``near[x]`` is the same
+    for every slot between two matched slots: each gap's tuple is built
+    once and repeated by list multiplication.  The slots of each run of
+    equal discounts (:attr:`_Tables.runs`) that holds a matched ad are
+    then rewritten by the formula, with v* and w* read off ``downs`` and
+    ``ups``; a strictly decreasing curve has no such run.
 
-    A frontier reads only its own type's ads, so an augmentation changes
-    only the frontiers of the types whose ads its path moved:
-    :func:`solve_adtypes` keeps all k between phases and rebuilds just
-    those, and a full build is every type."""
-    n, val, pair = tables.n, tables.val, tables.pair
-    by_slot: dict[int, list[tuple[int, int]]] = {t: [] for t in types}
-    for s, a in enumerate(slot_ad):
-        if a >= 0:
-            pairs = by_slot.get(a // n)
-            if pairs is not None:
-                pairs.append((s, a))
-    frontiers = []
-    for t, pairs in by_slot.items():
-        first, end, disc = t * n, t * n + n, tables.disc[t]
-        head = first
-        while head < end and ad_slot[head] >= 0:
-            head += 1
-        if head < end:
-            vh = val[head]
-            # z: the last slot whose ad is worth more than the head, one
-            # of the ranks before the head's value ties, which are all
-            # matched (0 when there is none: it starts slot 0's run too)
-            above = head
-            while above > first and val[above - 1] == vh:
-                above -= 1
-            z = max(ad_slot[first:above], default=0)
-            hfrom = z
-            while hfrom and disc[hfrom - 1] == disc[z]:
-                hfrom -= 1
-        else:
-            head, vh, hfrom = None, 0.0, n
-        # ups[i]: the ads of the largest value matched at the i-th matched
-        # slot or a later one; past the last one, nothing
-        ups = []
-        up, high = (), -math.inf
-        for _, a in reversed(pairs):
+    A rebuild pays only for the suffix that changed.  With c the first
+    pair at or past slot ``changed[t]``, ``downs[:c + 1]`` still hold,
+    and ``ups`` are recomputed from the last pair down to c and on below
+    it until they equal the kept ones, at pair i0.  Only the ``near``
+    entries from the slot of pair i0 - 1 on read a changed ``ups`` or
+    ``downs``, so ``near`` is cut there and rebuilt, and a run that ends
+    before that slot keeps its rewrite: its w* is an unchanged ``ups``.
+    A run that reaches past it is rewritten whole, and holds a matched ad
+    whenever it starts before it, the one at that slot."""
+    n, val, pair, disc_of = tables.n, tables.val, tables.pair, tables.disc
+    inf = math.inf
+    for t, low_slot in changed.items():
+        mine = pairs[t]
+        ups, downs = kept[t]
+        head, _, _, near, _ = frontiers[t]
+        c = bisect_left(mine, (low_slot,))
+        # ups from the last pair down to c, then on down while they differ
+        tail = [()]
+        up, high = (), -inf
+        for _, a in reversed(mine[c:]):
             v = val[a]
             if v > high:
                 up, high = (pair[a],), v
             elif v == high:
                 up += (pair[a],)
-            ups.append(up)
-        ups.reverse()
-        ups.append(())
-        # down: the ads of the least value matched below the slot
-        down, low = (), math.inf
-        near: list[tuple] = []
-        prev = -1
-        for (s, a), up, up_past in zip(pairs, ups, ups[1:]):
-            # the gap below s, then s itself, which skips its own ad
+            tail.append(up)
+        tail.reverse()
+        i0 = c
+        while i0:
+            a = mine[i0 - 1][1]
+            v = val[a]
+            if v > high:
+                up, high = (pair[a],), v
+            elif v == high:
+                up += (pair[a],)
+            if up == ups[i0 - 1]:
+                break
+            i0 -= 1
+            ups[i0] = up
+        ups[c:] = tail
+        # near from the slot of pair i0 - 1 on: the gap below each pair,
+        # then the pair's own slot, which skips its own ad
+        if i0:
+            start = prev = mine[i0 - 1][0]
+            del near[prev:]
+            near.append(downs[i0 - 1] + ups[i0])
+        else:
+            start, prev = 0, -1
+            del near[:]
+        del downs[i0 + 1:]
+        down = downs[i0]
+        low = down[0][1] if down else inf
+        for (s, a), up, up_past in zip(mine[i0:], ups[i0:], ups[i0 + 1:]):
             near += [down + up] * (s - prev - 1)
             near.append(down + up_past)
             v = val[a]
@@ -275,26 +295,65 @@ def _frontiers(tables: _Tables, slot_ad: list[int], ad_slot: list[int],
                 down, low = (pair[a],), v
             elif v == low:
                 down += (pair[a],)
+            downs.append(down)
             prev = s
         near += [down] * (n - 1 - prev)
         # a run of equal discounts that holds a matched ad: its slots list
         # the ads matched below them of at most the least value matched
         # before the run, and symmetrically above
         for f, l in tables.runs[t]:
-            inner = [(s, pair[a]) for s, a in pairs if f <= s <= l]
-            if not inner:
+            if l < start:
                 continue
-            low = min([val[a] for s, a in pairs if s < f], default=math.inf)
-            high = max([val[a] for s, a in pairs if s > l], default=-math.inf)
-            outer = tuple(pair[a] for s, a in pairs
-                          if s < f and val[a] == low
-                          or s > l and val[a] == high)
+            lo, hi = bisect_left(mine, (f,)), bisect_left(mine, (l + 1,))
+            if lo == hi:
+                continue
+            below, above = downs[lo], ups[hi]
+            low = below[0][1] if below else inf
+            high = above[0][1] if above else -inf
+            outer = below + above[::-1]
+            inner = [(s, pair[a]) for s, a in mine[lo:hi]]
             for x in range(f, l + 1):
-                near[x] = outer + tuple(c for s, c in inner
-                                        if s < x and c[1] <= low
-                                        or s > x and c[1] >= high)
-        frontiers.append((head, vh, hfrom, near, disc))
-    return frontiers
+                near[x] = outer + tuple(cand for s, cand in inner
+                                        if s < x and cand[1] <= low
+                                        or s > x and cand[1] >= high)
+        disc = disc_of[t]
+        if head is not None:
+            end = t * n + n
+            while head < end and ad_slot[head] >= 0:
+                head += 1
+            if head == end:
+                head = None
+        if head is None:
+            frontiers[t] = (None, 0.0, n, near, disc)
+            continue
+        vh = val[head]
+        # z: the last slot whose ad is worth more than the head (0 when
+        # there is none: it starts slot 0's run too)
+        z = next((s for s, a in reversed(mine) if val[a] > vh), 0)
+        hfrom = z
+        while hfrom and disc[hfrom - 1] == disc[z]:
+            hfrom -= 1
+        frontiers[t] = (head, vh, hfrom, near, disc)
+
+
+def _build_frontiers(tables: _Tables, slot_ad: list[int], ad_slot: list[int]
+                     ) -> tuple[list[list[tuple[int, int]]], list[tuple],
+                                list[tuple[list, list]]]:
+    """Every type's matched ``(slot, ad)`` pairs, sorted by slot, its
+    frontier and the ``ups`` and ``downs`` a rebuild keeps, on the
+    matching ``slot_ad``: :func:`_frontiers` from slot 0, on a last build
+    of no pairs whose head is rank 0."""
+    n, k = tables.n, tables.k
+    pairs: list[list[tuple[int, int]]] = [[] for _ in range(k)]
+    for s, a in enumerate(slot_ad):
+        if a >= 0:
+            pairs[a // n].append((s, a))
+    frontiers = [(t * n, 0.0, 0, [], disc)
+                 for t, disc in enumerate(tables.disc)]
+    kept = [([()], [()]) for _ in range(k)]
+    _frontiers(tables, pairs, ad_slot, dict.fromkeys(range(k), 0), frontiers,
+               kept)
+    return pairs, frontiers, kept
 
 
 def slot_movers(inst: Instance, matching: Matching
@@ -312,39 +371,48 @@ def slot_movers(inst: Instance, matching: Matching
     for s, ad in matching.pairs:
         slot_ad[s] = a = ad.ad_type * n + ad.rank
         ad_slot[a] = s
-    frontiers = _frontiers(tables, slot_ad, ad_slot, range(tables.k))
+    _, frontiers, _ = _build_frontiers(tables, slot_ad, ad_slot)
     losers = [AdRef(*divmod(f[0], n)) for f in frontiers if f[0] is not None]
     movers = [[ad_slot[a] for *_, near, _ in frontiers for a, _ in near[x]]
               for x in range(n)]
     return losers, movers
 
 
-def _phase(tables: _Tables, frontiers: list[tuple], slot_ad: list[int],
+def _phase(tables: _Tables, frontiers: list[tuple],
+           pairs: list[list[tuple[int, int]]], slot_ad: list[int],
            ad_slot: list[int], u: list[float], p: list[float], root: int,
-           stats: SolveStats) -> set[int]:
+           stats: SolveStats) -> tuple[dict[int, int], dict[int, float]]:
     """Phase ``root``: grow an alternating tree from slot ``root`` until it
-    reaches an unmatched ad, flip that augmenting path into ``slot_ad`` and
-    ``ad_slot``, and write the accumulated dual shift back into ``u`` and
-    ``p``, all in place.  Appends ``(root, pops, shift, path length)`` to
-    ``stats.phases``, adds to its heap counts and raises its running
-    maxima.  Returns the types of the ads the path moved, the only ones
-    whose entries in ``frontiers`` the flip made stale.
+    reaches an unmatched ad, flip that augmenting path into ``slot_ad``,
+    ``ad_slot`` and each type's sorted matched pairs ``pairs``, and write
+    the accumulated dual shift back into ``u`` and ``p``, all in place.
+    Appends ``(root, pops, shift, path length)`` to ``stats.phases``, adds
+    to its heap counts and raises its queue maximum.  Returns, for each
+    type whose pairs the path changed, the lowest slot where they changed
+    (only those entries of ``frontiers`` are stale, and only from there
+    on), and the tree's slots, the ones the phase scanned, keyed to the
+    shift at which they joined.
 
     The queue keys each candidate ad by the accumulated shift at which its
     best edge into the tree goes tight, so a pop is a dual update and a tree
     extension in one step.  Tree ads and slots record the shift at which
-    they joined; the duals are written back once, at the end.  ``best[a]``
-    is the least key ad a has been offered; a popped ad's becomes -inf,
-    which no later offer undercuts.  An ad's keys strictly fall, so a
-    popped entry is live iff its key is still the ad's best.
+    they joined; the duals are written back once, at the end.  An ad's
+    keys strictly fall, so a popped entry is live iff its key is still the
+    ad's best, ``best[a]``; a popped ad's becomes -inf, which no later
+    offer undercuts.
 
     Only matched ads enter the heap.  The only unmatched ads offered are
     the heads, and a head's pop ends the phase, so the heads' entries are
     kept out of it: ``hbest`` is the least head entry, in the heap's order,
     and a pop takes it as soon as it is below the heap's top, or the heap
     is empty.  ``hbest`` only falls, so an entry above it would still be
-    queued when the phase ends: it is not pushed, and an offer builds an
-    entry only when its key can reach ``hbest``.
+    queued when the phase ends: it is not pushed.  An offer is first
+    tested against ``hb``, the key of ``hbest``: one above it can never be
+    popped, and any later offer to the same ad that can be is below it,
+    so such an offer is dropped before ``best`` is read.  ``best[a]`` is
+    thus the least key offered to a at or below ``hb``, pushed or not: a
+    later offer of an equal key is dropped even when its entry would
+    precede ``hbest``.
     """
     n, tol = tables.n, tables.tol
     tree_ads: dict[int, float] = {}
@@ -353,57 +421,56 @@ def _phase(tables: _Tables, frontiers: list[tuple], slot_ad: list[int],
     queue: list[tuple[float, float, int, int]] = []
     inf = math.inf
     hbest: tuple = (inf,)
+    hb = inf
     best = [inf] * (tables.k * n)
-    max_queue, max_scan = stats.max_queue_occupancy, stats.max_scan_candidates
+    # the matched ads pushed and not yet popped live; the most at once,
+    # plus the kept head entry, is the queue's occupancy.  An ad whose
+    # first key ties the least head entry without preceding it has a key
+    # and no entry: it waits in ``unqueued`` until its first push
+    queued = most = 0
+    unqueued: set[int] = set()
     delta = 0.0
     pops = stale = 0
-    # the root lists every head, so every head is offered from the start
-    offered = sum(hfrom < n for _, _, hfrom, _, _ in frontiers)
     slot = root
     potential = p[root]  # the root joins at shift 0
     while True:
         # offer the candidate edges into the slot that just joined the tree,
         # each type's read off its frontier by slot, lowering a candidate's
         # key when this edge goes tight sooner than its current best
-        scanned = 0
         for head, vh, hfrom, near, disc in frontiers:
             ds = disc[slot]
-            cands = near[slot]
-            scanned += len(cands)
-            for a, va in cands:
+            for a, va in near[slot]:
                 value = ds * va
                 key = u[a] + potential - value
-                cur = best[a]
-                if key < cur:
-                    if cur == inf:
-                        offered += 1
-                    best[a] = key
-                    if key <= hbest[0]:
+                if key <= hb:
+                    cur = best[a]
+                    if key < cur:
+                        best[a] = key
                         # equal keys resolve in the global edge order:
                         # higher value, then lower slot, lower type, lower
                         # rank
                         entry = (key, -value, slot, a)
                         if entry < hbest:
                             heappush(queue, entry)
+                            if cur == inf:
+                                queued += 1
+                            elif a in unqueued:
+                                unqueued.remove(a)
+                                queued += 1
+                        elif cur == inf:
+                            unqueued.add(a)
             # the head, from hfrom on: its entry stays off the heap, and
             # its utility is 0, as no unmatched ad joins the tree
             if slot >= hfrom:
-                scanned += 1
                 value = ds * vh
                 key = potential - value
-                if key < best[head]:
+                if key <= hb and key < best[head]:
                     best[head] = key
-                    if key <= hbest[0]:
-                        entry = (key, -value, slot, head)
-                        if entry < hbest:
-                            hbest = entry
-        if scanned > max_scan:
-            max_scan = scanned
-        # the ads with a live key, queued or kept above ``hbest``: every ad
-        # offered so far, less those popped into the tree
-        live = offered - pops
-        if live > max_queue:
-            max_queue = live
+                    entry = (key, -value, slot, head)
+                    if entry < hbest:
+                        hbest, hb = entry, key
+        if queued > most:
+            most = queued
         # pop the live entry with minimal key, a head's or the heap's, and
         # advance the shift to its tightness point (the step can be zero);
         # the root listed every head (phase j starts with j of the kn > j
@@ -413,9 +480,9 @@ def _phase(tables: _Tables, frontiers: list[tuple], slot_ad: list[int],
             if not queue or hbest < queue[0]:
                 key, _, via, a = hbest
                 break
-            entry = heappop(queue)
-            key, _, via, a = entry
+            key, _, via, a = heappop(queue)
             if best[a] == key:
+                queued -= 1
                 break
             stale += 1  # superseded by a lower key, or already in the tree
         if key < delta - tol:
@@ -433,15 +500,26 @@ def _phase(tables: _Tables, frontiers: list[tuple], slot_ad: list[int],
         tree_slots[slot] = delta
         potential = p[slot] + delta
 
-    # flip the path from the free ad back to the root
-    moved = set()
+    # flip the path from the free ad back to the root; a slot leaves its
+    # old ad's pairs and joins the new one's, and both change there
+    changed: dict[int, int] = {}
     hops = 0
     while True:
         s = parent_slot[a]
         displaced = slot_ad[s]
         slot_ad[s] = a
         ad_slot[a] = s
-        moved.add(a // n)
+        t, was = a // n, displaced // n  # -1 at the root, which was empty
+        mine = pairs[t]
+        if t == was:
+            mine[bisect_left(mine, (s,))] = (s, a)
+        else:
+            insort(mine, (s, a))
+            if displaced >= 0:
+                theirs = pairs[was]
+                del theirs[bisect_left(theirs, (s,))]
+                changed[was] = min(s, changed.get(was, s))
+        changed[t] = min(s, changed.get(t, s))
         hops += 1
         if s == root:
             break
@@ -453,12 +531,12 @@ def _phase(tables: _Tables, frontiers: list[tuple], slot_ad: list[int],
     for s, entry_shift in tree_slots.items():
         p[s] -= delta - entry_shift
     stats.phases.append((root, pops, delta, hops))
-    stats.max_queue_occupancy, stats.max_scan_candidates = max_queue, max_scan
+    stats.max_queue_occupancy = max(stats.max_queue_occupancy, most + 1)
     # every push was popped (live or stale) or is still queued; the last
     # pop, a head's, came from no push
     stats.heap_pushes += pops - 1 + stale + len(queue)
     stats.stale_pops += stale
-    return moved
+    return changed, tree_slots
 
 
 def solve_adtypes(inst: Instance, *,
@@ -469,6 +547,14 @@ def solve_adtypes(inst: Instance, *,
     phase per slot, so after phase ``j`` the matching is optimal for the
     sub-instance made of slots ``0..j``.  Rejects instances with gap rules,
     and raises :class:`PhaseInvariantError` if rounding breaks a phase.
+
+    The frontiers and their rebuild state are carried from phase to phase,
+    and after each phase only the types its path changed are rebuilt, from
+    the lowest slot that changed (:func:`_frontiers`).  The instrumented
+    solve, ``collect_phase_matchings=True``, records each phase's matching
+    and :attr:`SolveStats.max_scan_candidates`, counted off each phase's
+    scanned slots and the frontiers it read; a default solve leaves that
+    maximum ``None`` and counts nothing per scan.
     """
     if has_gap_rules(inst):
         raise ValidationError("instance has gap rules: use the gap dynamic program")
@@ -477,17 +563,21 @@ def solve_adtypes(inst: Instance, *,
     u, p = tables.initial_duals()
     slot_ad = [-1] * n
     ad_slot = [-1] * (k * n)
-    stats = SolveStats(phase_matchings=[] if collect_phase_matchings else None)
-    frontiers = _frontiers(tables, slot_ad, ad_slot, range(k))
+    stats = SolveStats()
+    if collect_phase_matchings:
+        stats.max_scan_candidates, stats.phase_matchings = 0, []
+    pairs, frontiers, kept = _build_frontiers(tables, slot_ad, ad_slot)
 
     for j in range(n):
-        moved = _phase(tables, frontiers, slot_ad, ad_slot, u, p, j, stats)
-        # after phase j exactly slots 0..j are filled
-        for t, frontier in zip(moved, _frontiers(tables, slot_ad[:j + 1],
-                                                 ad_slot, moved)):
-            frontiers[t] = frontier
-        if stats.phase_matchings is not None:
+        changed, scanned = _phase(tables, frontiers, pairs, slot_ad, ad_slot,
+                                  u, p, j, stats)
+        if collect_phase_matchings:
+            stats.max_scan_candidates = max(
+                stats.max_scan_candidates,
+                *(sum(len(near[x]) + (x >= hfrom)
+                      for _, _, hfrom, near, _ in frontiers) for x in scanned))
             stats.phase_matchings.append(tables.matching(slot_ad))
+        _frontiers(tables, pairs, ad_slot, changed, frontiers, kept)
 
     matching = tables.matching(slot_ad)
     duals = DualSolution(tuple(tuple(u[t * n:(t + 1) * n]) for t in range(k)),

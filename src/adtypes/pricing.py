@@ -328,7 +328,7 @@ class _SlotPaths:
         best = max(others - repair, others - repair + far)
         # a slot settled at distance d places i for at most others + top - d,
         # so the pass stops once d exceeds reach - best
-        reach =others + max(r * a - p_j for a, p_j in zip(alpha, p)) + self.tol
+        reach = others + max(r * a - p_j for a, p_j in zip(alpha, p)) + self.tol
         if reach - best < 0.0:
             return best
         # the chains into s_i, searched only where they beat repair + D0;

@@ -37,7 +37,7 @@ from adtypes.hungarian import (
     DualSolution,
     OptimalSolution,
     PhaseInvariantError,
-    _frontiers,
+    _build_frontiers,
     _Tables,
     certify,
     crossing_violations,
@@ -88,10 +88,11 @@ def test_matches_bruteforce_on_random_instances():
 
 def test_instrumentation_budgets():
     # queue occupancy is bounded unconditionally; the three-ads-per-type scan
-    # bound holds when values and discounts are strict within each type
+    # bound holds when values and discounts are strict within each type,
+    # and the instrumented solve counts it
     for seed in range(120):
         inst = gen_strict_random(seed)
-        stats = solve_adtypes(inst).stats
+        stats = solve_adtypes(inst, collect_phase_matchings=True).stats
         assert stats.max_queue_occupancy <= inst.num_slots + inst.num_types
         assert stats.max_scan_candidates <= 3 * inst.num_types
     for seed in range(120):
@@ -116,7 +117,7 @@ def _scan_refs(inst: Instance, m: Matching, slot: int) -> list[AdRef]:
     type's matched candidates, and its head from ``hfrom`` on, with ads
     converted between ``AdRef`` and the solver's ``a = t*n + r``."""
     tables = _Tables(inst)
-    frontiers = _frontiers(tables, *_solver_state(tables, m), range(tables.k))
+    _, frontiers, _ = _build_frontiers(tables, *_solver_state(tables, m))
     return [AdRef(*divmod(a, tables.n))
             for head, vh, hfrom, near, _ in frontiers
             for a, _ in near[slot] + (((head, vh),) if slot >= hfrom else ())]
@@ -147,7 +148,8 @@ def _hfrom(values: list[float], discounts: list[float],
     inst = Instance(len(values), [TypeSpec("t", values, discounts)])
     tables = _Tables(inst)
     m = Matching({s: AdRef(0, r) for s, r in ranks_at.items()})
-    [(_, _, hfrom, _, _)] = _frontiers(tables, *_solver_state(tables, m), [0])
+    _, [(_, _, hfrom, _, _)], _ = _build_frontiers(tables,
+                                                   *_solver_state(tables, m))
     return hfrom
 
 
@@ -183,28 +185,33 @@ def test_slot_movers_stop_at_the_first_protecting_ad():
 
 
 def test_carried_frontiers_equal_a_full_rebuild(monkeypatch, tie_heavy):
-    # solve_adtypes keeps the frontiers between phases and rebuilds only
-    # the types whose ads the augmenting path moved; at the start of every
-    # phase the carried list must equal one built from scratch on the
-    # previous phase's matching
+    # solve_adtypes keeps the frontiers and each type's matched pairs
+    # between phases, and rebuilds only the suffix of each type the
+    # augmenting path changed; at the start of every phase the carried
+    # lists must equal ones built from scratch on the previous phase's
+    # matching
     phase = hungarian._phase
     checked = 0
 
-    def checking_phase(tables, frontiers, slot_ad, ad_slot, u, p, root,
-                       stats):
+    def checking_phase(tables, frontiers, pairs, slot_ad, ad_slot, u, p,
+                       root, stats):
         nonlocal checked
         if root:
             previous = stats.phase_matchings[-1]
             assert (slot_ad, ad_slot) == _solver_state(tables, previous)
-        assert frontiers == _frontiers(tables, slot_ad, ad_slot,
-                                       range(tables.k)), root
+        fresh_pairs, fresh, _ = _build_frontiers(tables, slot_ad, ad_slot)
+        assert pairs == fresh_pairs, root
+        assert frontiers == fresh, root
         checked += 1
-        return phase(tables, frontiers, slot_ad, ad_slot, u, p, root, stats)
+        return phase(tables, frontiers, pairs, slot_ad, ad_slot, u, p, root,
+                     stats)
 
     monkeypatch.setattr(hungarian, "_phase", checking_phase)
     cases = ([gen_exact_random(seed, max_n=12, max_k=4) for seed in range(60)]
              + [tie_heavy(seed) for seed in range(60)]
-             + [gen_scaling_instance(40, 4, 0)])
+             + [gen_scaling_instance(40, 4, 0),
+                gen_scaling_instance(200, 4, 0),
+                gen_random(GenConfig(80, 4, 0, "uniform-int", "step"))])
     for inst in cases:
         solve_adtypes(inst, collect_phase_matchings=True)
     assert checked == sum(inst.num_slots for inst in cases)
@@ -272,7 +279,7 @@ def test_every_table_lists_what_the_protected_walk_lists(tie_heavy):
         sol = solve_adtypes(inst, collect_phase_matchings=True)
         for m in sol.stats.phase_matchings:
             slot_ad, ad_slot = _solver_state(tables, m)
-            frontiers = _frontiers(tables, slot_ad, ad_slot, range(tables.k))
+            _, frontiers, _ = _build_frontiers(tables, slot_ad, ad_slot)
             for t, (head, vh, hfrom, near, disc) in enumerate(frontiers):
                 assert isinstance(near, list) and len(near) == n
                 by_rank = sorted((a, s) for s, a in enumerate(slot_ad)
@@ -308,17 +315,30 @@ def test_equal_discount_witness_does_not_protect():
 
 def test_phase_reads_the_frontiers_without_a_scan_call():
     # the phase loop reads each type's candidates as near[slot]: no scan
-    # helper is left, and _phase neither walks nor rebuilds a frontier
+    # helper is left, and _phase neither walks nor rebuilds a frontier nor
+    # counts the candidates it scans; a rebuild reads the type's matched
+    # pairs and never loops over the slots' ads
     tree = ast.parse(inspect.getsource(hungarian))
     defined = {node.name for node in ast.walk(tree)
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     assert not defined & {"_scan", "_Walk"}, defined
-    [phase] = [node for node in tree.body
-               if isinstance(node, ast.FunctionDef) and node.name == "_phase"]
+    functions = {node.name: node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
+    phase = functions["_phase"]
     called = {node.func.id for node in ast.walk(phase)
               if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
     assert called, "no calls found"
-    assert not called & {"_scan", "_walk", "_frontiers"}, called
+    assert not called & {"_scan", "_walk", "_frontiers", "_build_frontiers"}, \
+        called
+    bound = {node.id for node in ast.walk(phase)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+    assert bound and "scanned" not in bound, bound
+    loops = [node.iter for node in ast.walk(functions["_frontiers"])
+             if isinstance(node, (ast.For, ast.comprehension))]
+    assert loops, "no loops found"
+    assert not any(isinstance(name, ast.Name) and name.id == "slot_ad"
+                   for loop in loops for name in ast.walk(loop)), \
+        [ast.unparse(loop) for loop in loops]
 
 
 def test_scan_all_unmatched_one_candidate_per_type():
@@ -580,11 +600,16 @@ def test_counters_pinned_on_scaling_instance():
     # the counters the AdRef-keyed phase loop gave before the flat-int one,
     # but for the pushes and the scan size, which fell when the heads left
     # the heap and were listed only from hfrom on, and no entry above the
-    # least head entry was pushed
-    stats = solve_adtypes(gen_scaling_instance(100, 4, seed=0)).stats
+    # least head entry was pushed, and for the queue occupancy, which
+    # counts the matched ads pushed and not yet popped live plus the kept
+    # head entry; the scan size is counted by the instrumented solve only
+    inst = gen_scaling_instance(100, 4, seed=0)
+    stats = solve_adtypes(inst).stats
     assert stats.total_pops == stats.scan_calls == 3828
-    assert stats.max_queue_occupancy == 8
-    assert stats.max_scan_candidates == 8
+    assert stats.max_queue_occupancy == 3
+    assert stats.max_scan_candidates is None
+    assert solve_adtypes(inst, collect_phase_matchings=True
+                         ).stats.max_scan_candidates == 8
     assert sum(hops for _, _, _, hops in stats.phases) == 1996
     # pushes are counted from the pops, the stale pops and what each phase
     # leaves queued, with no counter in the offer loop
@@ -595,16 +620,20 @@ def test_counters_pinned_on_scaling_instance():
 def test_output_bits_pinned_on_scaling_instance():
     # the welfare, the counters and the dual sums, to the last bit, that
     # the phase loop gave before it read per-slot candidate tables (the
-    # pushes and the scan size since the heads left the heap)
-    sol = solve_adtypes(gen_scaling_instance(200, 4, 0))
+    # pushes and the scan size since the heads left the heap, the queue
+    # occupancy since it counts pushed ads only)
+    inst = gen_scaling_instance(200, 4, 0)
+    sol = solve_adtypes(inst)
     stats = sol.stats
     assert sol.welfare.hex() == "0x1.450a8d3cbc553p+13"
     assert stats.total_pops == 14154
     assert sum(hops for _, _, _, hops in stats.phases) == 7338
     assert stats.heap_pushes == 14045
     assert stats.stale_pops == 27
-    assert stats.max_scan_candidates == 8
-    assert stats.max_queue_occupancy == 8
+    assert stats.max_scan_candidates is None
+    assert solve_adtypes(inst, collect_phase_matchings=True
+                         ).stats.max_scan_candidates == 8
+    assert stats.max_queue_occupancy == 3
     assert math.fsum(sol.duals.p).hex() == "0x1.26a011107ae9ep+13"
     assert math.fsum(x for row in sol.duals.u for x in row).hex() == \
         "0x1.e6a7c2c416b58p+9"
@@ -612,16 +641,20 @@ def test_output_bits_pinned_on_scaling_instance():
 
 def test_output_bits_pinned_on_a_tied_instance():
     # integer values and a step curve: ties in value and runs of equal
-    # discounts at n=80, pinned to the last bit
-    sol = solve_adtypes(gen_random(GenConfig(80, 4, 0, "uniform-int", "step")))
+    # discounts at n=80, pinned to the last bit (the queue occupancy since
+    # it counts pushed ads only)
+    inst = gen_random(GenConfig(80, 4, 0, "uniform-int", "step"))
+    sol = solve_adtypes(inst)
     stats = sol.stats
     assert sol.welfare.hex() == "0x1.14e0000000000p+8"
     assert stats.total_pops == 2999
     assert sum(hops for _, _, _, hops in stats.phases) == 84
     assert stats.heap_pushes == 2948
     assert stats.stale_pops == 0
-    assert stats.max_scan_candidates == 76
-    assert stats.max_queue_occupancy == 82
+    assert stats.max_scan_candidates is None
+    assert solve_adtypes(inst, collect_phase_matchings=True
+                         ).stats.max_scan_candidates == 76
+    assert stats.max_queue_occupancy == 73
     assert math.fsum(sol.duals.p).hex() == "0x1.0240000000000p+8"
     assert math.fsum(x for row in sol.duals.u for x in row).hex() == \
         "0x1.2a00000000000p+4"
@@ -636,9 +669,9 @@ def test_heap_pushes_are_counted_and_take_no_head(monkeypatch):
     matched: list[int] = []
     pushes = 0
 
-    def recording_phase(tables, frontiers, slot_ad, ad_slot, *rest):
+    def recording_phase(tables, frontiers, pairs, slot_ad, ad_slot, *rest):
         matched[:] = ad_slot
-        return phase(tables, frontiers, slot_ad, ad_slot, *rest)
+        return phase(tables, frontiers, pairs, slot_ad, ad_slot, *rest)
 
     def counting_push(queue, entry):
         nonlocal pushes
@@ -654,6 +687,48 @@ def test_heap_pushes_are_counted_and_take_no_head(monkeypatch):
         pushes = 0
         stats = solve_adtypes(inst).stats
         assert pushes == stats.heap_pushes > 0
+
+
+def test_queue_occupancy_recounts_the_live_ads(monkeypatch, tie_heavy):
+    # max_queue_occupancy is the most matched ads pushed in a phase and not
+    # yet popped live, plus the kept head entry; recount it from the real
+    # heappush and heappop calls, where a popped entry is live iff it is
+    # its ad's last push (an ad's keys strictly fall), on the pinned
+    # instances and on ties, where an ad can get a key equal to the least
+    # head key without a push
+    phase, push, pop = hungarian._phase, hungarian.heappush, hungarian.heappop
+    last: dict[int, float] = {}
+    most = 1
+
+    def recording_phase(*args):
+        last.clear()
+        return phase(*args)
+
+    def counting_push(queue, entry):
+        nonlocal most
+        last[entry[3]] = entry[0]
+        most = max(most, len(last) + 1)
+        push(queue, entry)
+
+    def counting_pop(queue):
+        entry = pop(queue)
+        if last.get(entry[3]) == entry[0]:
+            del last[entry[3]]
+        return entry
+
+    monkeypatch.setattr(hungarian, "_phase", recording_phase)
+    monkeypatch.setattr(hungarian, "heappush", counting_push)
+    monkeypatch.setattr(hungarian, "heappop", counting_pop)
+    pinned = [gen_scaling_instance(100, 4, 0), gen_scaling_instance(200, 4, 0),
+              gen_random(GenConfig(80, 4, 0, "uniform-int", "step"))]
+    counts = []
+    for inst in pinned + [tie_heavy(seed) for seed in range(200)]:
+        most = 1
+        stats = solve_adtypes(inst).stats
+        assert stats.max_queue_occupancy == most
+        assert most <= inst.num_slots + inst.num_types
+        counts.append(most)
+    assert counts[:3] == [3, 3, 73]
 
 
 _SCALED_PARETO = """
