@@ -12,13 +12,17 @@ never bind while the witness's matched edge stays tight; that proof needs
 the witness to be strictly worse in value and strictly better in discount
 (or vice versa).  With strictly decreasing values and discounts the witness
 always exists and the scan touches at most three ads per type (unmatched
-head, one matched below, one matched above); ties widen the scan just enough
-to stay safe.  The same argument protects the head, the type's lowest-rank
-unmatched ad, at every slot before the run of equal discounts of the last
-ad worth more than it, so the head is offered only from that run on.  The
-argument needs only feasible duals with tight matched edges, so it
-outlives the solve: :func:`slot_movers` reads the same frontiers on the
-final matching for the pricing passes of :mod:`adtypes.pricing`.
+head, one matched below, one matched above).  Ties are another matter: a
+tied ad protects nothing, so the scan lists every matched ad tied with the
+witness it is looking for, up to every matched ad of the type when the
+type's values or discounts are all equal.  The solve is then O(n^3) in
+time and O(n^2) in memory (ROADMAP item 2, tie classes).  The same
+argument protects the head, the type's lowest-rank unmatched ad, at every
+slot before the run of equal discounts of the last ad worth more than it,
+so the head is offered only from that run on.  The argument needs only
+feasible duals with tight matched edges, so it outlives the solve:
+:func:`slot_movers` reads the same frontiers on the final matching for the
+pricing passes of :mod:`adtypes.pricing`.
 
 The duals certify optimality: feasible (u_i + p_j >= v_ij everywhere),
 non-negative, tight on every matched edge, and zero on unmatched ads;
@@ -50,8 +54,10 @@ only falls, so an entry above it is never popped and is not pushed, and
 an offer is tested against its key before anything else is read.
 Tree membership lives in the best-key list: a popped ad's key becomes
 -inf, which no offer undercuts, so the offer loop needs no membership test.
-No counter runs per offer or per scan: the scan size is counted by the
-instrumented solve alone, off each phase's tree slots.
+The tree itself is its slots, each keyed to the shift at which it and its
+ad joined.  No counter runs per offer or per scan: a push adds its ad to
+the set of live ads and a live pop takes it out, and the scan size is
+counted by the instrumented solve alone, off each phase's tree slots.
 
 The frontiers are carried from phase to phase: a type's frontier reads only
 that type's ads, so after each augmentation :func:`solve_adtypes` rebuilds
@@ -118,9 +124,10 @@ class SolveStats:
     the pops and not the pushes, and an offer above the least head entry
     is not pushed, as the phase ends before it could be popped.
     ``max_queue_occupancy`` is the most matched ads holding a live queued
-    key at once (pushed in the phase and not yet popped live), plus the
-    kept head entry, counted at an ad's first push and at its live pop, so
-    it stays at most n + k.
+    key at once, plus the kept head entry: the phase keeps the set of ads
+    pushed and not yet popped live, a push adds its ad and a live pop
+    removes it, and the set's size is read after each scan's offers.  A
+    popped ad is never pushed again, so the count stays at most n + k.
     ``max_scan_candidates``, the most candidates one scan offered, heads
     included, is counted by the instrumented solve only
     (``collect_phase_matchings=True``) and is ``None`` otherwise."""
@@ -136,7 +143,10 @@ class SolveStats:
     def total_pops(self) -> int:
         return sum(pops for _, pops, _, _ in self.phases)
 
-    # a phase scans its root, then each slot a pop adds: one scan per pop
+    # a phase scans its root, then each slot a pop adds: one scan per pop.
+    # The second name is kept only because perfbench/tracing.py reads it
+    # for its hungarian.scan_calls metric; ROADMAP item 1 (step 2) deletes
+    # it once the benchmark reads the run record
     scan_calls = total_pops
 
     def trace_lines(self) -> list[str]:
@@ -251,18 +261,11 @@ def _frontiers(tables: _Tables, pairs: list[list[tuple[int, int]]],
         ups, downs = kept[t]
         head, _, _, near, _ = frontiers[t]
         c = bisect_left(mine, (low_slot,))
-        # ups from the last pair down to c, then on down while they differ
-        tail = [()]
+        # ups from the last pair down; below pair c, only until one equals
+        # the kept one, at pair i0 - 1
+        fresh = [()]
         up, high = (), -inf
-        for _, a in reversed(mine[c:]):
-            v = val[a]
-            if v > high:
-                up, high = (pair[a],), v
-            elif v == high:
-                up += (pair[a],)
-            tail.append(up)
-        tail.reverse()
-        i0 = c
+        i0 = len(mine)
         while i0:
             a = mine[i0 - 1][1]
             v = val[a]
@@ -270,11 +273,11 @@ def _frontiers(tables: _Tables, pairs: list[list[tuple[int, int]]],
                 up, high = (pair[a],), v
             elif v == high:
                 up += (pair[a],)
-            if up == ups[i0 - 1]:
+            if i0 <= c and up == ups[i0 - 1]:
                 break
             i0 -= 1
-            ups[i0] = up
-        ups[c:] = tail
+            fresh.append(up)
+        ups[i0:] = fresh[::-1]
         # near from the slot of pair i0 - 1 on: the gap below each pair,
         # then the pair's own slot, which skips its own ad
         if i0:
@@ -395,8 +398,11 @@ def _phase(tables: _Tables, frontiers: list[tuple],
 
     The queue keys each candidate ad by the accumulated shift at which its
     best edge into the tree goes tight, so a pop is a dual update and a tree
-    extension in one step.  Tree ads and slots record the shift at which
-    they joined; the duals are written back once, at the end.  An ad's
+    extension in one step.  A popped matched ad and its slot join the tree
+    at the same shift, so ``tree_slots`` keys each tree slot to it, and
+    the duals are written back from it once, at the end, before the path
+    flip moves the ads: each tree slot loses, and its ad (the root has
+    none, as it starts empty) gains, the shift since they joined.  An ad's
     keys strictly fall, so a popped entry is live iff its key is still the
     ad's best, ``best[a]``; a popped ad's becomes -inf, which no later
     offer undercuts.
@@ -415,7 +421,6 @@ def _phase(tables: _Tables, frontiers: list[tuple],
     precede ``hbest``.
     """
     n, tol = tables.n, tables.tol
-    tree_ads: dict[int, float] = {}
     tree_slots: dict[int, float] = {root: 0.0}
     parent_slot: dict[int, int] = {}
     queue: list[tuple[float, float, int, int]] = []
@@ -423,12 +428,10 @@ def _phase(tables: _Tables, frontiers: list[tuple],
     hbest: tuple = (inf,)
     hb = inf
     best = [inf] * (tables.k * n)
-    # the matched ads pushed and not yet popped live; the most at once,
-    # plus the kept head entry, is the queue's occupancy.  An ad whose
-    # first key ties the least head entry without preceding it has a key
-    # and no entry: it waits in ``unqueued`` until its first push
-    queued = most = 0
-    unqueued: set[int] = set()
+    # the matched ads pushed and not yet popped live: the most at once,
+    # plus the kept head entry, is the queue's occupancy
+    live: set[int] = set()
+    most = 0
     delta = 0.0
     pops = stale = 0
     slot = root
@@ -442,23 +445,14 @@ def _phase(tables: _Tables, frontiers: list[tuple],
             for a, va in near[slot]:
                 value = ds * va
                 key = u[a] + potential - value
-                if key <= hb:
-                    cur = best[a]
-                    if key < cur:
-                        best[a] = key
-                        # equal keys resolve in the global edge order:
-                        # higher value, then lower slot, lower type, lower
-                        # rank
-                        entry = (key, -value, slot, a)
-                        if entry < hbest:
-                            heappush(queue, entry)
-                            if cur == inf:
-                                queued += 1
-                            elif a in unqueued:
-                                unqueued.remove(a)
-                                queued += 1
-                        elif cur == inf:
-                            unqueued.add(a)
+                if key <= hb and key < best[a]:
+                    best[a] = key
+                    # equal keys resolve in the global edge order: higher
+                    # value, then lower slot, lower type, lower rank
+                    entry = (key, -value, slot, a)
+                    if entry < hbest:
+                        heappush(queue, entry)
+                        live.add(a)
             # the head, from hfrom on: its entry stays off the heap, and
             # its utility is 0, as no unmatched ad joins the tree
             if slot >= hfrom:
@@ -469,8 +463,8 @@ def _phase(tables: _Tables, frontiers: list[tuple],
                     entry = (key, -value, slot, head)
                     if entry < hbest:
                         hbest, hb = entry, key
-        if queued > most:
-            most = queued
+        if len(live) > most:  # cheaper than max() once per pop
+            most = len(live)
         # pop the live entry with minimal key, a head's or the heap's, and
         # advance the shift to its tightness point (the step can be zero);
         # the root listed every head (phase j starts with j of the kn > j
@@ -482,7 +476,7 @@ def _phase(tables: _Tables, frontiers: list[tuple],
                 break
             key, _, via, a = heappop(queue)
             if best[a] == key:
-                queued -= 1
+                live.discard(a)
                 break
             stale += 1  # superseded by a lower key, or already in the tree
         if key < delta - tol:
@@ -496,9 +490,16 @@ def _phase(tables: _Tables, frontiers: list[tuple],
         slot = ad_slot[a]
         if slot < 0:
             break
-        tree_ads[a] = delta
         tree_slots[slot] = delta
         potential = p[slot] + delta
+
+    # in-tree slots lost and their ads gained, each pair from the shift at
+    # which both joined; the root was empty
+    for s, joined in tree_slots.items():
+        gain = delta - joined
+        p[s] -= gain
+        if s != root:
+            u[slot_ad[s]] += gain
 
     # flip the path from the free ad back to the root; a slot leaves its
     # old ad's pairs and joins the new one's, and both change there
@@ -525,11 +526,6 @@ def _phase(tables: _Tables, frontiers: list[tuple],
             break
         a = displaced
         hops += 1
-    # in-tree ads gained, in-tree slots lost, each from its own entry time
-    for a, entry_shift in tree_ads.items():
-        u[a] += delta - entry_shift
-    for s, entry_shift in tree_slots.items():
-        p[s] -= delta - entry_shift
     stats.phases.append((root, pops, delta, hops))
     stats.max_queue_occupancy = max(stats.max_queue_occupancy, most + 1)
     # every push was popped (live or stale) or is still queued; the last

@@ -316,8 +316,10 @@ def test_equal_discount_witness_does_not_protect():
 def test_phase_reads_the_frontiers_without_a_scan_call():
     # the phase loop reads each type's candidates as near[slot]: no scan
     # helper is left, and _phase neither walks nor rebuilds a frontier nor
-    # counts the candidates it scans; a rebuild reads the type's matched
-    # pairs and never loops over the slots' ads
+    # counts the candidates it scans, and keeps one record per fact: the
+    # live ads as a set and the tree as its slots, with no counters and no
+    # ad-keyed copy beside them; a rebuild reads the type's matched pairs
+    # and never loops over the slots' ads
     tree = ast.parse(inspect.getsource(hungarian))
     defined = {node.name for node in ast.walk(tree)
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
@@ -332,7 +334,8 @@ def test_phase_reads_the_frontiers_without_a_scan_call():
         called
     bound = {node.id for node in ast.walk(phase)
              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
-    assert bound and "scanned" not in bound, bound
+    assert bound and not bound & {"scanned", "tree_ads", "queued",
+                                  "unqueued"}, bound
     loops = [node.iter for node in ast.walk(functions["_frontiers"])
              if isinstance(node, (ast.For, ast.comprehension))]
     assert loops, "no loops found"
@@ -658,6 +661,42 @@ def test_output_bits_pinned_on_a_tied_instance():
     assert math.fsum(sol.duals.p).hex() == "0x1.0240000000000p+8"
     assert math.fsum(x for row in sol.duals.u for x in row).hex() == \
         "0x1.2a00000000000p+4"
+
+
+def _heavy_tie(case: str, n: int) -> Instance:
+    # the k=2 instances of the ROADMAP tie table: each type's values all
+    # equal, each type's discounts flat, or both
+    d = [1 - j / (n + 1) for j in range(n)]
+    strict = [[100 - j / (n + 1) for j in range(n)],
+              [90 - j / (n + 1) for j in range(n)]]
+    values, discounts = {
+        "equal values": ([[5.0] * n, [4.0] * n], [d, [x ** 1.3 for x in d]]),
+        "flat discounts": (strict, [[1.0] * n, [0.9] * n]),
+        "both": ([[5.0] * n, [4.0] * n], [[1.0] * n, [0.9] * n]),
+    }[case]
+    return Instance(n, [TypeSpec(name, v, a) for name, v, a
+                        in zip("ab", values, discounts)])
+
+
+@pytest.mark.parametrize("case, welfare_hex, pushes", [
+    ("equal values", "0x1.35d60864b8a7cp+7", 3108),
+    ("flat discounts", "0x1.752fbcda3ac11p+12", 1770),
+    ("both", "0x1.2c00000000000p+8", 1770),
+])
+def test_output_bits_pinned_on_heavy_ties(case, welfare_hex, pushes):
+    # a tied ad protects nothing, so every scan lists every matched ad of
+    # its type: the counters the phase loop gave at n=60 before tied ads
+    # shared a heap entry
+    inst = _heavy_tie(case, 60)
+    sol = solve_adtypes(inst)
+    stats = sol.stats
+    assert sol.welfare.hex() == welfare_hex
+    assert stats.total_pops == 1830
+    assert stats.heap_pushes == pushes
+    assert stats.stale_pops == 0
+    assert stats.max_queue_occupancy == 60
+    assert solve_adtypes(inst, collect_phase_matchings=True
+                         ).stats.max_scan_candidates == 61
 
 
 def test_heap_pushes_are_counted_and_take_no_head(monkeypatch):

@@ -167,7 +167,10 @@ def test_unknown_export_is_an_attribute_error():
 
 def test_tracing_reaches_every_patched_call(tmp_path):
     # the benchmark wraps module attributes; a handler that bound one of
-    # them at import would slip past its span
+    # them at import would slip past its span.  Its spans also carry the
+    # counts it reads off each solve's SolveStats and each reserve price
+    # call, which it makes with a positional allocator, so a change to
+    # either shows here and not only in a traced benchmark run
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
@@ -178,6 +181,9 @@ def test_tracing_reaches_every_patched_call(tmp_path):
         assert cli.run(["price", "--in", str(FIXTURES / "two_bidders.json"),
                         "--mechanism", "vcg",
                         "--out", str(tmp_path / "priced.json")]) == 0
+        assert cli.run(["price", "--in", str(FIXTURES / "two_bidders.json"),
+                        "--mechanism", "reserve",
+                        "--out", str(tmp_path / "reserved.json")]) == 0
         assert cli.run(["solve", "--in", str(FIXTURES / "gap_small.json"),
                         "--algo", "gapdp",
                         "--out", str(tmp_path / "sol.json")]) == 0
@@ -185,4 +191,15 @@ def test_tracing_reaches_every_patched_call(tmp_path):
         undo()
     assert {"core.load_instance", "cli.write_json", "hungarian.solve_adtypes",
             "pricing.vcg_prices_fast", "hungarian.certify",
+            "pricing.price_with_reserves",
             "gapdp.solve_gap_dp"} <= {s["name"] for s in tracer.spans}
+    counts = {}
+    for span in tracer.spans:
+        counts.setdefault(span["name"], []).append(span["counts"])
+    # one solve per price call: two phases, three pops, one matched ad
+    # queued beside the kept head entry and two one-hop paths; reserve
+    # pricing reads both winners off that solve, with no re-solve
+    assert counts["hungarian.solve_adtypes"] == [
+        {"pops": 3, "scan_calls": 3, "max_queue": 2, "path_hops": 2}] * 2
+    assert counts["pricing.price_with_reserves"] == [
+        {"resolves": 0, "winners": 2}]
