@@ -714,49 +714,42 @@ def certify(inst: Instance, sol: OptimalSolution) -> CertificateReport:
 def crossing_violations(inst: Instance, duals: DualSolution) -> list[tuple]:
     """Same-type tight-edge pairs that cross: ads i<i' (strictly ordered by
     value) and slots j<j' (strictly ordered by discount) with both (i,j') and
-    (i',j) tight, within :func:`~adtypes.core.scaled_tol`, as sorted
-    ``(type, i, j', i', j)`` tuples.  Feasible duals admit none;
-    equal-value or equal-discount pairs are exempt since either order is
-    then interchangeable.
+    (i',j) tight, within :func:`~adtypes.core.scaled_tol` ``tol``, as sorted
+    ``(type, i, j', i', j)`` tuples.  Equal-value or equal-discount pairs
+    are exempt since either order is then interchangeable.
 
-    Per type, finding the T tight edges takes O(n^2), and pairing them
-    O(n^2 + T log T + P log P) for the P pairs reported.  A tight edge
-    (i, j') pairs with the tight edges of the ranks past i's value class
-    whose slots come before j''s discount class.  The edges are swept by
-    that slot bound, and a rank joins the sorted active ranks once its
-    first tight slot falls below the bound, so every active rank past i's
-    class yields a pair."""
+    The two crossing slacks minus those of (i,j) and (i',j') equal
+    ``(v_i - v_i') * (alpha_j - alpha_j')``.  Tight slacks are at most
+    ``tol`` and feasible ones at least ``-tol``, so duals feasible within
+    ``tol`` (as :func:`certify` checks) admit no pair whose product exceeds
+    ``4 * tol``, and only such pairs are reported.  Without that margin,
+    geometric discounts that fall below ``tol`` make every tail edge tight,
+    and certified duals report crossings the tolerance explains.
+
+    Each type's tight edges are grouped into cells keyed by (value,
+    discount), and a cell pairs only with the cells strictly below it in
+    value and strictly above it in discount, by the margin; every edge of
+    the one crosses every edge of the other, so their product is reported.
+    Cells of equal value or equal discount never pair, which is the
+    exemption.  Per type this takes O(n^2 + C^2 + P log P) for C cells and
+    the P pairs reported.  On the solver's duals of strict curves the tight
+    edges, and so the cells, number O(n); a type whose values or discounts
+    all tie has at most n cells, one per discount or per value, and no two
+    of them pair."""
     out = []
     tol = scaled_tol(inst)
     p = duals.p
     for t, spec in enumerate(inst.types):
-        vals, disc, u = spec.values, spec.discounts, duals.u[t]
-        tight = [[s for s, a in enumerate(disc)
-                  if abs(u[r] + p[s] - v * a) <= tol]
-                 for r, v in enumerate(vals)]
-        # past[r]: the first rank of smaller value; first[s]: the first
-        # slot of equal discount (values and discounts are non-increasing)
-        past = list(range(1, len(vals) + 1))
-        for r in range(len(vals) - 2, -1, -1):
-            if vals[r + 1] == vals[r]:
-                past[r] = past[r + 1]
-        first = list(range(len(disc)))
-        for s in range(1, len(disc)):
-            if disc[s] == disc[s - 1]:
-                first[s] = first[s - 1]
-        edges = sorted((first[s], past[r], r, s)
-                       for r, slots in enumerate(tight) for s in slots)
-        joining = sorted((slots[0], r) for r, slots in enumerate(tight) if slots)
-        active: list[int] = []
-        joined = 0
-        for bound, start, r1, s1 in edges:
-            while joined < len(joining) and joining[joined][0] < bound:
-                insort(active, joining[joined][1])
-                joined += 1
-            for r2 in active[bisect_left(active, start):]:
-                for s2 in tight[r2]:
-                    if s2 >= bound:
-                        break
-                    out.append((t, r1, s1, r2, s2))
+        u = duals.u[t]
+        cells: dict[tuple[float, float], list[tuple[int, int]]] = {}
+        for r, v in enumerate(spec.values):
+            for s, a in enumerate(spec.discounts):
+                if abs(u[r] + p[s] - v * a) <= tol:
+                    cells.setdefault((v, a), []).append((r, s))
+        for (v1, a1), upper in cells.items():
+            for (v2, a2), lower in cells.items():
+                if v1 > v2 and (v1 - v2) * (a2 - a1) > 4 * tol:
+                    out.extend((t, r1, s1, r2, s2)
+                               for r1, s1 in upper for r2, s2 in lower)
     out.sort()
     return out

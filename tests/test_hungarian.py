@@ -499,7 +499,8 @@ def test_no_crossing_tight_edges():
 def _crossing_pairs_pairwise(inst: Instance, duals: DualSolution):
     """The crossing check by pairing every tight edge of a type with every
     other, in O(T^2) for T tight edges: the oracle of
-    :func:`crossing_violations`."""
+    :func:`crossing_violations`, with its margin of four tolerances on the
+    product of the value and discount gaps."""
     out = []
     tol = scaled_tol(inst)
     p = duals.p
@@ -510,7 +511,8 @@ def _crossing_pairs_pairwise(inst: Instance, duals: DualSolution):
         for r1, s1 in tight:
             for r2, s2 in tight:
                 if r1 < r2 and s2 < s1 and vals[r1] > vals[r2] \
-                        and disc[s2] > disc[s1]:
+                        and disc[s2] > disc[s1] \
+                        and (vals[r1] - vals[r2]) * (disc[s2] - disc[s1]) > 4 * tol:
                     out.append((t, r1, s1, r2, s2))
     return out
 
@@ -520,10 +522,13 @@ def test_crossing_violations_match_the_pairwise_oracle(tie_heavy):
     # of a zero value or a zero discount tight, and duals planted to make
     # each ad tight at a random slot are mostly infeasible, so both cross
     # often; one type of equal values and discounts makes every edge tight
-    # and crosses nowhere
+    # and crosses nowhere; strict real values on step discounts give each
+    # type many (value, discount) cells
     cases = ([gen_exact_random(seed, max_n=12, max_k=4) for seed in range(60)]
              + [tie_heavy(seed) for seed in range(200)]
-             + [Instance(30, [TypeSpec("flat", [4.0] * 30, [0.5] * 30)])])
+             + [Instance(30, [TypeSpec("flat", [4.0] * 30, [0.5] * 30)])]
+             + [gen_random(GenConfig(40, 3, seed, "uniform-real", "step"))
+                for seed in range(20)])
     found = 0
     for i, inst in enumerate(cases):
         n, k = inst.num_slots, inst.num_types
@@ -539,6 +544,18 @@ def test_crossing_violations_match_the_pairwise_oracle(tie_heavy):
             assert crossing_violations(inst, duals) == expected, i
             found += len(expected)
     assert found > 10000, found
+
+
+@pytest.mark.parametrize("seed", [6, 7])
+def test_crossings_within_the_tolerance_are_not_reported(seed):
+    # geometric discounts fall below the tolerance in the tail, so every
+    # tail edge is tight; the certified duals' crossings there have value
+    # gap times discount gap of at most 3.2e-8 (seed 6) and 4.9e-9 (seed
+    # 7), within the 4 * tol = 6.4e-8 that tight and feasible slacks allow
+    inst = gen_random(GenConfig(50, 4, seed, "uniform-int", "geometric"))
+    sol = solve_adtypes(inst)
+    assert certify(inst, sol).passed
+    assert crossing_violations(inst, sol.duals) == []
 
 
 def test_crossing_violations_scale_with_the_values():
