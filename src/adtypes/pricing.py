@@ -17,8 +17,8 @@ Four pricing routes:
   where welfare tangents cross, and refuses an allocator that returns no
   :class:`OptimalSolution`.
 
-The shortest-path passes are heap Dijkstras over the moves the solver's own
-candidate scan keeps on the final matching
+The shortest-path passes share one heap Dijkstra over the moves the
+solver's own candidate scan keeps on the final matching
 (:func:`~adtypes.hungarian.slot_movers`): O(kn) of them, read from the
 solver's lists.
 
@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import heapify, heappop, heappush
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .core import (
     AdRef,
@@ -117,31 +117,35 @@ class ReserveVector:
 # Shortest paths over the slots of a certified solution
 
 def _dijkstra(dist: list[float], sources: Iterable[int],
-              moves: list[list[int]], length: Callable) -> list[int]:
+              moves: list[list[int]],
+              length: Callable) -> Iterator[tuple[float, int]]:
     """Distances over the slots from the start distances ``dist`` of the
-    ``sources``, in place: settle the nearest unsettled slot x, lower each
-    unsettled slot y in ``moves[x]`` to ``dist[x] + length(x, y)`` where
-    that is smaller, repeat.  A slot that is not a source enters only once
-    lowered below its start distance, which thus bounds the search.  The
-    lengths are reduced costs, never negative, so each slot settles once.
-    Returns the settled slots in order."""
+    ``sources``, in place: take the nearest unsettled slot x, settle it,
+    lower each unsettled slot y in ``moves[x]`` to ``dist[x] + length(x,
+    y)`` where that is smaller, repeat.  A slot that is not a source enters
+    only once lowered below its start distance, which thus bounds the
+    search.  The lengths are reduced costs, never negative, so each slot
+    settles once, in order of distance.
+
+    Yields each ``(d, x)`` as x comes off the heap, before x is settled: a
+    caller that breaks there leaves x unsettled, so nothing is relaxed from
+    it, and a caller that drains the generator settles every slot it
+    reaches."""
     settled = [False] * len(dist)
-    order = []
     heap = [(dist[x], x) for x in sources]
     heapify(heap)
     while heap:
         d, x = heappop(heap)
         if settled[x]:
             continue
+        yield d, x
         settled[x] = True
-        order.append(x)
         for y in moves[x]:
             if not settled[y]:
                 dy = d + length(x, y)
                 if dy < dist[y]:
                     dist[y] = dy
                     heappush(heap, (dy, y))
-    return order
 
 
 class _SlotPaths:
@@ -181,7 +185,9 @@ class _SlotPaths:
       displaces in turn.  Either the chain ends in a dropped ad and the
       vacancy at ``s_i`` is repaired apart (``vacate[s_i] + D0[j]``), or
       it ends in ``s_i`` itself, which closes it at no further cost:
-      ``d_i(j)``, a Dijkstra from ``d_i(s_i) = 0`` over the same moves.
+      ``d_i(j)``, the distances from ``d_i(s_i) = 0`` over the same moves.
+      All three passes share one heap loop, :func:`_dijkstra`; ``vacate``
+      and ``D0`` drain it, and the local pass reads the slots it yields.
       So ``room[j] = min(vacate[s_i] + D0[j], d_i(j))``, and the welfare
       is the largest of ``W_{-i}``; the far term ``W - u_i - vacate[s_i]
       + max_j (r * alpha_{t_i, j} - p_j - D0[j])``; and the placed term
@@ -239,8 +245,10 @@ class _SlotPaths:
     p_j - d``, which is at most ``W - u_i + top - d`` for ``top = max_j (r
     * alpha_{t_i, j} - p_j)``.  Dijkstra settles the slots in order of
     distance, so once a slot's distance exceeds ``W - u_i + top - best``
-    no slot left can beat ``best``, and the pass stops there; ``best``
-    rises with each placed term that beats it, which lowers the bound.
+    no slot left can beat ``best``, and the pass stops there: the caller
+    breaks out of :func:`_dijkstra` at the slot it yielded, which thus stays
+    unsettled and moves no ad on.  ``best`` rises with each placed term that
+    beats it, which lowers the bound.
     Where the bound is below 0 not even ``s_i``, at distance 0, can beat
     ``best``: the call returns before it builds its distances.  The stop
     test adds ``scaled_tol`` to the bound.  Without it, a slot just past
@@ -298,8 +306,8 @@ class _SlotPaths:
         u_at, v_at, d_at = self.u_at, self.v_at, self.d_at
         self.vacate = start
         # the ad at s moves into y
-        self.settled = len(_dijkstra(start, range(n), into, lambda s, y: (
-            u_at[s] + p[y] - v_at[s] * d_at[s][y])))
+        self.settled = sum(1 for _ in _dijkstra(start, range(n), into, (
+            lambda s, y: u_at[s] + p[y] - v_at[s] * d_at[s][y])))
         # the ad at y moves into x
         self._move = lambda x, y: u_at[y] + p[x] - v_at[y] * d_at[y][x]
 
@@ -310,8 +318,8 @@ class _SlotPaths:
         :meth:`lowered_welfare` reads it, so the pass runs on its first
         call and VCG prices never pay for it."""
         d0 = list(self.u_at)
-        self.settled += len(_dijkstra(d0, range(len(d0)), self.movers,
-                                      self._move))
+        self.settled += sum(1 for _ in _dijkstra(d0, range(len(d0)),
+                                                 self.movers, self._move))
         return d0
 
     @cached_property
@@ -335,28 +343,13 @@ class _SlotPaths:
         # s_i settles first, so nothing moves into it: its ad is gone
         room = [repair + d for d in self.d0]
         room[s_i] = 0.0
-        settled = [False] * len(room)
-        heap = [(0.0, s_i)]
-        movers, u_at, v_at, d_at = self.movers, self.u_at, self.v_at, self.d_at
-        while heap:
-            d, x = heappop(heap)
-            if settled[x]:
-                continue
+        for d, x in _dijkstra(room, (s_i,), self.movers, self._move):
             if d > reach - best:
-                break
-            settled[x] = True
+                break  # x stays unsettled, so nothing moves on from it
             self.settled += 1
             placed = r * alpha[x] + others - p[x] - d
             if placed > best:
                 best = placed
-            # the ad at y moves into x
-            p_x = p[x]
-            for y in movers[x]:
-                if not settled[y]:
-                    dy = d + (u_at[y] + p_x - v_at[y] * d_at[y][x])
-                    if dy < room[y]:
-                        room[y] = dy
-                        heappush(heap, (dy, y))
         return best
 
 

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -253,9 +255,9 @@ def _unbounded_lowered_welfare(paths, s_i, r):
     # s_i settles first, so nothing moves into it: its ad is gone
     room = [repair + d for d in paths.d0]
     room[s_i] = 0.0
-    near = pricing._dijkstra(room, (s_i,), paths.movers, paths._move)
     p = paths.p
-    placed = max(r * alpha[j] + others - p[j] - room[j] for j in near)
+    placed = max(r * alpha[j] + others - p[j] - d for d, j in
+                 pricing._dijkstra(room, (s_i,), paths.movers, paths._move))
     return max(others - repair, others - repair + far, placed)
 
 
@@ -344,11 +346,12 @@ def test_bounded_winner_passes_match_the_unbounded_pass_bit_for_bit():
 
 def test_winner_passes_stop_once_no_slot_can_raise_the_welfare():
     # a winner's pass stops at the first slot whose distance rules out
-    # beating the best welfare found so far; at half its value no winner's
-    # slot can beat leaving it out or placing it by D0, so no winner pass
-    # settles a slot, and at the other bids all passes together settle
-    # about 0.30 * n * n slots per bid (0.52 * n * n when every pass ran
-    # until no chain beat D0)
+    # beating the best welfare found so far; at half its value and at 0 no
+    # winner's slot can beat leaving it out or placing it by D0, so no
+    # winner pass settles a slot, and over the bids 0, the value and twice
+    # it all passes together settle about 0.30 * n * n slots per bid (0.52
+    # * n * n when every pass ran until no chain beat D0); the exact counts
+    # pin where each pass stops
     inst = gen_scaling_instance(400, 4, 0)
     sol = solve_adtypes(inst)
     paths = pricing._SlotPaths(inst, sol)
@@ -357,13 +360,62 @@ def test_winner_passes_stop_once_no_slot_can_raise_the_welfare():
     assert paths.settled == n  # vacate settles every slot
     paths.d0
     assert paths.settled == 2 * n  # and so does D0, once read
-    for slot, ad in sol.matching.pairs:
-        paths.lowered_welfare(slot, 0.5 * inst.value_of(ad))
-    assert paths.settled == 2 * n
-    for mult in (0.0, 1.0, 2.0):
+    for mult, settled in ((0.5, 800), (0.0, 800), (1.0, 71625),
+                          (2.0, 145307)):
         for slot, ad in sol.matching.pairs:
             paths.lowered_welfare(slot, mult * inst.value_of(ad))
+        assert paths.settled == settled, (mult, paths.settled)
     assert paths.settled - 2 * n <= 3 * 0.35 * n * n, paths.settled
+
+
+def test_dijkstra_yields_each_slot_before_settling_it():
+    # four slots from source 0: 0 -> 2 costs 1, 2 -> 3 costs 2, 0 -> 3
+    # costs 5 and 0 -> 1 costs 4, which does not lower slot 1 below its
+    # start distance 2.5
+    moves = [[1, 3, 2], [], [3], []]
+    lengths = {(0, 1): 4.0, (0, 3): 5.0, (0, 2): 1.0, (2, 3): 2.0}
+
+    def length(x, y):
+        return lengths[x, y]
+
+    # slots come out in order of distance, the stale entry for slot 3 at 5
+    # is skipped, and slot 1, never lowered, never enters
+    dist = [0.0, 2.5, 10.0, 10.0]
+    assert list(pricing._dijkstra(dist, (0,), moves, length)) == \
+        [(0.0, 0), (1.0, 2), (3.0, 3)]
+    assert dist == [0.0, 2.5, 1.0, 3.0]
+    # breaking at slot 2 leaves it unsettled: nothing is relaxed from it,
+    # so slot 3 keeps the distance slot 0 gave it
+    dist = [0.0, 2.5, 10.0, 10.0]
+    seen = []
+    for d, x in pricing._dijkstra(dist, (0,), moves, length):
+        seen.append((d, x))
+        if x == 2:
+            break
+    assert seen == [(0.0, 0), (1.0, 2)]
+    assert dist == [0.0, 2.5, 1.0, 5.0]
+
+
+def test_one_heap_loop_serves_every_pricing_pass():
+    # only _dijkstra touches a heap; a winner's pass reads its slots from
+    # it and keeps no heap or settled list of its own
+    tree = ast.parse(inspect.getsource(pricing))
+    callers: dict[str, set[str]] = {}
+    functions = {}
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            functions[fn.name] = fn
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and \
+                        isinstance(node.func, ast.Name):
+                    callers.setdefault(node.func.id, set()).add(fn.name)
+    assert callers.get("heappop") == {"_dijkstra"}, callers.get("heappop")
+    assert callers.get("heappush") == {"_dijkstra"}, callers.get("heappush")
+    assert "lowered_welfare" in callers.get("_dijkstra", set()), \
+        callers.get("_dijkstra")
+    bound = {node.id for node in ast.walk(functions["lowered_welfare"])
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+    assert bound and not bound & {"heap", "settled"}, bound
 
 
 def test_lowered_welfare_two_chain_case():
