@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 TOL = 1e-9
@@ -103,7 +103,7 @@ class Instance:
     num_slots: int
     types: tuple[TypeSpec, ...]
     gap: tuple[tuple[int, ...], ...] | None = None
-    real_counts: tuple[int, ...] = field(default=(), compare=False)
+    real_counts: tuple[int, ...] = ()
 
     def __init__(self, num_slots, types, gap=None):
         n = as_integer(num_slots, "num_slots")

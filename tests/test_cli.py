@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adtypes import cli
+from adtypes import cli, gapdp
 from adtypes.bench import GenConfig, gen_random
 from adtypes.cli import run
 from adtypes.core import instance_to_dict, load_instance
@@ -73,8 +73,11 @@ def test_solve_gapdp_past_twelve_slots(tmp_path):
     assert _read(out)["welfare"] == 13.0
 
 
-def test_solve_gapdp_refuses_a_large_state_space(tmp_path, capsys):
-    # no gaps, k=6, n=60: about 8.7e8 states, refused before the work
+def test_solve_gapdp_refuses_a_large_state_space(tmp_path, capsys,
+                                                 monkeypatch):
+    # no gaps, k=6, n=60: the guard counts the states stored as it goes,
+    # and a smaller budget refuses the instance after a few slots
+    monkeypatch.setattr(gapdp, "MAX_STATES", 50_000)
     inst = tmp_path / "in.json"
     _flat_instance(inst, 60, 6, [[0] * 6 for _ in range(6)])
     start = time.perf_counter()

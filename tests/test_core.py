@@ -125,6 +125,20 @@ def test_padding_and_truncation():
     assert inst.real_counts == (1, 3)
 
 
+def test_instances_that_differ_only_in_real_ads_differ():
+    # padding makes the two value lists equal, but one ad is real in the
+    # first and two in the second: they serialize and price differently,
+    # so they compare and hash apart
+    one = Instance(2, [TypeSpec("a", [1.0], [1, 1])])
+    two = Instance(2, [TypeSpec("a", [1.0, 0.0], [1, 1])])
+    assert one.types == two.types
+    assert one != two
+    assert len({one, two}) == 2
+    assert instance_to_dict(one) != instance_to_dict(two)
+    same = Instance(2, [TypeSpec("a", [1.0], [1, 1])])
+    assert one == same and hash(one) == hash(same)
+
+
 def test_edge_value_examples(example1):
     # video worth 12 in the second slot at discount 1/3
     assert edge_value(example1, AdRef(0, 0), 1) == pytest.approx(4.0)

@@ -232,49 +232,36 @@ def test_capped_dp_without_gaps_matches_hungarian(n, k):
 
 
 def test_capped_dp_guard_names_the_state_count(monkeypatch):
-    # refused up front by the lower bound (no gaps: every count vector is
-    # a state) and while running (self-gaps leave the bound below the count)
+    # one guard, the running count of the states stored, refuses with and
+    # without gaps
     types = [TypeSpec(f"t{i}", [1.0] * 8, [1.0] * 8) for i in range(4)]
     free = Instance(8, types, [[0] * 4 for _ in range(4)])
     monkeypatch.setattr(gapdp, "MAX_STATES", 50)
-    with pytest.raises(GuardError, match=r"at least \d+ states"):
+    with pytest.raises(GuardError, match=r"stored 70 states by slot 4 of 8"):
         solve_gap_dp(free)
     spaced = Instance(8, types, [[int(i == j) for j in range(4)]
                                  for i in range(4)])
-    assert gapdp._min_states(spaced.real_counts, 8, 2) <= 400
     monkeypatch.setattr(gapdp, "MAX_STATES", 400)
     with pytest.raises(GuardError, match=r"stored \d+ states by slot \d+"):
         solve_gap_dp(spaced)
 
 
-def test_min_states_never_exceeds_the_states_stored(monkeypatch):
-    # with the up-front check off, a budget one below the bound must still
-    # be exceeded while running; a zero incumbent turns pruning off, so the
-    # bound is checked against the unpruned DP the up-front guard relies on
-    bound = gapdp._min_states
-    monkeypatch.setattr(gapdp, "_min_states", lambda *args: 0)
-    monkeypatch.setattr(gapdp, "_greedy_welfare", lambda inst: 0.0)
-    for seed in range(80):
-        rng = np.random.default_rng(seed + 9000)
-        inst = _gap_instance(rng, int(rng.integers(1, 11)),
-                             int(rng.integers(1, 4)), int(rng.integers(0, 3)))
-        least = bound(inst.real_counts, inst.num_slots,
-                      max(map(max, inst.gap)) + 1)
-        monkeypatch.setattr(gapdp, "MAX_STATES", least - 1)
-        with pytest.raises(GuardError, match="stored"):
-            solve_gap_dp(inst)
+def _decaying_instance(seed: int, k: int, n: int, self_gap: int) -> Instance:
+    # values drawn from [10, 100], geometric discounts with ratios drawn from
+    # [0.75, 0.95], and a gap of ``self_gap`` within each type only
+    rng = np.random.default_rng(seed)
+    types = [TypeSpec(f"t{t}", sorted(rng.uniform(10.0, 100.0, n),
+                                      reverse=True),
+                      [q ** j for j in range(n)])
+             for t, q in enumerate(rng.uniform(0.75, 0.95, k))]
+    return Instance(n, types, [[self_gap * (i == j) for j in range(k)]
+                               for i in range(k)])
 
 
 def test_pruning_finishes_what_the_unpruned_dp_refuses(monkeypatch):
     # one-slot self-gaps at k=4, n=24: the unpruned DP stores 365,821
     # states, the bound-pruned one 35,803
-    rng = np.random.default_rng(2024)
-    types = [TypeSpec(f"t{t}", sorted(rng.uniform(10.0, 100.0, 24),
-                                      reverse=True),
-                      [q ** j for j in range(24)])
-             for t, q in enumerate(rng.uniform(0.75, 0.95, 4))]
-    inst = Instance(24, types, [[int(i == j) for j in range(4)]
-                                for i in range(4)])
+    inst = _decaying_instance(2024, 4, 24, 1)
     budget = gapdp.MAX_STATES
     monkeypatch.setattr(gapdp, "MAX_STATES", 100_000)
     pruned = solve_gap_dp(inst)
@@ -284,3 +271,14 @@ def test_pruning_finishes_what_the_unpruned_dp_refuses(monkeypatch):
         solve_gap_dp(inst)
     monkeypatch.setattr(gapdp, "MAX_STATES", budget)
     assert welfare(inst, pruned) == welfare(inst, solve_gap_dp(inst))
+
+
+def test_guard_refuses_by_the_states_the_pruned_dp_stores():
+    # the unpruned DP would store at least 9,366,819 states at k=5, n=40
+    # without gaps and 2,307,767 at k=4, n=80 with one-slot self-gaps, both
+    # over MAX_STATES; the pruned DP stores far fewer and solves both
+    free = _decaying_instance(1, 5, 40, 0)
+    best = solve_adtypes(free).welfare
+    assert abs(welfare(free, solve_gap_dp(free)) - best) <= tol_for(best)
+    spaced = _decaying_instance(1, 4, 80, 1)
+    assert check_gap_feasible(spaced, solve_gap_dp(spaced))

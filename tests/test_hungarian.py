@@ -28,6 +28,7 @@ from adtypes.core import (
     Matching,
     TypeSpec,
     ValidationError,
+    load_instance,
     scaled_tol,
     tol_for,
     welfare,
@@ -383,6 +384,42 @@ def test_certify_fails_on_a_priced_empty_slot():
     inst = Instance(1, [TypeSpec("t", [5.0], [1.0])])
     empty = OptimalSolution(Matching({}), DualSolution(((0.0,),), (5.0,)), 0.0)
     assert not certify(inst, empty).passed
+
+
+def _corrupted(sol: OptimalSolution, n: int, case: str) -> OptimalSolution:
+    # the solution with the one fault that the message ``case`` names
+    duals, pairs, w = sol.duals, sol.matching.pairs, sol.welfare
+    if case == "non-finite edge slack":
+        duals = DualSolution(tuple((1e308,) * n for _ in duals.u), (1e308,) * n)
+    elif case == "matched pair out of range":
+        (_, ad), *rest = pairs
+        pairs = rest + [(n, ad)]
+    elif case == "non-finite welfare":
+        w = float("nan")
+    else:
+        w += 1.0
+    return OptimalSolution(Matching(pairs), duals, w)
+
+
+@pytest.mark.parametrize("case", [
+    "non-finite edge slack", "matched pair out of range",
+    "non-finite welfare", "stored welfare does not match the matching"])
+def test_certify_names_each_refusal(fixtures_dir, case):
+    # pricing trusts the duals only once certify passes them, so each of
+    # these must fail the certificate and say why
+    inst = load_instance(fixtures_dir / "example1.json")
+    corrupt = _corrupted(solve_adtypes(inst), inst.num_slots, case)
+    report = certify(inst, corrupt)
+    assert not report.passed
+    assert any(m.startswith(case) for m in report.messages), report.messages
+
+
+def test_vcg_prices_refuse_a_wrong_stored_welfare(fixtures_dir):
+    inst = load_instance(fixtures_dir / "example1.json")
+    corrupt = _corrupted(solve_adtypes(inst), inst.num_slots,
+                         "stored welfare does not match the matching")
+    with pytest.raises(ValidationError, match="stored welfare does not match"):
+        vcg_prices_fast(inst, corrupt)
 
 
 def _dense_slack_findings(inst: Instance, sol: OptimalSolution):
