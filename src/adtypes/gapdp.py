@@ -17,11 +17,12 @@ With ``S`` the largest number of states in one layer,
 count), and S never exceeds the number of since-vectors capped at
 ``max_j G[t][j] + 1``.  The work is O(k n S).  The one guard counts the
 states the pruned DP (below) stores, summed over the layers, so it refuses
-by the size of the work, not by ``n``.  It checks after each layer, so a
-refusal can overshoot :data:`MAX_STATES` by up to one layer, and it costs
-the time and memory of storing those states: zero gaps at k=6, n=60 stop
-at slot 31 with 2,324,784 states stored, after about 5 s and 175 MB on a
-2-vCPU machine.
+by the size of the work, not by ``n``.  It checks every 1024 source states
+within a layer and after each layer, so a refusal overshoots
+:data:`MAX_STATES` by at most 1024 * (k + 1) states however wide the layer,
+and it costs the time and memory of storing those states: zero gaps at
+k=6, n=60 stop at slot 31 with 2,000,353 states stored, after about 4 s and
+130 MB on a 2-vCPU machine.
 
 The DP is bound-pruned, branch-and-bound style (Morin and Marsten 1976).
 The incumbent is the welfare of a gap-feasible greedy: slot by slot, place
@@ -110,9 +111,9 @@ def solve_gap_dp(inst: Instance) -> Matching:
     is stored only when it exceeds its layer's cut (module docstring), with
     :func:`_greedy_welfare` as the incumbent.  Refuses, with
     :class:`GuardError`, an instance whose layers together store more than
-    :data:`MAX_STATES` states, checked after each layer is built: the count
-    is of the states the pruned DP keeps, so a refusal comes only after
-    those states are stored.
+    :data:`MAX_STATES` states, checked every 1024 source states and after
+    each layer: the count is of the states the pruned DP keeps, so a
+    refusal comes only after those states are stored.
     """
     from array import array  # here, so commands without the DP never load it
 
@@ -166,6 +167,10 @@ def solve_gap_dp(inst: Instance) -> Matching:
         nxt: dict[int, float] = {}
         par: dict[int, int] = {}
         for i, (key, v) in enumerate(cur.items()):
+            # every 1024 source states, so the refusal below overshoots the
+            # budget by at most 1024 * (k + 1) states, however wide the layer
+            if not i & 1023 and stored + len(nxt) > MAX_STATES:
+                break
             code = key % width
             mv = moves.get(code)
             if mv is None:
@@ -186,9 +191,8 @@ def solve_gap_dp(inst: Instance) -> Matching:
                         par[nk] = p + t + 1
         stored += len(nxt)
         if stored > MAX_STATES:
-            raise GuardError(
-                f"gap DP stored {stored} states by slot {s + 1} of {n}, over "
-                f"MAX_STATES={MAX_STATES} (k={k})")
+            raise GuardError(f"gap DP stored {stored} states by slot {s + 1} "
+                             f"of {n}, over MAX_STATES={MAX_STATES} (k={k})")
         history.append(array("q", par.values()))
         cur = nxt
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -282,3 +284,18 @@ def test_guard_refuses_by_the_states_the_pruned_dp_stores():
     assert abs(welfare(free, solve_gap_dp(free)) - best) <= tol_for(best)
     spaced = _decaying_instance(1, 4, 80, 1)
     assert check_gap_feasible(spaced, solve_gap_dp(spaced))
+
+
+def test_guard_stops_a_wide_layer_within_the_budget(monkeypatch):
+    # k=200, n=4, zero gaps, flat values: the first three layers hold
+    # 1,373,701 count vectors, so a check only after each layer would store
+    # all of them; the in-layer check stops within 1024 * (k + 1) of the
+    # budget
+    k, n = 200, 4
+    types = [TypeSpec(f"t{t}", [1.0] * n, [1.0] * n) for t in range(k)]
+    wide = Instance(n, types, [[0] * k for _ in range(k)])
+    monkeypatch.setattr(gapdp, "MAX_STATES", 50_000)
+    with pytest.raises(GuardError, match=r"by slot 3 of 4") as refused:
+        solve_gap_dp(wide)
+    stored = int(re.search(r"stored (\d+) states", str(refused.value))[1])
+    assert 50_000 < stored <= 50_000 + 1024 * (k + 1)
