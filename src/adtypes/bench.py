@@ -68,7 +68,7 @@ def gen_random(cfg: GenConfig) -> Instance:
     return Instance(cfg.n, types)
 
 
-def gen_exact_random(seed: int, max_n: int = 8, max_k: int = 4) -> Instance:
+def gen_exact_random(seed: int, max_n: int, max_k: int) -> Instance:
     """Random instance whose edge values are all dyadic rationals, so welfare
     comparisons across solvers are exact in binary floating point."""
     rng = np.random.default_rng(seed)
@@ -79,7 +79,7 @@ def gen_exact_random(seed: int, max_n: int = 8, max_k: int = 4) -> Instance:
                                 "uniform-int", family))
 
 
-def gen_strict_random(seed: int, max_n: int = 8, max_k: int = 4) -> Instance:
+def gen_strict_random(seed: int, max_n: int, max_k: int) -> Instance:
     """Like :func:`gen_exact_random` but with distinct integer values per
     type and strictly decreasing dyadic discounts: within every type both
     orders are strict, the regime in which the frontier scan provably

@@ -161,7 +161,7 @@ def _cmd_gen(args) -> int:
     from . import bench  # here, so other commands never load numpy
 
     if args.family in ("random", "assignment") and args.seed < 0:
-        raise ValueError(f"--seed must be >= 0, not {args.seed}")
+        raise _UsageError(f"--seed must be at least 0, not {args.seed}")
     if args.family == "random":
         inst = bench.gen_random(bench.GenConfig(
             args.n, args.k, args.seed, args.values, args.discounts))

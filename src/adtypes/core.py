@@ -32,10 +32,6 @@ def tol_for(magnitude: float) -> float:
 class ValidationError(ValueError):
     """Raised when an instance, or a document describing one, is invalid."""
 
-    def __init__(self, errors):
-        self.errors = list(errors) if not isinstance(errors, str) else [errors]
-        super().__init__("; ".join(self.errors))
-
 
 class GuardError(RuntimeError):
     """Raised when an exhaustive solver or the gap DP refuses an instance
@@ -126,7 +122,7 @@ class Instance:
         object.__setattr__(self, "gap", gap)
         errors = validate_instance(self)
         if errors:
-            raise ValidationError(errors)
+            raise ValidationError("; ".join(errors))
 
     @property
     def num_types(self) -> int:

@@ -352,9 +352,9 @@ def solve_two_type_dp(inst: Instance) -> Matching:
     (ads of type 0 used, ads of type 1 used), filling slots front to back
     with each type's ads in rank order."""
     if inst.num_types != 2:
-        raise ValidationError([f"two-type solver needs k=2, got k={inst.num_types}"])
+        raise ValidationError(f"two-type solver needs k=2, got k={inst.num_types}")
     if has_gap_rules(inst):
-        raise ValidationError(["instance has gap rules: use the gap dynamic program"])
+        raise ValidationError("instance has gap rules: use the gap dynamic program")
     n = inst.num_slots
     v = [spec.values for spec in inst.types]
     d = [spec.discounts for spec in inst.types]
@@ -454,9 +454,3 @@ def parse_graph_text(text: str) -> Graph:
     if len(edges) != m:
         raise ValueError(f"expected {m} edges, found {len(edges)}")
     return Graph(n, edges)
-
-
-def graph_to_text(g: Graph) -> str:
-    lines = [f"{g.num_vertices} {len(g.edges)}"]
-    lines += [f"{a} {b}" for a, b in g.edges]
-    return "\n".join(lines) + "\n"

@@ -590,9 +590,6 @@ class CertificateReport:
     worst_violation: float
     messages: list[str] = field(default_factory=list)
 
-    def __bool__(self) -> bool:
-        return self.passed
-
 
 def _least_slack(values, utils, disc, p) -> float:
     """The least ``utils[r] + p[s] - values[r] * disc[s]`` of one type, over

@@ -95,22 +95,18 @@ def _priced_outcome(inst: Instance, matching: Matching,
 class ReserveVector:
     """Per-ad minimum bids; ads missing from the mapping have reserve 0."""
 
-    by_ad: tuple[tuple[AdRef, float], ...]
+    reserves: dict[AdRef, float]
 
     def __init__(self, reserves: Mapping[AdRef, float] | ReserveVector | None):
         if isinstance(reserves, ReserveVector):
-            reserves = reserves._lookup
-        items = tuple(sorted((reserves or {}).items()))
-        if not all(math.isfinite(r) and r >= 0 for _, r in items):
+            reserves = reserves.reserves
+        reserves = dict(reserves or {})
+        if not all(math.isfinite(r) and r >= 0 for r in reserves.values()):
             raise ValidationError("reserves must be finite and non-negative")
-        object.__setattr__(self, "by_ad", items)
-        object.__setattr__(self, "_lookup", dict(items))
+        object.__setattr__(self, "reserves", reserves)
 
     def get(self, ad: AdRef) -> float:
-        return self._lookup.get(ad, 0.0)
-
-    def remap(self, ad_map: Mapping[AdRef, AdRef]) -> "ReserveVector":
-        return ReserveVector({ad_map.get(ad, ad): r for ad, r in self.by_ad})
+        return self.reserves.get(ad, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +269,8 @@ class _SlotPaths:
     def __init__(self, inst: Instance, sol: OptimalSolution):
         report = certify(inst, sol)
         if not report.passed:
-            raise ValidationError(["solution fails certification: "
-                                   + "; ".join(report.messages)])
+            raise ValidationError("solution fails certification: "
+                                  + "; ".join(report.messages))
         n = inst.num_slots
         self.p = p = sol.duals.p
         self.welfare = sol.welfare
@@ -404,9 +400,9 @@ def filter_by_reserves(inst: Instance, reserves: ReserveVector):
     instance plus the map from surviving original refs to filtered refs.  A
     reserve for an ad the instance does not have (a type out of range, or a
     rank past the type's real ads) raises :class:`ValidationError`."""
-    unknown = [ad for ad, _ in reserves.by_ad
-               if not (0 <= ad.ad_type < inst.num_types
-                       and 0 <= ad.rank < inst.real_counts[ad.ad_type])]
+    unknown = sorted(ad for ad in reserves.reserves
+                     if not (0 <= ad.ad_type < inst.num_types
+                             and 0 <= ad.rank < inst.real_counts[ad.ad_type]))
     if unknown:
         raise ValidationError(
             "reserves name ads the instance does not have: "
@@ -455,8 +451,8 @@ def price_with_reserves(inst: Instance, reserves: ReserveVector | Mapping | None
     filtered, keep_map = filter_by_reserves(inst, reserves)
     sol = allocator(filtered)
     if not isinstance(sol, OptimalSolution):
-        raise ValidationError(["allocator must return a certifiable solution "
-                               "with duals; inexact allocators are rejected"])
+        raise ValidationError("allocator must return a certifiable solution "
+                              "with duals; inexact allocators are rejected")
     total = sol.welfare
     paths = _SlotPaths(filtered, sol)
     inv = {kept: orig for orig, kept in keep_map.items()}
@@ -476,8 +472,9 @@ def reserve_mechanism(reserves: ReserveVector | Mapping | None) -> Callable:
     base = ReserveVector(reserves)
 
     def run(inst: Instance, ad_map: Mapping[AdRef, AdRef] | None):
-        res = base.remap(ad_map) if ad_map else base
-        return price_with_reserves(inst, res)
+        ad_map = ad_map or {}
+        return price_with_reserves(inst, {ad_map.get(ad, ad): r
+                                          for ad, r in base.reserves.items()})
 
     return run
 

@@ -71,7 +71,7 @@ def test_greedy_single_type_is_optimal():
 
 def test_greedy_two_approximation():
     for seed in range(200):
-        inst = gen_exact_random(seed)
+        inst = gen_exact_random(seed, max_n=8, max_k=4)
         g = welfare(inst, solve_greedy(inst))
         opt = welfare(inst, solve_bruteforce(inst))
         assert g >= opt / 2, f"seed {seed}: greedy {g} < half of {opt}"
@@ -109,7 +109,7 @@ def test_greedy_fills_every_slot_of_padded_instances(tie_heavy):
     assert solve_greedy(short).as_dict() == {
         0: AdRef(0, 0), 1: AdRef(1, 0), 2: AdRef(0, 1)}
     for inst in ([tie_heavy(seed) for seed in range(200)]
-                 + [gen_exact_random(seed) for seed in range(100)]):
+                 + [gen_exact_random(seed, max_n=8, max_k=4) for seed in range(100)]):
         m = solve_greedy(inst)
         assert len(m) == inst.num_slots
         assert m == _edge_greedy(inst)

@@ -337,6 +337,26 @@ def test_gen_greedy_tight_and_solve(tmp_path):
     assert _read(sol)["welfare"] == 1.875
 
 
+@pytest.mark.parametrize("name, epsilon, optimum", [
+    ("greedy_tight_50.json", "0.5", 1.5),
+    ("greedy_tight_25.json", "0.25", 1.75),
+    ("greedy_tight_125.json", "0.125", 1.875),
+])
+def test_greedy_tight_fixtures(name, epsilon, optimum, fixtures_dir, tmp_path):
+    # criterion 6's tight family as shipped: greedy earns 1, the optimum
+    # 2 - epsilon, and each file is the document gen writes for its epsilon
+    fixture = fixtures_dir / name
+    for algo, expected in (("greedy", 1.0), ("adtypes", optimum)):
+        sol = tmp_path / f"{algo}.json"
+        assert run(["solve", "--in", str(fixture), "--algo", algo,
+                    "--out", str(sol)]) == 0
+        assert _read(sol)["welfare"] == expected
+    gen = tmp_path / "gen.json"
+    assert run(["gen", "--family", "greedy-tight", "--epsilon", epsilon,
+                "--out", str(gen)]) == 0
+    assert _read(fixture) == _read(gen)
+
+
 def test_gen_assignment_family(tmp_path, capsys):
     out = tmp_path / "asg.json"
     assert run(["gen", "--family", "assignment", "--n", "4", "--seed", "2",
@@ -365,10 +385,11 @@ def test_gen_assignment_refuses_n_below_one(n, capsys):
 
 @pytest.mark.parametrize("family", ["random", "assignment"])
 def test_gen_refuses_a_negative_seed(family, capsys):
-    # numpy's bare "expected non-negative integer" once came out
-    assert run(["gen", "--family", family, "--n", "3", "--seed", "-1"]) == 1
+    # numpy's bare "expected non-negative integer" once came out; the code
+    # and wording are bench's, a usage error
+    assert run(["gen", "--family", family, "--n", "3", "--seed", "-1"]) == 64
     captured = capsys.readouterr()
-    assert "invalid: --seed must be >= 0, not -1" in captured.err
+    assert "usage error: --seed must be at least 0, not -1" in captured.err
     assert captured.out == ""
 
 
@@ -496,6 +517,53 @@ def test_verify_refuses_malformed_solution(fixtures_dir, tmp_path, capsys, edit)
     assert run(["verify", "--in", inst, "--sol", str(out)]) == 1
     captured = capsys.readouterr()
     assert "invalid:" in captured.err and "ok:" not in captured.out
+
+
+def test_verify_refuses_an_infinite_welfare(fixtures_dir, tmp_path, capsys):
+    # json reads a bare Infinity as a float, which is a number but not finite
+    sol = tmp_path / "sol.json"
+    sol.write_text('{"assignment": [], "welfare": Infinity}')
+    assert run(["verify", "--in", str(fixtures_dir / "example1.json"),
+                "--sol", str(sol)]) == 1
+    captured = capsys.readouterr()
+    assert "invalid: solution welfare inf is not finite" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("entries, message", [
+    ([1], "assignment invalid: assignment entry 1 is not an object"),
+    ([{"slot": 0, "type": 0, "rank": 99}],
+     "assignment out of range: rank 99 out of range for video"),
+], ids=["not-an-object", "rank-out-of-range"])
+def test_verify_reports_a_bad_assignment_entry(entries, message, fixtures_dir,
+                                               tmp_path, capsys):
+    sol = tmp_path / "sol.json"
+    sol.write_text(json.dumps({"assignment": entries}))
+    assert run(["verify", "--in", str(fixtures_dir / "example1.json"),
+                "--sol", str(sol)]) == 1
+    assert capsys.readouterr().out == f"violation: {message}\n"
+
+
+def test_gen_mis_needs_a_graph(capsys):
+    assert run(["gen", "--family", "mis"]) == 64
+    captured = capsys.readouterr()
+    assert "usage error: --graph is required for the mis family" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("text, message", [
+    ("2 1\n0 0\n", "self-loop"),
+    ("2 1\n0 2\n", "edge endpoint out of range"),
+    ("", "empty graph file"),
+    ("3 2\n0 1\n", "expected 2 edges, found 1"),
+], ids=["self-loop", "endpoint-out-of-range", "empty", "short-edge-list"])
+def test_gen_mis_refuses_a_bad_graph(text, message, tmp_path, capsys):
+    graph = tmp_path / "g.graph"
+    graph.write_text(text)
+    assert run(["gen", "--family", "mis", "--graph", str(graph)]) == 1
+    captured = capsys.readouterr()
+    assert f"invalid: {message}" in captured.err
+    assert captured.out == ""
 
 
 def test_unknown_flag_exit_code(capsys):

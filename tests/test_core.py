@@ -276,7 +276,7 @@ def test_defaulted_parameter_count_ratchet():
                           if d is not None]
                 name = getattr(node, "name", "<lambda>")
                 found += [f"{path.name}:{name}({a.arg})" for a in named]
-    assert len(found) <= 8, "\n".join(found)
+    assert len(found) <= 4, "\n".join(found)
 
 
 def test_validation_happens_only_in_the_instance_constructor():

@@ -19,7 +19,6 @@ from adtypes.gapdp import (
     _sparse_gap_dp,
     brute_force_gap,
     check_gap_feasible,
-    graph_to_text,
     max_independent_set_size,
     mis_to_adtypes,
     parse_graph_text,
@@ -157,8 +156,10 @@ def test_mis_reduction_examples():
 
 
 def test_graph_text_round_trip():
-    g = Graph(5, [(0, 1), (2, 4)])
-    assert parse_graph_text(graph_to_text(g)) == g
+    # the "n m" header, then one "u v" line per edge, either way round;
+    # comments and blank lines are skipped
+    text = "# two edges\n5 2\n\n1 0\n4 2\n"
+    assert parse_graph_text(text) == Graph(5, [(0, 1), (2, 4)])
 
 
 def test_gap_dp_outputs_rank_order():

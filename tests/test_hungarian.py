@@ -33,7 +33,7 @@ from adtypes.core import (
     tol_for,
     welfare,
 )
-from adtypes import hungarian
+from adtypes import cli, hungarian
 from adtypes.hungarian import (
     DualSolution,
     OptimalSolution,
@@ -92,12 +92,12 @@ def test_instrumentation_budgets():
     # bound holds when values and discounts are strict within each type,
     # and the instrumented solve counts it
     for seed in range(120):
-        inst = gen_strict_random(seed)
+        inst = gen_strict_random(seed, max_n=8, max_k=4)
         stats = solve_adtypes(inst, collect_phase_matchings=True).stats
         assert stats.max_queue_occupancy <= inst.num_slots + inst.num_types
         assert stats.max_scan_candidates <= 3 * inst.num_types
     for seed in range(120):
-        inst = gen_exact_random(seed)
+        inst = gen_exact_random(seed, max_n=8, max_k=4)
         stats = solve_adtypes(inst).stats
         assert stats.max_queue_occupancy <= inst.num_slots + inst.num_types
 
@@ -269,7 +269,7 @@ def test_every_table_lists_what_the_protected_walk_lists(tie_heavy):
                                   ("uniform-real", "pareto")[seed % 2],
                                   "step"))
              for seed in range(40)]
-    cases = ([gen_strict_random(seed) for seed in range(40)]
+    cases = ([gen_strict_random(seed, max_n=8, max_k=4) for seed in range(40)]
              + [gen_exact_random(seed, max_n=12, max_k=4) for seed in range(40)]
              + [tie_heavy(seed) for seed in range(60)]
              + steps + [gen_scaling_instance(30, 4, 0)])
@@ -455,7 +455,7 @@ def test_certify_matches_a_dense_slack_reference(c, tie_heavy):
                                          [1.0, 0.5, 0.5, 0.0]),
                                 TypeSpec("s", [0.0, 0.0],
                                          [1.0, 1.0, 0.25, 0.25])])
-    cases = ([gen_exact_random(seed) for seed in range(40)]
+    cases = ([gen_exact_random(seed, max_n=8, max_k=4) for seed in range(40)]
              + [tie_heavy(seed) for seed in range(40)] + [equal_slopes])
     for i, base in enumerate(cases):
         inst = _scaled(base, c)
@@ -521,14 +521,14 @@ def test_overflowing_instance_refused(discounts):
 
 def test_certify_accepts_generic_solver_output():
     for seed in range(30):
-        inst = gen_exact_random(seed)
+        inst = gen_exact_random(seed, max_n=8, max_k=4)
         sol = solve_generic_hungarian(inst)
         assert certify(inst, sol).passed, f"seed {seed}"
 
 
 def test_no_crossing_tight_edges():
     for seed in range(150):
-        inst = gen_exact_random(seed)
+        inst = gen_exact_random(seed, max_n=8, max_k=4)
         sol = solve_adtypes(inst)
         assert crossing_violations(inst, sol.duals) == [], f"seed {seed}"
 
@@ -611,7 +611,7 @@ def test_crossing_violations_scale_with_the_values():
 def test_prefix_optimal_after_each_phase():
     # the welfare after phase j is the optimum over slots 0..j, which is
     # also what a full-scan Hungarian rooting slots best-first reaches
-    cases = [(seed, gen_exact_random(seed)) for seed in range(60)]
+    cases = [(seed, gen_exact_random(seed, max_n=8, max_k=4)) for seed in range(60)]
     cases += [(seed, gen_exact_random(seed, max_n=12, max_k=4))
               for seed in range(1000, 1040)]
     for seed, inst in cases:
@@ -639,7 +639,7 @@ def test_matched_ranks_ascend_with_slots():
     # exchange property: same-type ads appear in rank order by slot, except
     # between interchangeable pairs (equal values or equal discounts)
     for seed in range(100):
-        inst = gen_exact_random(seed)
+        inst = gen_exact_random(seed, max_n=8, max_k=4)
         sol = solve_adtypes(inst)
         per_type: dict[int, list[tuple[int, int]]] = {}
         for slot, ad in sol.matching.pairs:
@@ -851,6 +851,23 @@ def test_badly_scaled_instance_solves_or_raises_named_error():
         assert exc.key < exc.shift
         return
     assert certify(inst, sol).passed
+
+
+def test_a_regressed_queue_key_raises_the_named_error(
+        fixtures_dir, monkeypatch, capsys):
+    # a tolerance of -1 makes the first pop of every solve fall below the
+    # shift by more than the tolerance: the guard must refuse the solve, and
+    # the CLI must report the refusal as invalid input
+    monkeypatch.setattr(hungarian, "scaled_tol", lambda inst: -1.0)
+    path = fixtures_dir / "example1.json"
+    with pytest.raises(PhaseInvariantError) as info:
+        solve_adtypes(load_instance(path))
+    assert info.value.phase == 0
+    assert str(info.value) == "phase 0: queue key regressed (key 0.0, shift 0.0)"
+    assert cli.run(["solve", "--in", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "invalid: phase 0: queue key regressed" in captured.err
+    assert captured.out == ""
 
 
 def test_named_error_survives_python_O():

@@ -139,7 +139,7 @@ def test_fast_equals_naive_exactly_on_dyadic_instances(tie_heavy):
     # dyadic values and discounts make every slack exact, so the
     # shortest-path pass must reproduce the re-solves bit for bit, ties,
     # equal values and zero values included
-    cases = ([gen_exact_random(seed) for seed in range(100)]
+    cases = ([gen_exact_random(seed, max_n=8, max_k=4) for seed in range(100)]
              + [tie_heavy(seed) for seed in range(100)])
     for i, inst in enumerate(cases):
         naive = vcg_prices_naive(inst)
@@ -154,7 +154,7 @@ def test_pointwise_minimality_literal():
     from adtypes.core import edge_value
 
     for seed in range(60):
-        inst = gen_exact_random(seed)
+        inst = gen_exact_random(seed, max_n=8, max_k=4)
         sol = solve_adtypes(inst)
         prices = vcg_prices_fast(inst, sol)
         winners = sol.matching.as_dict()
@@ -305,7 +305,7 @@ def test_reserve_payments_equal_resolving_bit_for_bit_on_exact_instances():
     # duals' route and the re-solves give the same floats
     positive = 0
     for seed in range(300):
-        inst = gen_exact_random(seed)
+        inst = gen_exact_random(seed, max_n=8, max_k=4)
         rng = np.random.default_rng(seed + 8000)
         reserves = {ad: float(rng.integers(0, 65)) / 4
                     for ad in inst.real_ads() if rng.random() < 0.5}
@@ -441,6 +441,14 @@ def test_myerson_lone_bidder_reserve():
     inst = Instance(1, [TypeSpec("t", [10.0], [1.0])])
     assert myerson_changepoint_prices(inst, solve_adtypes, AdRef(0, 0), 4.0) \
         == pytest.approx(4.0, abs=1e-12)
+
+
+def test_myerson_bid_below_the_reserve_pays_nothing():
+    # a bidder below its reserve is filtered out and wins nothing; priced
+    # from the reserve up it would be charged the reserve, 4.0
+    inst = Instance(1, [TypeSpec("t", [3.0], [1.0])])
+    assert myerson_changepoint_prices(inst, solve_adtypes, AdRef(0, 0), 4.0) \
+        == 0.0
 
 
 def test_myerson_matches_reserve_pricing():
