@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
@@ -31,8 +31,8 @@ class GenConfig:
     n: int
     k: int
     seed: int
-    value_dist: str = "uniform-int"      # uniform-int | uniform-real | pareto
-    discount_family: str = "geometric"   # geometric | linear | step
+    value_dist: str       # uniform-int | uniform-real | pareto
+    discount_family: str  # geometric | linear | step
 
 
 def gen_random(cfg: GenConfig) -> Instance:
@@ -203,7 +203,7 @@ def gen_scaling_instance(n: int, k: int, seed: int) -> Instance:
 class BenchReport:
     """Rows of (n, k, solver, median wall-time ms, welfare)."""
 
-    rows: list[tuple[int, int, str, float, float]] = field(default_factory=list)
+    rows: list[tuple[int, int, str, float, float]]
 
     def to_csv(self) -> str:
         lines = ["n,k,solver,median_ms,welfare"]

@@ -368,7 +368,7 @@ def run(argv) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
-    except GuardError as exc:
+    except (GuardError, MemoryError) as exc:  # a size too large to allocate
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_GUARD
     except (ValueError, KeyError, OSError) as exc:  # OSError: a bad path

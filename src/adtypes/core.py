@@ -98,8 +98,8 @@ class Instance:
 
     num_slots: int
     types: tuple[TypeSpec, ...]
-    gap: tuple[tuple[int, ...], ...] | None = None
-    real_counts: tuple[int, ...] = ()
+    gap: tuple[tuple[int, ...], ...] | None
+    real_counts: tuple[int, ...]
 
     def __init__(self, num_slots, types, gap=None):
         n = as_integer(num_slots, "num_slots")

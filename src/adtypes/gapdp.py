@@ -26,7 +26,10 @@ k=6, n=60 stop at slot 31 with 2,000,353 states stored, after about 4 s and
 
 The DP is bound-pruned, branch-and-bound style (Morin and Marsten 1976).
 The incumbent is the welfare of a gap-feasible greedy: slot by slot, place
-the next ad with the largest edge that the gap rules allow.  With ``top``
+the next ad with the largest edge that the gap rules allow, ties to the
+lower type, or leave the slot empty when none may go.  The greedy walks the
+DP's own states and moves, one state per slot, so it reads the gap rules
+as the DP does, through the wait counts.  With ``top``
 the largest ad value and ``tail[s] = sum_{j >= s} max_t alpha_{t,j}``, a
 placement at slot ``j`` adds at most ``top * max_t alpha_{t,j}``, so ``v +
 top * tail[s]`` never grows along a transition, where ``v`` is the value of
@@ -109,7 +112,7 @@ def solve_gap_dp(inst: Instance) -> Matching:
     change gap feasibility and sorted values make rank order optimal).  Of
     two ways into a state the first strictly better one is kept.  An offer
     is stored only when it exceeds its layer's cut (module docstring), with
-    :func:`_greedy_welfare` as the incumbent.  Refuses, with
+    the greedy's welfare as the incumbent.  Refuses, with
     :class:`GuardError`, an instance whose layers together store more than
     :data:`MAX_STATES` states, checked every 1024 source states and after
     each layer: the count is of the states the pruned DP keeps, so a
@@ -147,13 +150,28 @@ def solve_gap_dp(inst: Instance) -> Matching:
 
     vals = [spec.values for spec in inst.types]
     disc = [spec.discounts for spec in inst.types]
-    incumbent = _greedy_welfare(inst)
+    moves: dict[int, tuple] = {}
+    # the incumbent: the greedy's path through the states, taking at each
+    # slot the allowed move of largest edge (an ad even at edge 0)
+    incumbent = 0.0
+    key = 0
+    for s in range(n):
+        code = key % width
+        mv = moves.get(code)
+        if mv is None:
+            mv = moves[code] = moves_from(code)
+        edge, step = -1.0, mv[0]
+        for t, st, rad, cap, delta in mv[1]:
+            c = key // st % rad
+            if c < cap and (e := vals[t][c] * disc[t][s]) > edge:
+                edge, step = e, delta
+        incumbent += max(edge, 0.0)
+        key += step
     top = max(v[0] for v in vals)
     # tail[s] = sum over slots j >= s of max_t alpha_{t,j}
     peaks = (max(d[j] for d in disc) for j in range(n - 1, -1, -1))
     tail = list(accumulate(peaks, initial=0.0))[::-1]
     bar = incumbent - tol_for(incumbent)
-    moves: dict[int, tuple] = {}
     cur = {0: 0.0}
     stored = 1
     # history[s][j]: for state j of the layer after slot s (in insertion
@@ -209,30 +227,6 @@ def solve_gap_dp(inst: Instance) -> Matching:
         assignment[s] = AdRef(t, per_type[t])
         per_type[t] += 1
     return Matching(assignment)
-
-
-def _greedy_welfare(inst: Instance) -> float:
-    """The welfare of a gap-feasible greedy, :func:`solve_gap_dp`'s
-    incumbent: slot by slot, place the next ad of the type with the largest
-    edge that :func:`_append_ok` allows, or leave the slot empty.  O(k^2 n).
-    """
-    gap = _gap(inst)
-    caps = inst.real_counts
-    counts = [0] * inst.num_types
-    lasts: list[int | None] = [BOTTOM] * inst.num_types
-    total = 0.0
-    for s in range(inst.num_slots):
-        best, pick = -1.0, None
-        for t, spec in enumerate(inst.types):
-            if counts[t] < caps[t] and _append_ok(gap, lasts, t, s):
-                edge = spec.values[counts[t]] * spec.discounts[s]
-                if edge > best:
-                    best, pick = edge, t
-        if pick is not None:
-            counts[pick] += 1
-            lasts[pick] = s
-            total += best
-    return total
 
 
 def _sparse_gap_dp(inst: Instance) -> Matching:
@@ -441,16 +435,24 @@ def max_independent_set_size(g: Graph) -> int:
 
 
 def parse_graph_text(text: str) -> Graph:
-    """Edge-list format: first line "n m", then m lines "u v", 0-indexed."""
-    lines = [ln for ln in (s.strip() for s in text.splitlines())
-             if ln and not ln.startswith("#")]
-    if not lines:
+    """Edge-list format: first line "n m", then m lines "u v", 0-indexed;
+    blank lines and lines starting with "#" are skipped.  Raises
+    ``ValueError`` for a line that is not two integers, naming its line
+    number in the file, and for an edge count other than m."""
+    rows = []
+    for number, line in enumerate(text.splitlines(), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            a, b = map(int, line.split())
+        except ValueError:
+            raise ValueError(f"line {number}: expected two integers, "
+                             f"found {line!r}") from None
+        rows.append((a, b))
+    if not rows:
         raise ValueError("empty graph file")
-    n, m = (int(x) for x in lines[0].split())
-    edges = []
-    for ln in lines[1:m + 1]:
-        a, b = (int(x) for x in ln.split())
-        edges.append((a, b))
+    (n, m), edges = rows[0], rows[1:]
     if len(edges) != m:
         raise ValueError(f"expected {m} edges, found {len(edges)}")
     return Graph(n, edges)

@@ -38,20 +38,21 @@ counters go straight into :class:`SolveStats`.  Inside it an ad is the int
 best-key list, the heap entries, the per-type frontiers
 (:func:`_frontiers`), the utilities ``u`` and the matching (``slot_ad`` and
 ``ad_slot``, with -1 for unmatched) are lists and dicts keyed by that int.
-Every frontier has one shape, ``(head, vh, hfrom, near, disc)``, and the
+Every frontier has one shape, ``(head, hfrom, near, disc)``, and the
 phase loop reads each type's candidates as ``near[slot]``, plus the head
 when ``slot >= hfrom``, with no call and no list built per pop.  The
 frontier a pop reads changes only between phases, so ``near`` is a table:
-for each slot, the tuple of matched ``(ad, value)`` pairs the scan lists
-there, built once per rebuild with one tuple per gap between the type's
-matched slots, and the slots of a run of equal discounts that holds a
-matched ad rewritten one by one.  An offer is one multiplication and one
-key, ``u[a] + potential - value``, with the slot's discount read once per
-type and its potential set when it joins the tree.  Only matched ads enter
-the heap: a head's pop ends the phase, so the least head entry is kept
-beside the heap, and a pop compares it with the heap's top.  That entry
-only falls, so an entry above it is never popped and is not pushed, and
-an offer is tested against its key before anything else is read.
+for each slot, the tuple of matched ads the scan lists there, built once
+per rebuild with one tuple per gap between the type's matched slots, and
+the slots of a run of equal discounts that holds a matched ad rewritten
+one by one.  An offer is one multiplication and one key, ``u[a] +
+potential - value`` with ``value = disc[slot] * val[a]``, with the slot's
+discount read once per type and its potential set when it joins the
+tree.  Only matched ads enter the heap: a head's pop ends the phase, so
+the least head entry is kept beside the heap, and a pop compares it with
+the heap's top.  That entry only falls, so an entry above it is never
+popped and is not pushed, and an offer is tested against its key before
+anything else is read.
 Tree membership lives in the best-key list: a popped ad's key becomes
 -inf, which no offer undercuts, so the offer loop needs no membership test.
 The tree itself is its slots, each keyed to the shift at which it and its
@@ -165,16 +166,14 @@ class OptimalSolution:
 
 class _Tables:
     """An instance's numbers as the phase loop reads them, built once per
-    solve: ``val[a]`` for ``a = t*n + r``, the candidate pair ``pair[a] =
-    (a, val[a])``, ``disc[t][slot]``, each type's runs of equal discounts
-    ``runs[t]``, as ``(first, last)`` slots with ``first < last``, and the
-    tolerance."""
+    solve: ``val[a]`` for ``a = t*n + r``, ``disc[t][slot]``, each type's
+    runs of equal discounts ``runs[t]``, as ``(first, last)`` slots with
+    ``first < last``, and the tolerance."""
 
     def __init__(self, inst: Instance):
         n = self.n = inst.num_slots
         self.k = inst.num_types
         self.val = [v for spec in inst.types for v in spec.values]
-        self.pair = list(enumerate(self.val))
         self.disc = [spec.discounts for spec in inst.types]
         self.runs = []
         for d in self.disc:
@@ -202,14 +201,14 @@ def _frontiers(tables: _Tables, pairs: list[list[tuple[int, int]]],
     """Rebuild in place the frontier of each type t in ``changed`` on its
     matched ``(slot, ad)`` pairs ``pairs[t]``, sorted by slot, of which
     only those from slot ``changed[t]`` on differ from the last build's.
-    A frontier is ``(head, vh, hfrom, near, disc)``: the type's lowest
-    unmatched ad (``None`` when all are matched), its value, the first slot
-    that lists it, its matched candidates by slot and its discount curve.
-    ``near[x]`` lists the ``(ad, value)`` pairs of the matched ads whose
-    edge to slot x might yet go tight this phase, so the phase loop reads
-    every type's candidates alike.  ``kept[t]`` holds the type's ``ups``
-    and ``downs`` from the last build (below); a full build
-    (:func:`_build_frontiers`) is this rebuild from slot 0 on no pairs.
+    A frontier is ``(head, hfrom, near, disc)``: the type's lowest
+    unmatched ad (``None`` when all are matched), the first slot that lists
+    it, its matched candidates by slot and its discount curve.  ``near[x]``
+    lists the matched ads whose edge to slot x might yet go tight this
+    phase, so the phase loop reads every type's candidates alike.
+    ``kept[t]`` holds the type's ``ups`` and ``downs`` from the last build
+    (below); a full build (:func:`_build_frontiers`) is this rebuild from
+    slot 0 on no pairs.
 
     The head is a candidate at slot x iff ``x >= hfrom``.  Let z be the
     last slot that holds an ad of the type of value strictly above the
@@ -254,12 +253,12 @@ def _frontiers(tables: _Tables, pairs: list[list[tuple[int, int]]],
     before that slot keeps its rewrite: its w* is an unchanged ``ups``.
     A run that reaches past it is rewritten whole, and holds a matched ad
     whenever it starts before it, the one at that slot."""
-    n, val, pair, disc_of = tables.n, tables.val, tables.pair, tables.disc
+    n, val, disc_of = tables.n, tables.val, tables.disc
     inf = math.inf
     for t, low_slot in changed.items():
         mine = pairs[t]
         ups, downs = kept[t]
-        head, _, _, near, _ = frontiers[t]
+        head, _, near, _ = frontiers[t]
         c = bisect_left(mine, (low_slot,))
         # ups from the last pair down; below pair c, only until one equals
         # the kept one, at pair i0 - 1
@@ -270,9 +269,9 @@ def _frontiers(tables: _Tables, pairs: list[list[tuple[int, int]]],
             a = mine[i0 - 1][1]
             v = val[a]
             if v > high:
-                up, high = (pair[a],), v
+                up, high = (a,), v
             elif v == high:
-                up += (pair[a],)
+                up += (a,)
             if i0 <= c and up == ups[i0 - 1]:
                 break
             i0 -= 1
@@ -289,15 +288,15 @@ def _frontiers(tables: _Tables, pairs: list[list[tuple[int, int]]],
             del near[:]
         del downs[i0 + 1:]
         down = downs[i0]
-        low = down[0][1] if down else inf
+        low = val[down[0]] if down else inf
         for (s, a), up, up_past in zip(mine[i0:], ups[i0:], ups[i0 + 1:]):
             near += [down + up] * (s - prev - 1)
             near.append(down + up_past)
             v = val[a]
             if v < low:
-                down, low = (pair[a],), v
+                down, low = (a,), v
             elif v == low:
-                down += (pair[a],)
+                down += (a,)
             downs.append(down)
             prev = s
         near += [down] * (n - 1 - prev)
@@ -311,14 +310,14 @@ def _frontiers(tables: _Tables, pairs: list[list[tuple[int, int]]],
             if lo == hi:
                 continue
             below, above = downs[lo], ups[hi]
-            low = below[0][1] if below else inf
-            high = above[0][1] if above else -inf
+            low = val[below[0]] if below else inf
+            high = val[above[0]] if above else -inf
             outer = below + above[::-1]
-            inner = [(s, pair[a]) for s, a in mine[lo:hi]]
+            inner = mine[lo:hi]
             for x in range(f, l + 1):
-                near[x] = outer + tuple(cand for s, cand in inner
-                                        if s < x and cand[1] <= low
-                                        or s > x and cand[1] >= high)
+                near[x] = outer + tuple(a for s, a in inner
+                                        if s < x and val[a] <= low
+                                        or s > x and val[a] >= high)
         disc = disc_of[t]
         if head is not None:
             end = t * n + n
@@ -327,16 +326,15 @@ def _frontiers(tables: _Tables, pairs: list[list[tuple[int, int]]],
             if head == end:
                 head = None
         if head is None:
-            frontiers[t] = (None, 0.0, n, near, disc)
+            frontiers[t] = (None, n, near, disc)
             continue
-        vh = val[head]
         # z: the last slot whose ad is worth more than the head (0 when
         # there is none: it starts slot 0's run too)
-        z = next((s for s, a in reversed(mine) if val[a] > vh), 0)
+        z = next((s for s, a in reversed(mine) if val[a] > val[head]), 0)
         hfrom = z
         while hfrom and disc[hfrom - 1] == disc[z]:
             hfrom -= 1
-        frontiers[t] = (head, vh, hfrom, near, disc)
+        frontiers[t] = (head, hfrom, near, disc)
 
 
 def _build_frontiers(tables: _Tables, slot_ad: list[int], ad_slot: list[int]
@@ -351,7 +349,7 @@ def _build_frontiers(tables: _Tables, slot_ad: list[int], ad_slot: list[int]
     for s, a in enumerate(slot_ad):
         if a >= 0:
             pairs[a // n].append((s, a))
-    frontiers = [(t * n, 0.0, 0, [], disc)
+    frontiers = [(t * n, 0, [], disc)
                  for t, disc in enumerate(tables.disc)]
     kept = [([()], [()]) for _ in range(k)]
     _frontiers(tables, pairs, ad_slot, dict.fromkeys(range(k), 0), frontiers,
@@ -376,7 +374,7 @@ def slot_movers(inst: Instance, matching: Matching
         ad_slot[a] = s
     _, frontiers, _ = _build_frontiers(tables, slot_ad, ad_slot)
     losers = [AdRef(*divmod(f[0], n)) for f in frontiers if f[0] is not None]
-    movers = [[ad_slot[a] for *_, near, _ in frontiers for a, _ in near[x]]
+    movers = [[ad_slot[a] for *_, near, _ in frontiers for a in near[x]]
               for x in range(n)]
     return losers, movers
 
@@ -420,7 +418,7 @@ def _phase(tables: _Tables, frontiers: list[tuple],
     later offer of an equal key is dropped even when its entry would
     precede ``hbest``.
     """
-    n, tol = tables.n, tables.tol
+    n, val, tol = tables.n, tables.val, tables.tol
     tree_slots: dict[int, float] = {root: 0.0}
     parent_slot: dict[int, int] = {}
     queue: list[tuple[float, float, int, int]] = []
@@ -440,10 +438,10 @@ def _phase(tables: _Tables, frontiers: list[tuple],
         # offer the candidate edges into the slot that just joined the tree,
         # each type's read off its frontier by slot, lowering a candidate's
         # key when this edge goes tight sooner than its current best
-        for head, vh, hfrom, near, disc in frontiers:
+        for head, hfrom, near, disc in frontiers:
             ds = disc[slot]
-            for a, va in near[slot]:
-                value = ds * va
+            for a in near[slot]:
+                value = ds * val[a]
                 key = u[a] + potential - value
                 if key <= hb and key < best[a]:
                     best[a] = key
@@ -456,7 +454,7 @@ def _phase(tables: _Tables, frontiers: list[tuple],
             # the head, from hfrom on: its entry stays off the heap, and
             # its utility is 0, as no unmatched ad joins the tree
             if slot >= hfrom:
-                value = ds * vh
+                value = ds * val[head]
                 key = potential - value
                 if key <= hb and key < best[head]:
                     best[head] = key
@@ -571,7 +569,7 @@ def solve_adtypes(inst: Instance, *,
             stats.max_scan_candidates = max(
                 stats.max_scan_candidates,
                 *(sum(len(near[x]) + (x >= hfrom)
-                      for _, _, hfrom, near, _ in frontiers) for x in scanned))
+                      for _, hfrom, near, _ in frontiers) for x in scanned))
             stats.phase_matchings.append(tables.matching(slot_ad))
         _frontiers(tables, pairs, ad_slot, changed, frontiers, kept)
 
@@ -588,7 +586,7 @@ def solve_adtypes(inst: Instance, *,
 class CertificateReport:
     passed: bool
     worst_violation: float
-    messages: list[str] = field(default_factory=list)
+    messages: list[str]
 
 
 def _least_slack(values, utils, disc, p) -> float:

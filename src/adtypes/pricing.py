@@ -70,7 +70,7 @@ class PricedOutcome:
     matching: Matching
     payments: dict[AdRef, float]
     mechanism: str
-    min_raw_payment: float = 0.0
+    min_raw_payment: float
 
 
 def received_discount(inst: Instance, m: Matching, ad: AdRef) -> float:

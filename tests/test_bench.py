@@ -18,7 +18,8 @@ from adtypes.hungarian import solve_adtypes
 
 
 def test_gen_random_deterministic():
-    cfg = GenConfig(5, 2, seed=1, discount_family="geometric")
+    cfg = GenConfig(5, 2, seed=1, value_dist="uniform-int",
+                    discount_family="geometric")
     assert gen_random(cfg) == gen_random(cfg)
 
 

@@ -383,6 +383,19 @@ def test_gen_assignment_refuses_n_below_one(n, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("family, n", [("assignment", "10000000"),
+                                       ("random", "35184372088832")])
+def test_gen_refuses_a_size_it_cannot_allocate(family, n, capsys):
+    # the first array of each, 728 TiB and 256 TiB, exceeds the 128 TiB
+    # (47-bit) address space a process gets, so the allocation fails at
+    # once whatever the host's overcommit policy; numpy's MemoryError once
+    # ended in a traceback
+    assert run(["gen", "--family", family, "--n", n]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("refused: Unable to allocate")
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("family", ["random", "assignment"])
 def test_gen_refuses_a_negative_seed(family, capsys):
     # numpy's bare "expected non-negative integer" once came out; the code
@@ -556,7 +569,12 @@ def test_gen_mis_needs_a_graph(capsys):
     ("2 1\n0 2\n", "edge endpoint out of range"),
     ("", "empty graph file"),
     ("3 2\n0 1\n", "expected 2 edges, found 1"),
-], ids=["self-loop", "endpoint-out-of-range", "empty", "short-edge-list"])
+    ("3 1\n0 1\n1 2\n", "expected 1 edges, found 2"),
+    ("a b\n", "line 1: expected two integers, found 'a b'"),
+    ("3 1\n# the edge\n\n0 1 2\n", "line 4: expected two integers, "
+                                     "found '0 1 2'"),
+], ids=["self-loop", "endpoint-out-of-range", "empty", "short-edge-list",
+        "long-edge-list", "bad-header", "three-field-edge"])
 def test_gen_mis_refuses_a_bad_graph(text, message, tmp_path, capsys):
     graph = tmp_path / "g.graph"
     graph.write_text(text)

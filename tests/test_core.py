@@ -258,9 +258,16 @@ def test_edge_value_monotone(inst):
             assert all(col[i] >= col[i + 1] for i in range(len(col) - 1))
 
 
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+               and d.func.id == "dataclass" for d in node.decorator_list)
+
+
 def test_defaulted_parameter_count_ratchet():
     # every parameter with a default value, positional or keyword-only, in
-    # every function, method and lambda under src/adtypes: a knob that one
+    # every function, method and lambda under src/adtypes, and every
+    # annotated field with a value in a @dataclass class: a knob that one
     # caller sets to one value is surface to keep in sync, so the count may
     # fall but not rise
     src = Path(__file__).resolve().parent.parent / "src" / "adtypes"
@@ -276,7 +283,12 @@ def test_defaulted_parameter_count_ratchet():
                           if d is not None]
                 name = getattr(node, "name", "<lambda>")
                 found += [f"{path.name}:{name}({a.arg})" for a in named]
-    assert len(found) <= 4, "\n".join(found)
+            elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                found += [f"{path.name}:{node.name}({stmt.target.id})"
+                          for stmt in node.body
+                          if isinstance(stmt, ast.AnnAssign)
+                          and stmt.value is not None]
+    assert len(found) <= 13, "\n".join(found)
 
 
 def test_validation_happens_only_in_the_instance_constructor():

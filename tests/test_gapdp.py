@@ -1,3 +1,6 @@
+import ast
+import inspect
+import math
 import re
 
 import numpy as np
@@ -269,11 +272,33 @@ def test_pruning_finishes_what_the_unpruned_dp_refuses(monkeypatch):
     monkeypatch.setattr(gapdp, "MAX_STATES", 100_000)
     pruned = solve_gap_dp(inst)
     assert check_gap_feasible(inst, pruned)
-    monkeypatch.setattr(gapdp, "_greedy_welfare", lambda inst: 0.0)
+    # an infinite margin puts every cut at -inf: no offer is pruned
+    monkeypatch.setattr(gapdp, "tol_for", lambda x: math.inf)
     with pytest.raises(GuardError, match="stored"):
         solve_gap_dp(inst)
     monkeypatch.setattr(gapdp, "MAX_STATES", budget)
     assert welfare(inst, pruned) == welfare(inst, solve_gap_dp(inst))
+
+
+def test_gap_dp_shares_no_gap_window_code_with_its_oracles():
+    # the DP reads the gap rules only through its wait counts, incumbent
+    # included; _append_ok belongs to the feasibility check and the
+    # oracles that cross-check the DP
+    tree = ast.parse(inspect.getsource(gapdp))
+    functions = {node.name: node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
+    assert not [name for name in functions if "greedy" in name], functions
+    called = {node.func.id for node in ast.walk(functions["solve_gap_dp"])
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert "moves_from" in called, called
+    assert "_append_ok" not in called and not any("greedy" in name
+                                                  for name in called), called
+    callers = {name for name, node in functions.items()
+               for call in ast.walk(node) if isinstance(call, ast.Call)
+               and isinstance(call.func, ast.Name)
+               and call.func.id == "_append_ok"}
+    assert callers == {"check_gap_feasible", "_sparse_gap_dp",
+                       "brute_force_gap"}, callers
 
 
 def test_guard_refuses_by_the_states_the_pruned_dp_stores():

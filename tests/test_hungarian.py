@@ -120,8 +120,8 @@ def _scan_refs(inst: Instance, m: Matching, slot: int) -> list[AdRef]:
     tables = _Tables(inst)
     _, frontiers, _ = _build_frontiers(tables, *_solver_state(tables, m))
     return [AdRef(*divmod(a, tables.n))
-            for head, vh, hfrom, near, _ in frontiers
-            for a, _ in near[slot] + (((head, vh),) if slot >= hfrom else ())]
+            for head, hfrom, near, _ in frontiers
+            for a in near[slot] + ((head,) if slot >= hfrom else ())]
 
 
 def test_scan_candidates_three_cases():
@@ -149,8 +149,8 @@ def _hfrom(values: list[float], discounts: list[float],
     inst = Instance(len(values), [TypeSpec("t", values, discounts)])
     tables = _Tables(inst)
     m = Matching({s: AdRef(0, r) for s, r in ranks_at.items()})
-    _, [(_, _, hfrom, _, _)], _ = _build_frontiers(tables,
-                                                   *_solver_state(tables, m))
+    _, [(_, hfrom, _, _)], _ = _build_frontiers(tables,
+                                                *_solver_state(tables, m))
     return hfrom
 
 
@@ -261,8 +261,8 @@ def _protected_walk(head: int | None, by_rank: list[tuple[int, int]],
 
 def test_every_table_lists_what_the_protected_walk_lists(tie_heavy):
     # every type's frontier is a table; at every slot of every phase
-    # matching it must list what the protected walk lists on the same
-    # matching, each pair once (the order within a tie is no output); the
+    # matching it must list the ads the protected walk lists on the same
+    # matching, each once (the order within a tie is no output); the
     # tie-heavy and step-curve cases put many slots inside a run of equal
     # discounts that holds a matched ad, where the table is rewritten
     steps = [gen_random(GenConfig(8 + seed % 33, 1 + seed % 4, seed,
@@ -281,7 +281,7 @@ def test_every_table_lists_what_the_protected_walk_lists(tie_heavy):
         for m in sol.stats.phase_matchings:
             slot_ad, ad_slot = _solver_state(tables, m)
             _, frontiers, _ = _build_frontiers(tables, slot_ad, ad_slot)
-            for t, (head, vh, hfrom, near, disc) in enumerate(frontiers):
+            for t, (head, hfrom, near, disc) in enumerate(frontiers):
                 assert isinstance(near, list) and len(near) == n
                 by_rank = sorted((a, s) for s, a in enumerate(slot_ad)
                                  if a >= 0 and a // n == t)
@@ -289,10 +289,9 @@ def test_every_table_lists_what_the_protected_walk_lists(tie_heavy):
                                if any(f <= s <= l for _, s in by_rank))
                 assert (hfrom == n) == (head is None)
                 for x in range(n):
-                    listed = sorted(near[x]
-                                    + (((head, vh),) if x >= hfrom else ()))
+                    listed = sorted(near[x] + ((head,) if x >= hfrom else ()))
                     assert listed == sorted(set(listed)), (m, t, x)
-                    assert listed == sorted(_protected_walk(
+                    assert listed == sorted(a for a, _ in _protected_walk(
                         head, by_rank, disc, tables.val, x)), (m, t, x)
                     checked += 1
     assert checked > 8000, checked

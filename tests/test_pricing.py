@@ -26,6 +26,7 @@ from adtypes.core import (
 from adtypes.hungarian import DualSolution, OptimalSolution, solve_adtypes
 from adtypes.pricing import (
     NonMonotoneAllocationError,
+    PricedOutcome,
     ReserveVector,
     filter_by_reserves,
     myerson_changepoint_prices,
@@ -522,6 +523,28 @@ def test_ic_no_profitable_deviation_vcg_example1(example1):
         deviations = rng.uniform(0.0, 2.0 * example1.value_of(ad), 50)
         report = pricing.test_ic_deviation(example1, mech, ad, deviations)
         assert report.ok, report.profitable
+
+
+def test_ic_audit_reports_a_profitable_misreport(two_bidders):
+    # a mechanism that allocates optimally and charges nothing rewards the
+    # loser for overbidding: the audit must report it, skip the negative
+    # bid, and pass VCG on the same bids
+    def free(inst, ad_map):
+        sol = solve_adtypes(inst)
+        return PricedOutcome(sol.matching, dict.fromkeys(inst.real_ads(), 0.0),
+                             "free", 0.0)
+
+    bids = [-1.0, 5.0, 11.0]
+    report = pricing.test_ic_deviation(two_bidders, free, AdRef(0, 1), bids)
+    assert report.truthful_utility == 3.0
+    assert report.tried == [(5.0, 3.0), (11.0, 6.0)]
+    assert report.profitable == [(11.0, 6.0)]
+    assert not report.ok
+    report = pricing.test_ic_deviation(two_bidders, vcg_mechanism(),
+                                       AdRef(0, 1), bids)
+    assert report.tried == [(5.0, 3.0), (11.0, 1.0)]
+    assert report.profitable == []
+    assert report.ok
 
 
 def test_ic_below_reserve_deviating_above_never_gains():
