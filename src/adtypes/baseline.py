@@ -97,7 +97,7 @@ def solve_bruteforce(inst: Instance) -> Matching:
     k <= 4.  Ties prefer lower type index, then assigning over skipping.
     """
     if has_gap_rules(inst):
-        raise ValidationError("instance has gap rules: use the gap brute force")
+        raise ValidationError("instance has gap rules: use the gap dynamic program")
     n, k = inst.num_slots, inst.num_types
     if n > 8 or k > 4:
         raise GuardError(f"brute force refuses n={n}, k={k} (guard: n<=8, k<=4)")

@@ -20,16 +20,16 @@ states the pruned DP (below) stores, summed over the layers, so it refuses
 by the size of the work, not by ``n``.  It checks every 1024 source states
 within a layer and after each layer, so a refusal overshoots
 :data:`MAX_STATES` by at most 1024 * (k + 1) states however wide the layer,
-and it costs the time and memory of storing those states: zero gaps at
-k=6, n=60 stop at slot 31 with 2,000,353 states stored, after about 4 s and
-130 MB on a 2-vCPU machine.
+and it costs the time and memory of storing those states.  A refusal names
+the incumbent (below), the best gap-feasible welfare found.
 
 The DP is bound-pruned, branch-and-bound style (Morin and Marsten 1976).
-The incumbent is the welfare of a gap-feasible greedy: slot by slot, place
-the next ad with the largest edge that the gap rules allow, ties to the
-lower type, or leave the slot empty when none may go.  The greedy walks the
-DP's own states and moves, one state per slot, so it reads the gap rules
-as the DP does, through the wait counts.  With ``top``
+The incumbent is the best value of a beam search run first over the DP's
+own layer step: each layer is built unpruned from the beam's states and cut
+back to its best ``_BEAM`` (4) states, ties to the first reached.  A beam
+state is a gap-feasible placement with the remaining slots left empty, so
+its value is the welfare of a gap-feasible matching, and the beam reads the
+gap rules as the DP does, through the wait counts.  With ``top``
 the largest ad value and ``tail[s] = sum_{j >= s} max_t alpha_{t,j}``, a
 placement at slot ``j`` adds at most ``top * max_t alpha_{t,j}``, so ``v +
 top * tail[s]`` never grows along a transition, where ``v`` is the value of
@@ -55,7 +55,9 @@ hardness-style instances; and an exhaustive oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import nlargest
 from itertools import accumulate
+from operator import itemgetter
 
 from .core import (
     AdRef,
@@ -72,6 +74,8 @@ BOTTOM = None  # "no ad of this type placed yet"
 
 #: The most states one gap DP may store; a larger instance is refused.
 MAX_STATES = 2_000_000
+# the states per layer that the incumbent's beam keeps
+_BEAM = 4
 
 
 def _gap(inst: Instance):
@@ -112,11 +116,12 @@ def solve_gap_dp(inst: Instance) -> Matching:
     change gap feasibility and sorted values make rank order optimal).  Of
     two ways into a state the first strictly better one is kept.  An offer
     is stored only when it exceeds its layer's cut (module docstring), with
-    the greedy's welfare as the incumbent.  Refuses, with
+    the beam's best welfare as the incumbent.  Refuses, with
     :class:`GuardError`, an instance whose layers together store more than
     :data:`MAX_STATES` states, checked every 1024 source states and after
     each layer: the count is of the states the pruned DP keeps, so a
-    refusal comes only after those states are stored.
+    refusal comes only after those states are stored.  The refusal names
+    the incumbent.
     """
     from array import array  # here, so commands without the DP never load it
 
@@ -151,43 +156,21 @@ def solve_gap_dp(inst: Instance) -> Matching:
     vals = [spec.values for spec in inst.types]
     disc = [spec.discounts for spec in inst.types]
     moves: dict[int, tuple] = {}
-    # the incumbent: the greedy's path through the states, taking at each
-    # slot the allowed move of largest edge (an ad even at edge 0)
-    incumbent = 0.0
-    key = 0
-    for s in range(n):
-        code = key % width
-        mv = moves.get(code)
-        if mv is None:
-            mv = moves[code] = moves_from(code)
-        edge, step = -1.0, mv[0]
-        for t, st, rad, cap, delta in mv[1]:
-            c = key // st % rad
-            if c < cap and (e := vals[t][c] * disc[t][s]) > edge:
-                edge, step = e, delta
-        incumbent += max(edge, 0.0)
-        key += step
-    top = max(v[0] for v in vals)
-    # tail[s] = sum over slots j >= s of max_t alpha_{t,j}
-    peaks = (max(d[j] for d in disc) for j in range(n - 1, -1, -1))
-    tail = list(accumulate(peaks, initial=0.0))[::-1]
-    bar = incumbent - tol_for(incumbent)
-    cur = {0: 0.0}
-    stored = 1
-    # history[s][j]: for state j of the layer after slot s (in insertion
-    # order), (k + 1) * its parent's index in the layer before, plus the
-    # move taken at slot s: 0 for an empty slot, t + 1 for a type-t ad
-    history: list[array] = []
     k1 = k + 1
-    for s in range(n):
+
+    def layer(cur: dict[int, float], s: int, floor: float, room: int):
+        """``(nxt, par)``: the states after slot ``s`` reached from
+        ``cur`` and their values, an offer stored only above ``floor``, and
+        each state's parent code, (k + 1) times its source's index in
+        ``cur`` plus the move taken: 0 for an empty slot, t + 1 for a type-t
+        ad.  Every 1024 source states it stops once it holds more than
+        ``room`` states, so a refusal after it overshoots the budget by at
+        most 1024 * (k + 1) states, however wide the layer."""
         here = [d[s] for d in disc]
-        floor = bar - top * tail[s + 1]  # cut_{s+1}, for the layer built
         nxt: dict[int, float] = {}
         par: dict[int, int] = {}
         for i, (key, v) in enumerate(cur.items()):
-            # every 1024 source states, so the refusal below overshoots the
-            # budget by at most 1024 * (k + 1) states, however wide the layer
-            if not i & 1023 and stored + len(nxt) > MAX_STATES:
+            if not i & 1023 and len(nxt) > room:
                 break
             code = key % width
             mv = moves.get(code)
@@ -207,12 +190,34 @@ def solve_gap_dp(inst: Instance) -> Matching:
                     if w > nxt.get(nk, floor):
                         nxt[nk] = w
                         par[nk] = p + t + 1
-        stored += len(nxt)
+        return nxt, par
+
+    # the incumbent: a beam through the same layers, each cut back to its
+    # best _BEAM states
+    beam = {0: 0.0}
+    for s in range(n):
+        nxt = layer(beam, s, -1.0, MAX_STATES)[0]
+        beam = dict(nlargest(_BEAM, nxt.items(), key=itemgetter(1)))
+    incumbent = max(beam.values())
+    top = max(v[0] for v in vals)
+    # tail[s] = sum over slots j >= s of max_t alpha_{t,j}
+    peaks = (max(d[j] for d in disc) for j in range(n - 1, -1, -1))
+    tail = list(accumulate(peaks, initial=0.0))[::-1]
+    bar = incumbent - tol_for(incumbent)
+    cur = {0: 0.0}
+    stored = 1
+    # history[s][j]: the parent code of state j of the layer after slot s,
+    # in insertion order
+    history: list[array] = []
+    for s in range(n):
+        # cut_{s+1}, for the layer built
+        cur, par = layer(cur, s, bar - top * tail[s + 1], MAX_STATES - stored)
+        stored += len(cur)
         if stored > MAX_STATES:
             raise GuardError(f"gap DP stored {stored} states by slot {s + 1} "
-                             f"of {n}, over MAX_STATES={MAX_STATES} (k={k})")
+                             f"of {n}, over MAX_STATES={MAX_STATES} (k={k}); "
+                             f"best gap-feasible welfare found {incumbent!r}")
         history.append(array("q", par.values()))
-        cur = nxt
 
     final = list(cur.values())
     j = max(range(len(final)), key=final.__getitem__)

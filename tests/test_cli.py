@@ -436,6 +436,16 @@ def test_validation_failure_exit_code(fixtures_dir, tmp_path):
                 "--algo", "adtypes", "--out", str(tmp_path / "x.json")]) == 1
 
 
+@pytest.mark.parametrize("algo", ["adtypes", "generic", "brute", "two-type"])
+def test_gap_free_exact_solvers_point_to_the_gap_dp(fixtures_dir, tmp_path,
+                                                    capsys, algo):
+    # the exact solvers without gap rules name the solver that has them
+    assert run(["solve", "--in", str(fixtures_dir / "gap_small.json"),
+                "--algo", algo, "--out", str(tmp_path / "x.json")]) == 1
+    assert capsys.readouterr().err == ("invalid: instance has gap rules: "
+                                       "use the gap dynamic program\n")
+
+
 def test_output_json_is_one_strict_line(fixtures_dir, tmp_path):
     out = tmp_path / "priced.json"
     assert run(["price", "--in", str(fixtures_dir / "two_bidders.json"),

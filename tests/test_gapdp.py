@@ -199,11 +199,10 @@ def _equal_values_instance(rng) -> Instance:
                                for i in range(k)])
 
 
-def _greedy_trap_instance(rng) -> Instance:
-    # type 0 bids a little more but blocks every type for two slots: the
-    # greedy incumbent reaches under half of the optimum, so pruning does
-    # almost nothing
-    n, k = int(rng.integers(7, 13)), int(rng.integers(2, 4))
+def _greedy_trap_instance(rng, n: int, k: int) -> Instance:
+    # type 0 bids a little more but blocks every type for two slots: a
+    # greedy incumbent reaches under half of the optimum, so pruning against
+    # it does almost nothing
     types = [TypeSpec(f"t{t}", sorted(rng.uniform(1.0, 1.2, n)
                                       + 0.2 * (t == 0), reverse=True),
                       [1.0] * n)
@@ -221,7 +220,9 @@ def test_capped_dp_matches_sparse_oracle():
                                    int(rng.integers(1, 4)), 3))
     for seed in range(20):
         cases.append(_equal_values_instance(np.random.default_rng(seed + 7200)))
-        cases.append(_greedy_trap_instance(np.random.default_rng(seed + 7300)))
+        rng = np.random.default_rng(seed + 7300)
+        cases.append(_greedy_trap_instance(rng, int(rng.integers(7, 13)),
+                                           int(rng.integers(2, 4))))
     for i, inst in enumerate(cases):
         dp = solve_gap_dp(inst)
         assert check_gap_feasible(inst, dp), f"case {i}"
@@ -243,7 +244,8 @@ def test_capped_dp_guard_names_the_state_count(monkeypatch):
     types = [TypeSpec(f"t{i}", [1.0] * 8, [1.0] * 8) for i in range(4)]
     free = Instance(8, types, [[0] * 4 for _ in range(4)])
     monkeypatch.setattr(gapdp, "MAX_STATES", 50)
-    with pytest.raises(GuardError, match=r"stored 70 states by slot 4 of 8"):
+    with pytest.raises(GuardError, match=r"stored 70 states by slot 4 of 8, "
+                       r".*; best gap-feasible welfare found 8\.0$"):
         solve_gap_dp(free)
     spaced = Instance(8, types, [[int(i == j) for j in range(4)]
                                  for i in range(4)])
@@ -266,7 +268,7 @@ def _decaying_instance(seed: int, k: int, n: int, self_gap: int) -> Instance:
 
 def test_pruning_finishes_what_the_unpruned_dp_refuses(monkeypatch):
     # one-slot self-gaps at k=4, n=24: the unpruned DP stores 365,821
-    # states, the bound-pruned one 35,803
+    # states, the bound-pruned one 22,855
     inst = _decaying_instance(2024, 4, 24, 1)
     budget = gapdp.MAX_STATES
     monkeypatch.setattr(gapdp, "MAX_STATES", 100_000)
@@ -282,15 +284,22 @@ def test_pruning_finishes_what_the_unpruned_dp_refuses(monkeypatch):
 
 def test_gap_dp_shares_no_gap_window_code_with_its_oracles():
     # the DP reads the gap rules only through its wait counts, incumbent
-    # included; _append_ok belongs to the feasibility check and the
+    # included, and walks its transitions in one loop, which the beam and
+    # the DP both run; _append_ok belongs to the feasibility check and the
     # oracles that cross-check the DP
     tree = ast.parse(inspect.getsource(gapdp))
     functions = {node.name: node for node in tree.body
                  if isinstance(node, ast.FunctionDef)}
     assert not [name for name in functions if "greedy" in name], functions
-    called = {node.func.id for node in ast.walk(functions["solve_gap_dp"])
-              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
-    assert "moves_from" in called, called
+    dp = list(ast.walk(functions["solve_gap_dp"]))
+    called = [node.func.id for node in dp
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
+    assert called.count("moves_from") == 1, called
+    move_loops = [node for node in dp if isinstance(node, ast.For)
+                  and isinstance(node.target, ast.Tuple)
+                  and [getattr(e, "id", None) for e in node.target.elts]
+                  == ["t", "st", "rad", "cap", "delta"]]
+    assert len(move_loops) == 1, move_loops
     assert "_append_ok" not in called and not any("greedy" in name
                                                   for name in called), called
     callers = {name for name, node in functions.items()
@@ -325,3 +334,38 @@ def test_guard_stops_a_wide_layer_within_the_budget(monkeypatch):
         solve_gap_dp(wide)
     stored = int(re.search(r"stored (\d+) states", str(refused.value))[1])
     assert 50_000 < stored <= 50_000 + 1024 * (k + 1)
+
+
+def _shape(name: str) -> Instance:
+    # the four gap-DP shapes A to D that ROADMAP item 4 defines
+    if name == "A":
+        return _decaying_instance(2024, 4, 24, 1)
+    if name == "B":
+        return _decaying_instance(5, 3, 40, 1)
+    if name == "C":  # gap 2 between distinct types, none within a type
+        drawn = _decaying_instance(6, 3, 24, 0)
+        return Instance(24, drawn.types, [[2 * (i != j) for j in range(3)]
+                                          for i in range(3)])
+    return _greedy_trap_instance(np.random.default_rng(7), 24, 3)
+
+
+@pytest.mark.parametrize("name,stored", [("A", 22_855), ("B", 3_178),
+                                         ("C", 702), ("D", 1_773)])
+def test_the_beam_incumbent_prunes_the_shapes(monkeypatch, name, stored):
+    # the states the pruned DP stores, which a budget one below them
+    # reveals: the beam's incumbent decides how much is pruned
+    inst = _shape(name)
+    n = inst.num_slots
+    monkeypatch.setattr(gapdp, "MAX_STATES", stored - 1)
+    with pytest.raises(GuardError,
+                       match=rf"stored {stored} states by slot {n} of {n},"):
+        solve_gap_dp(inst)
+
+
+@pytest.mark.parametrize("name", ["C", "D"])
+def test_the_pruned_shapes_keep_the_unpruned_welfare(monkeypatch, name):
+    # unpruned, shapes C and D store 62,734 and 20,475 states
+    inst = _shape(name)
+    pruned = welfare(inst, solve_gap_dp(inst))
+    monkeypatch.setattr(gapdp, "tol_for", lambda x: math.inf)
+    assert welfare(inst, solve_gap_dp(inst)).hex() == pruned.hex()
